@@ -36,6 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.dominance import key_matrix, non_dominated_mask
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.utils.errors import ConfigurationError
@@ -105,7 +108,8 @@ def non_dominated(
 
     A point survives when no other point strictly dominates it; among points
     with *identical* key values only the first (in input order) is kept, so
-    the front never carries duplicates of one trade-off position.
+    the front never carries duplicates of one trade-off position.  The
+    dominance tests run on the array kernel of :mod:`repro.core.dominance`.
 
     Parameters
     ----------
@@ -119,22 +123,20 @@ def non_dominated(
     list of ParetoPoint
         The front, sorted ascending by the first key (ties by the
         remaining keys).
+
+    Raises
+    ------
+    ConfigurationError
+        When *keys* is empty, or a key component is NaN.
     """
     keys = tuple(keys)
     if not keys:
         raise ConfigurationError("non_dominated requires at least one key")
-    survivors: List[ParetoPoint] = []
-    seen_positions: set = set()
-    for candidate in points:
-        position = tuple(candidate.metrics[key] for key in keys)
-        if position in seen_positions:
-            continue
-        if any(dominates(other.metrics, candidate.metrics, keys) for other in points):
-            continue
-        seen_positions.add(position)
-        survivors.append(candidate)
-    survivors.sort(key=lambda point: tuple(point.metrics[key] for key in keys))
-    return survivors
+    matrix = key_matrix([point.metrics for point in points], keys)
+    positions = matrix.tolist()
+    survivors = np.flatnonzero(non_dominated_mask(matrix)).tolist()
+    survivors.sort(key=positions.__getitem__)
+    return [points[index] for index in survivors]
 
 
 def metric_points(

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.graphs.cwg import CWG
 from repro.core.mapping import Mapping
 from repro.core.metrics import CWM_METRIC_NAMES, MetricVector
@@ -86,21 +88,30 @@ def link_load_spread(loads: Dict[Link, float], num_links: int) -> float:
     an idle fabric half lowers the mean and widens the spread, which is
     exactly the imbalance the component is meant to price.  Returns 0.0 when
     the fabric has no links.
+
+    Loads are summed one by one in sorted-link order, the order the array
+    gather of :class:`LoadAwareCwmContext` adds them in, so both paths
+    return the same float for any volumes (for integer volumes every order
+    gives the same sum).
     """
     if num_links <= 0:
         return 0.0
-    return max_link_load(loads) - sum(loads.values()) / num_links
+    total = 0.0
+    for link in sorted(loads):
+        total += loads[link]
+    return max_link_load(loads) - total / num_links
 
 
 class LoadAwareCwmContext(CwmEvaluationContext):
     """CWM pricing extended with per-link congestion components.
 
     The vector is ``("dynamic_energy", "max_link_load", "link_load_spread")``
-    — see :data:`LOAD_METRIC_NAMES`.  The energy component is produced by the
-    parent's machinery unmodified (scalar loop *or* array kernel — the chunk
-    path delegates to :class:`~repro.eval.context.CwmEvaluationContext`, so
-    kernel-priced energies stay bit-identical to serial); the two congestion
-    components are accumulated from the same shared route table.
+    — see :data:`LOAD_METRIC_NAMES`.  Per candidate, the energy comes from
+    the parent's scalar loop and the loads from a loop over the shared route
+    table.  A vectorised chunk prices the energy with the array kernel and
+    the loads with one gather over the route table's link CSR
+    (:meth:`~repro.eval.vector.VectorizedCwmKernel.link_load_stats`), from
+    the same ``(pop, cores)`` rows; both are bit-identical to the loops.
 
     The constructor signature, default ``weights`` (``{"dynamic_energy":
     1.0}``) and picklable-light ``__getstate__``/``__setstate__`` are all
@@ -147,20 +158,23 @@ class LoadAwareCwmContext(CwmEvaluationContext):
     def _compute_metrics_chunk(
         self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
     ) -> List[MetricVector]:
+        """Chunk pricing: the energy kernel and the link-load gather read the
+        same ``(pop, cores)`` rows, both bit-identical to the scalar path."""
         items = list(mappings)
-        energies = super()._compute_metrics_chunk(items)
-        out: List[MetricVector] = []
-        for mapping, vector in zip(items, energies):
-            peak, spread = self._load_components(
-                self._tile_assignments(mapping)
-            )
-            out.append(
-                MetricVector(
-                    LOAD_METRIC_NAMES,
-                    (vector["dynamic_energy"], peak, spread),
-                )
-            )
-        return out
+        if not self.vectorize or not items:
+            return [self._compute_metrics(mapping) for mapping in items]
+        kernel = self.vector_kernel()
+        rows = self._tile_rows(items)
+        energies = kernel.price(rows)
+        peaks, totals = kernel.link_load_stats(rows)
+        if self._num_links > 0:
+            spreads = peaks - totals / self._num_links
+        else:
+            spreads = np.zeros_like(peaks)
+        return [
+            MetricVector(LOAD_METRIC_NAMES, values)
+            for values in zip(energies.tolist(), peaks.tolist(), spreads.tolist())
+        ]
 
     def metric_delta(
         self, mapping: Mapping, tile_a: int, tile_b: int

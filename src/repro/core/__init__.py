@@ -9,6 +9,8 @@
   and total (static + dynamic) energy (equations 4–10);
 * :mod:`~repro.core.metrics` — named :class:`~repro.core.metrics.MetricVector`
   components and scalarisation weights, the vector-valued objective core;
+* :mod:`~repro.core.dominance` — the array Pareto-dominance kernel behind
+  the NSGA ranking and the front filter;
 * :mod:`~repro.core.objective` — objective-function adapters binding an
   application and platform so search engines only see ``mapping -> cost``,
   plus :class:`~repro.core.objective.ScalarisedObjective` weight views over

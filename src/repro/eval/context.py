@@ -611,15 +611,26 @@ class CwmEvaluationContext(EvaluationContext):
     ) -> List[MetricVector]:
         """Chunk pricing: one kernel gather per chunk when vectorised.
 
-        Candidates are validated exactly like the scalar path (same
-        :class:`~repro.utils.errors.MappingError` conditions), stacked into a
-        ``(pop, cores)`` array and priced by :meth:`vector_kernel` in one
-        call.  With ``vectorize`` off, falls back to the base per-candidate
-        loop.
+        Candidates are stacked by :meth:`_tile_rows` and priced by
+        :meth:`vector_kernel` in one call.  With ``vectorize`` off, falls
+        back to the base per-candidate loop.
         """
         items = list(mappings)
         if not self.vectorize or not items:
             return [self._compute_metrics(mapping) for mapping in items]
+        totals = self.vector_kernel().price(self._tile_rows(items))
+        return [
+            MetricVector(CWM_METRIC_NAMES, (total,)) for total in totals.tolist()
+        ]
+
+    def _tile_rows(
+        self, items: Sequence[Union[Mapping, Dict[str, int]]]
+    ) -> np.ndarray:
+        """The ``(pop, cores)`` tile array of a chunk, in kernel core order.
+
+        Candidates are validated exactly like the scalar path (same
+        :class:`~repro.utils.errors.MappingError` conditions).
+        """
         kernel = self.vector_kernel()
         order = kernel.core_order
         required = kernel.required_cores
@@ -641,10 +652,7 @@ class CwmEvaluationContext(EvaluationContext):
                             )
                         continue
                     rows[row, column] = tile
-        return [
-            MetricVector(CWM_METRIC_NAMES, (total,))
-            for total in kernel.price(rows)
-        ]
+        return rows
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
         """Exact CWM cost change of swapping the contents of two tiles.

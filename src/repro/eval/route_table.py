@@ -35,6 +35,7 @@ already in the per-pair memo.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -94,6 +95,7 @@ class RouteTable:
         "_energy",
         "_dense_hops",
         "_dense_energy",
+        "_link_csr",
     )
 
     def __init__(
@@ -113,6 +115,7 @@ class RouteTable:
         self._eager = pairs <= _EAGER_PAIR_LIMIT if precompute is None else precompute
         self._dense_hops: Optional[np.ndarray] = None
         self._dense_energy: Optional[np.ndarray] = None
+        self._link_csr: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
         if self._eager:
             paths: List[Tuple[int, ...]] = []
             links: List[Tuple[Tuple[int, int], ...]] = []
@@ -218,6 +221,7 @@ class RouteTable:
         instance._energy = _freeze(np.array(energy, dtype=np.float64))
         instance._dense_hops = None
         instance._dense_energy = None
+        instance._link_csr = None
         return instance
 
     @property
@@ -370,6 +374,57 @@ class RouteTable:
             self._dense_energy = _freeze(energy)
             self._dense_hops = _freeze(hops)
         return self.as_arrays()
+
+    def link_csr(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Every route's links as link ids, in CSR form (built on first use).
+
+        Link ids index the sorted ``topology.links()``.  The links of the
+        route from ``source`` to ``target`` are ``indices[indptr[p]:indptr[p +
+        1]]`` with ``p = source * num_tiles + target``, in route order — the
+        integer form of :meth:`links`, which the link-load gather of
+        :meth:`~repro.eval.vector.VectorizedCwmKernel.link_load_stats` reads.
+        Like :meth:`warm_dense`, a lazy table reuses its memoised pairs and
+        routes the others without memoising them.
+
+        Returns
+        -------
+        (indptr, indices, num_links):
+            Read-only int32 arrays of ``num_tiles ** 2 + 1`` offsets and of
+            link ids, and the number of links of the topology.
+        """
+        if self._link_csr is None:
+            n = self.num_tiles
+            links = sorted(self.mesh.links())
+            ids = np.full(n * n, -1, dtype=np.int32)
+            for link_id, (tail, head) in enumerate(links):
+                ids[tail * n + head] = link_id
+            counts = np.empty(n * n, dtype=np.int64)
+            blocks = []
+            for source in range(n):
+                if self._eager:
+                    routes = self._links[source * n : (source + 1) * n]
+                else:
+                    routes = []
+                    for target in range(n):
+                        route = self._links.get(source * n + target)
+                        if route is None:
+                            path = self.routing.route(self.mesh, source, target)
+                            route = tuple(zip(path, path[1:]))
+                        routes.append(route)
+                counts[source * n : (source + 1) * n] = [len(r) for r in routes]
+                ends = np.fromiter(
+                    chain.from_iterable(chain.from_iterable(routes)), dtype=np.int64
+                )
+                blocks.append(ids[ends[0::2] * n + ends[1::2]])
+            indices = np.concatenate(blocks)
+            if (indices < 0).any():
+                raise ConfigurationError(
+                    f"{self!r} routes over a link its topology does not list"
+                )
+            indptr = np.zeros(n * n + 1, dtype=np.int32)
+            indptr[1:] = np.cumsum(counts)
+            self._link_csr = (_freeze(indptr), _freeze(indices), len(links))
+        return self._link_csr
 
     def __repr__(self) -> str:
         mode = "precomputed" if self._eager else "lazy"

@@ -195,6 +195,7 @@ class VectorizedCwmKernel:
         "_required",
         "_energy",
         "_hops",
+        "_route_table",
     )
 
     def __init__(
@@ -235,6 +236,7 @@ class VectorizedCwmKernel:
             core for source, target, _ in edge_list for core in (source, target)
         )
         self._energy, self._hops = route_table.warm_dense()
+        self._route_table = route_table
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -406,6 +408,64 @@ class VectorizedCwmKernel:
             gathered = self._hops[rows[:, self._src_idx], rows[:, self._tgt_idx]]
             out[start : start + block] = (self._bits_int * gathered).sum(axis=1)
         return out
+
+    def link_load_stats(self, tiles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Hottest-link load and total link load of every candidate row.
+
+        Every edge's volume is pushed onto each link of its route, read from
+        the route table's :meth:`~repro.eval.route_table.RouteTable.link_csr`.
+        ``np.bincount`` over the flattened (candidate, edge, route position)
+        stream adds each link's load in the order of the scalar loop of
+        :class:`~repro.codesign.load.LoadAwareCwmContext`, so every load is
+        bit-identical to it.  The total adds the loads in link-id (sorted
+        link) order with ``np.add.accumulate``, the order
+        :func:`~repro.codesign.load.link_load_spread` sums in.  Large
+        populations are priced in row blocks.
+
+        Parameters
+        ----------
+        tiles:
+            ``(pop, cores)`` integer array in :attr:`core_order` column
+            order.
+
+        Returns
+        -------
+        (peaks, totals):
+            ``(pop,)`` float64 arrays: the hottest link's load and the sum
+            of all link loads (zeros when nothing crosses a link).
+        """
+        array = self._validate(tiles)
+        pop = array.shape[0]
+        peaks = np.zeros(pop, dtype=np.float64)
+        totals = np.zeros(pop, dtype=np.float64)
+        indptr, indices, num_links = self._route_table.link_csr()
+        edges = self._src_idx.size
+        if pop == 0 or edges == 0 or num_links == 0:
+            return peaks, totals
+        longest = int(np.diff(indptr).max())
+        block = max(1, _MAX_GATHER_ELEMENTS // max(edges * longest, num_links))
+        for start in range(0, pop, block):
+            rows = array[start : start + block]
+            count = rows.shape[0]
+            pairs = rows[:, self._src_idx] * self.num_tiles + rows[:, self._tgt_idx]
+            first = indptr[pairs]
+            lengths = indptr[pairs + 1] - first
+            # Position in `indices` of every (candidate, edge, route position).
+            flat = lengths.ravel()
+            offsets = np.cumsum(flat) - flat
+            stream = np.repeat(first.ravel() - offsets, flat) + np.arange(flat.sum())
+            slots = indices[stream] + np.repeat(
+                np.arange(count) * num_links, lengths.sum(axis=1)
+            )
+            loads = np.bincount(
+                slots,
+                weights=np.repeat(np.tile(self._bits, count), flat),
+                minlength=count * num_links,
+            ).reshape(count, num_links)
+            peaks[start : start + count] = loads.max(axis=1)
+            np.add.accumulate(loads, axis=1, out=loads)
+            totals[start : start + count] = loads[:, -1]
+        return peaks, totals
 
     def price_mappings(
         self, mappings: Iterable[Union[Mapping, Dict[str, int]]]

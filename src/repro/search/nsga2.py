@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.dominance import key_matrix, pareto_fronts
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.search.base import (
@@ -104,6 +105,10 @@ def fast_non_dominated_sort(
 ) -> List[List[int]]:
     """Deb's fast non-dominated sort: indices grouped into Pareto ranks.
 
+    Runs on the array dominance kernel of :mod:`repro.core.dominance`: one
+    ``(n, n)`` comparison per key instead of a Python dominance test per
+    pair, with the fronts and their order unchanged.
+
     Parameters
     ----------
     vectors:
@@ -116,31 +121,17 @@ def fast_non_dominated_sort(
     list of list of int
         ``fronts[0]`` is the non-dominated set, ``fronts[1]`` the set
         dominated only by rank 0, and so on.  Every index appears exactly
-        once; order within a front is deterministic for a given input order.
+        once.  Deb's order within a front: front 0 ascending; a later front
+        by the position of each member's last dominator in the previous
+        front, then by index.
+
+    Raises
+    ------
+    ConfigurationError
+        When a key component is NaN (dominance would cycle and silently
+        drop individuals); ±inf is accepted.
     """
-    keys = tuple(keys)
-    n = len(vectors)
-    dominated: List[List[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            if vectors[p].dominates(vectors[q], keys):
-                dominated[p].append(q)
-                counts[q] += 1
-            elif vectors[q].dominates(vectors[p], keys):
-                dominated[q].append(p)
-                counts[p] += 1
-    fronts: List[List[int]] = [[p for p in range(n) if counts[p] == 0]]
-    while fronts[-1]:
-        next_front: List[int] = []
-        for p in fronts[-1]:
-            for q in dominated[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    next_front.append(q)
-        fronts.append(next_front)
-    fronts.pop()  # the loop always appends one trailing empty front
-    return fronts
+    return pareto_fronts(key_matrix(vectors, keys))
 
 
 def crowding_distances(

@@ -25,10 +25,12 @@ import os
 import pickle
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.codesign.synthesis as synthesis_module
+import repro.eval.vector as vector_module
 from repro.codesign import (
     CertificationResult,
     CodesignParameters,
@@ -48,11 +50,13 @@ from repro.core.mapping import Mapping
 from repro.core.metrics import CDCM_METRIC_NAMES, MetricVector, scalarisation_weights
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.route_table import RouteTable
 from repro.graphs.convert import cdcg_to_cwg
+from repro.graphs.cwg import cwg_from_edges
 from repro.noc.deadlock import channel_dependency_graph, validate_deadlock_free
 from repro.noc.platform import Platform
-from repro.noc.routing import XYRouting, get_routing
-from repro.noc.topology import Mesh
+from repro.noc.routing import TableRouting, XYRouting, get_routing
+from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.utils.errors import ConfigurationError
 from repro.workloads.embedded import image_encoder
 
@@ -269,6 +273,38 @@ class TestCertification:
 # ---------------------------------------------------------------------------
 
 
+_LOAD_FABRICS = {
+    "mesh": Platform(mesh=Mesh(4, 3)),
+    "torus": Platform(mesh=Torus(3, 3)),
+    "irregular": Platform(
+        mesh=IrregularTopology(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 2), (4, 6),
+             (6, 7), (7, 5), (7, 8)],
+            name="load-fabric9",
+        ),
+        routing=TableRouting(),
+    ),
+}
+
+
+def _load_cwg(seed: int, fractional: bool):
+    """A random 8-core CWG; one core is isolated, volumes optionally fractional."""
+    rng = np.random.default_rng(seed)
+    cores = [f"c{index}" for index in range(8)]
+    edges = []
+    for source in cores[:-1]:
+        for target in cores[:-1]:
+            if source != target and rng.random() < 0.5:
+                volume = int(rng.integers(1, 5000))
+                edges.append((source, target, volume + 0.1 if fractional else volume))
+    return cwg_from_edges("load", edges, cores=cores)
+
+
+def _load_population(cwg, platform, seed: int, size: int):
+    rng = np.random.default_rng(seed)
+    return [Mapping.random(cwg.cores, platform.num_tiles, rng=rng) for _ in range(size)]
+
+
 class TestLoadAwareCwmContext:
     @pytest.fixture(scope="class")
     def load_setup(self, encoder_workload):
@@ -327,6 +363,65 @@ class TestLoadAwareCwmContext:
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             pooled = context.evaluate_metrics_batch(mappings, backend=pool)
         assert [v.values for v in pooled] == [v.values for v in serial]
+
+    @pytest.mark.parametrize("fabric", ["mesh", "torus", "irregular"])
+    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "float"])
+    def test_load_gather_matches_scalar_loop(self, fabric, precompute, fractional):
+        platform = _LOAD_FABRICS[fabric]
+        cwg = _load_cwg(seed=len(fabric), fractional=fractional)
+        table = RouteTable.for_platform(platform, precompute=precompute)
+        context = LoadAwareCwmContext(cwg, platform, route_table=table)
+        mappings = _load_population(cwg, platform, seed=5, size=24)
+        scalar = [context._compute_metrics(mapping).values for mapping in mappings]
+        chunk = context._compute_metrics_chunk(mappings)
+        assert [vector.values for vector in chunk] == scalar
+        clone = pickle.loads(pickle.dumps(context))
+        assert [v.values for v in clone._compute_metrics_chunk(mappings)] == scalar
+
+    def test_load_gather_pooled_on_custom_lazy_table(self):
+        # A custom table travels with the pickle; each worker builds its own
+        # link CSR from it.
+        platform = _LOAD_FABRICS["irregular"]
+        cwg = _load_cwg(seed=7, fractional=True)
+        table = RouteTable.for_platform(platform, precompute=False)
+        context = LoadAwareCwmContext(cwg, platform, route_table=table)
+        mappings = _load_population(cwg, platform, seed=11, size=12)
+        scalar = [context._compute_metrics(mapping).values for mapping in mappings]
+        with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
+            pooled = context.evaluate_metrics_batch(mappings, backend=pool)
+        assert [vector.values for vector in pooled] == scalar
+
+    def test_load_gather_across_row_blocks(self, monkeypatch):
+        platform = _LOAD_FABRICS["torus"]
+        cwg = _load_cwg(seed=3, fractional=True)
+        context = LoadAwareCwmContext(cwg, platform)
+        mappings = _load_population(cwg, platform, seed=9, size=30)
+        scalar = [context._compute_metrics(mapping).values for mapping in mappings]
+        # A few gathered elements per block: the chunk spans many row blocks.
+        monkeypatch.setattr(vector_module, "_MAX_GATHER_ELEMENTS", 64)
+        chunk = context._compute_metrics_chunk(mappings)
+        assert [vector.values for vector in chunk] == scalar
+
+    def test_empty_chunk(self, load_setup):
+        cwg, platform, context, mappings = load_setup
+        assert context._compute_metrics_chunk([]) == []
+        kernel = context.vector_kernel()
+        peaks, totals = kernel.link_load_stats(np.zeros((0, len(kernel.core_order))))
+        assert peaks.shape == totals.shape == (0,)
+
+    def test_duplicates_price_once(self, load_setup):
+        cwg, platform, _, mappings = load_setup
+        context = LoadAwareCwmContext(cwg, platform)
+        batch = mappings + mappings[:3] + mappings[::-1]
+        vectors = context.evaluate_metrics_batch(batch)
+        assert [v.values for v in vectors] == [
+            context._compute_metrics(mapping).values for mapping in batch
+        ]
+        info = context.cache_info()
+        assert (info.hits, info.misses) == (0, len(mappings))
+        context.evaluate_metrics_batch(batch)
+        assert context.cache_info().hits == len(batch)
 
     def test_metric_delta_disabled(self, load_setup):
         cwg, platform, context, mappings = load_setup
