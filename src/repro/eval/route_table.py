@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
 #: Above this many (source, target) pairs the table fills lazily on demand.
 _EAGER_PAIR_LIMIT = 1 << 16
 
+#: Routes converted per step when building a link-id CSR.
+_CSR_BLOCK_ROUTES = 1024
+
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     """Mark *array* read-only (dense halves are shared across evaluators)."""
@@ -96,6 +99,7 @@ class RouteTable:
         "_dense_hops",
         "_dense_energy",
         "_link_csr",
+        "_link_keys",
     )
 
     def __init__(
@@ -115,7 +119,8 @@ class RouteTable:
         self._eager = pairs <= _EAGER_PAIR_LIMIT if precompute is None else precompute
         self._dense_hops: Optional[np.ndarray] = None
         self._dense_energy: Optional[np.ndarray] = None
-        self._link_csr: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
+        self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._link_keys: Optional[np.ndarray] = None
         if self._eager:
             paths: List[Tuple[int, ...]] = []
             links: List[Tuple[Tuple[int, int], ...]] = []
@@ -222,6 +227,7 @@ class RouteTable:
         instance._dense_hops = None
         instance._dense_energy = None
         instance._link_csr = None
+        instance._link_keys = None
         return instance
 
     @property
@@ -375,56 +381,89 @@ class RouteTable:
             self._dense_hops = _freeze(hops)
         return self.as_arrays()
 
-    def link_csr(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Every route's links as link ids, in CSR form (built on first use).
+    @property
+    def num_links(self) -> int:
+        """Directed links of the topology: :meth:`link_csr` ids run below it."""
+        return self._sorted_link_keys().size
 
-        Link ids index the sorted ``topology.links()``.  The links of the
-        route from ``source`` to ``target`` are ``indices[indptr[p]:indptr[p +
-        1]]`` with ``p = source * num_tiles + target``, in route order — the
-        integer form of :meth:`links`, which the link-load gather of
-        :meth:`~repro.eval.vector.VectorizedCwmKernel.link_load_stats` reads.
-        Like :meth:`warm_dense`, a lazy table reuses its memoised pairs and
-        routes the others without memoising them.
+    def link_csr(
+        self, pairs: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Route links as link ids, in CSR form.
+
+        Link ids index the sorted ``topology.links()``.  Row ``r`` holds the
+        links of one route, in route order, as ``indices[indptr[r]:indptr[r +
+        1]]`` — the integer form of :meth:`links`, which the link-load gather
+        of :meth:`~repro.eval.vector.VectorizedCwmKernel.link_load_stats`
+        reads.
+
+        Parameters
+        ----------
+        pairs:
+            Row-major pair indices (``source * num_tiles + target``).  Row
+            ``r`` is then the route of ``pairs[r]``, converted on every call
+            from :meth:`links`, so a lazy table routes and memoises only the
+            pairs asked for, each once.  Without *pairs* the rows are all
+            ``num_tiles ** 2`` pairs in row-major order: an eager table builds
+            that CSR on first use (never at construction) and memoises it,
+            and a lazy table raises
+            :class:`~repro.utils.errors.ConfigurationError` rather than route
+            every pair and hold ids for all of them.
 
         Returns
         -------
-        (indptr, indices, num_links):
-            Read-only int32 arrays of ``num_tiles ** 2 + 1`` offsets and of
-            link ids, and the number of links of the topology.
+        (indptr, indices):
+            Read-only int32 arrays of ``rows + 1`` offsets and of link ids.
         """
-        if self._link_csr is None:
+        if pairs is not None:
             n = self.num_tiles
-            links = sorted(self.mesh.links())
-            ids = np.full(n * n, -1, dtype=np.int32)
-            for link_id, (tail, head) in enumerate(links):
-                ids[tail * n + head] = link_id
-            counts = np.empty(n * n, dtype=np.int64)
-            blocks = []
-            for source in range(n):
-                if self._eager:
-                    routes = self._links[source * n : (source + 1) * n]
-                else:
-                    routes = []
-                    for target in range(n):
-                        route = self._links.get(source * n + target)
-                        if route is None:
-                            path = self.routing.route(self.mesh, source, target)
-                            route = tuple(zip(path, path[1:]))
-                        routes.append(route)
-                counts[source * n : (source + 1) * n] = [len(r) for r in routes]
-                ends = np.fromiter(
-                    chain.from_iterable(chain.from_iterable(routes)), dtype=np.int64
-                )
-                blocks.append(ids[ends[0::2] * n + ends[1::2]])
-            indices = np.concatenate(blocks)
-            if (indices < 0).any():
+            return self._to_csr(
+                [self.links(*divmod(pair, n)) for pair in pairs.tolist()]
+            )
+        if not self._eager:
+            raise ConfigurationError(
+                f"{self!r} is lazy; pass the pairs whose links are needed"
+            )
+        if self._link_csr is None:
+            self._link_csr = self._to_csr(self._links)
+        return self._link_csr
+
+    def _sorted_link_keys(self) -> np.ndarray:
+        """``tail * num_tiles + head`` of the sorted topology links (memoised).
+
+        The keys ascend with the link ids, so a binary search maps a link to
+        its id without an ``(n, n)`` lookup array.
+        """
+        if self._link_keys is None:
+            n = self.num_tiles
+            keys = [tail * n + head for tail, head in sorted(self.mesh.links())]
+            self._link_keys = _freeze(np.array(keys, dtype=np.int64))
+        return self._link_keys
+
+    def _to_csr(
+        self, routes: List[Tuple[Tuple[int, int], ...]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Link-id CSR of *routes*, one row per route."""
+        n = self.num_tiles
+        keys = self._sorted_link_keys()
+        counts = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+        blocks = [np.empty(0, dtype=np.int32)]
+        # Blocks of routes keep the temporaries small.
+        for start in range(0, len(routes), _CSR_BLOCK_ROUTES):
+            block = routes[start : start + _CSR_BLOCK_ROUTES]
+            ends = np.fromiter(
+                chain.from_iterable(chain.from_iterable(block)), dtype=np.int64
+            )
+            wanted = ends[0::2] * n + ends[1::2]
+            ids = np.searchsorted(keys, wanted)
+            if ids.size and (ids.max() >= keys.size or (keys[ids] != wanted).any()):
                 raise ConfigurationError(
                     f"{self!r} routes over a link its topology does not list"
                 )
-            indptr = np.zeros(n * n + 1, dtype=np.int32)
-            indptr[1:] = np.cumsum(counts)
-            self._link_csr = (_freeze(indptr), _freeze(indices), len(links))
-        return self._link_csr
+            blocks.append(ids.astype(np.int32))
+        indptr = np.zeros(len(routes) + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(counts)
+        return _freeze(indptr), _freeze(np.concatenate(blocks))
 
     def __repr__(self) -> str:
         mode = "precomputed" if self._eager else "lazy"

@@ -420,7 +420,10 @@ class VectorizedCwmKernel:
         bit-identical to it.  The total adds the loads in link-id (sorted
         link) order with ``np.add.accumulate``, the order
         :func:`~repro.codesign.load.link_load_spread` sums in.  Large
-        populations are priced in row blocks.
+        populations are priced in row blocks.  An eager table serves one
+        memoised CSR of all pairs; a lazy table converts only each block's
+        distinct pairs, routing and memoising each pair once, as the scalar
+        loop does.
 
         Parameters
         ----------
@@ -438,16 +441,24 @@ class VectorizedCwmKernel:
         pop = array.shape[0]
         peaks = np.zeros(pop, dtype=np.float64)
         totals = np.zeros(pop, dtype=np.float64)
-        indptr, indices, num_links = self._route_table.link_csr()
+        table = self._route_table
+        num_links = table.num_links
         edges = self._src_idx.size
         if pop == 0 or edges == 0 or num_links == 0:
             return peaks, totals
-        longest = int(np.diff(indptr).max())
+        if table.is_precomputed:
+            indptr, indices = table.link_csr()
+        # A route crosses one link fewer than the routers it visits.
+        longest = int(self._hops.max()) - 1
         block = max(1, _MAX_GATHER_ELEMENTS // max(edges * longest, num_links))
         for start in range(0, pop, block):
             rows = array[start : start + block]
             count = rows.shape[0]
             pairs = rows[:, self._src_idx] * self.num_tiles + rows[:, self._tgt_idx]
+            if not table.is_precomputed:
+                distinct, inverse = np.unique(pairs.ravel(), return_inverse=True)
+                indptr, indices = table.link_csr(distinct)
+                pairs = inverse.reshape(pairs.shape)
             first = indptr[pairs]
             lengths = indptr[pairs + 1] - first
             # Position in `indices` of every (candidate, edge, route position).

@@ -5,7 +5,7 @@ These are the original implementations of
 :func:`repro.analysis.pareto.non_dominated`, copied verbatim from before
 both moved onto the array kernel of :mod:`repro.core.dominance`.  They test
 dominance pair by pair with :meth:`~repro.core.metrics.MetricVector.dominates`
-and share no code with the kernel, so ``tests/test_pareto_kernel.py`` can
+and share no code with the kernel, so ``tests/test_dominance.py`` can
 check the kernel against them: identical fronts, in identical order.
 """
 

@@ -392,10 +392,46 @@ class TestLoadAwareCwmContext:
             pooled = context.evaluate_metrics_batch(mappings, backend=pool)
         assert [vector.values for vector in pooled] == scalar
 
-    def test_load_gather_across_row_blocks(self, monkeypatch):
+    def test_lazy_gather_routes_each_used_pair_once(self, monkeypatch):
+        platform = _LOAD_FABRICS["mesh"]
+        cwg = _load_cwg(seed=2, fractional=False)
+        table = RouteTable.for_platform(platform, precompute=False)
+        context = LoadAwareCwmContext(cwg, platform, route_table=table)
+        context.vector_kernel()  # densifies the energy halves, memoises no route
+        mappings = _load_population(cwg, platform, seed=4, size=16)
+        routing = table.routing
+        routed = []
+
+        class CountingRouting:
+            name = routing.name
+
+            def route(self, topology, source, target):
+                routed.append((source, target))
+                return routing.route(topology, source, target)
+
+        monkeypatch.setattr(table, "routing", CountingRouting())
+        chunk = context._compute_metrics_chunk(mappings)
+        used = {
+            (tiles[source], tiles[target])
+            for tiles in (mapping.assignments() for mapping in mappings)
+            for source, target, _ in context._edges
+        }
+        assert sorted(routed) == sorted(used)
+        context._compute_metrics_chunk(mappings)
+        assert len(routed) == len(used)
+        assert [vector.values for vector in chunk] == [
+            context._compute_metrics(mapping).values for mapping in mappings
+        ]
+        assert table.num_links == len(platform.mesh.links())
+        with pytest.raises(ConfigurationError, match="lazy"):
+            table.link_csr()
+
+    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
+    def test_load_gather_across_row_blocks(self, monkeypatch, precompute):
         platform = _LOAD_FABRICS["torus"]
         cwg = _load_cwg(seed=3, fractional=True)
-        context = LoadAwareCwmContext(cwg, platform)
+        table = RouteTable.for_platform(platform, precompute=precompute)
+        context = LoadAwareCwmContext(cwg, platform, route_table=table)
         mappings = _load_population(cwg, platform, seed=9, size=30)
         scalar = [context._compute_metrics(mapping).values for mapping in mappings]
         # A few gathered elements per block: the chunk spans many row blocks.

@@ -13,15 +13,13 @@ of runs, enough to exercise every wrapped function and every output check.
 
 CI runs this as the ``perfbench-smoke`` job; locally::
 
-    python tools/perfbench_smoke.py             # every workload
-    python tools/perfbench_smoke.py cwm-nsga2   # only matching workloads
+    python tools/perfbench_smoke.py
 
 Exits non-zero when any invocation fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
@@ -49,26 +47,10 @@ def _verdict(completed: subprocess.CompletedProcess) -> str:
     return ""
 
 
-def main(argv=None) -> int:
-    """Run every selected workload untraced and traced; report pass/fail."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "patterns",
-        nargs="*",
-        help="only run workloads whose name contains one of these substrings",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
+    """Run every benchmark workload untraced and traced; report pass/fail."""
     benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     workloads = [entry["name"] for entry in benchmark["workloads"]]
-    if args.patterns:
-        workloads = [
-            name for name in workloads if any(pattern in name for pattern in args.patterns)
-        ]
-    if not workloads:
-        print("perfbench_smoke: no workload matched")
-        return 1
-
     failures = []
     for name in workloads:
         for trace in (0, 1):
