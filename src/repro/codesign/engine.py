@@ -28,7 +28,7 @@ pooled pricing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graphs.cdcg import CDCG
@@ -43,18 +43,17 @@ from repro.codesign.synthesis import (
 from repro.eval.context import CdcmEvaluationContext, EvaluationContext
 from repro.noc.deadlock import Channel
 from repro.noc.platform import Platform
-from repro.search.base import PoolOwnerMixin, Searcher, SearchResult
-from repro.search.genetic import swap_mutation, uniform_assignment_crossover
-from repro.search.nsga2 import fast_non_dominated_sort
-from repro.search.nsga3 import (
-    _normalise,
-    associate_to_references,
-    das_dennis_reference_points,
-    default_divisions,
-    niche_select,
-)
+from repro.search.base import SearchResult
+from repro.search.nsga2 import _Run
+from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomSource, ensure_rng
+
+# perfbench/tracing.py wraps these names in this module, so they stay
+# importable here although the loop calls them from repro.search.
+from repro.search.genetic import swap_mutation, uniform_assignment_crossover
+from repro.search.nsga2 import fast_non_dominated_sort
+from repro.search.nsga3 import associate_to_references, niche_select
 
 #: Builds the pricing context for one certified routing's platform.
 ContextFactory = Callable[[Platform], EvaluationContext]
@@ -69,9 +68,16 @@ DEFAULT_CODESIGN_KEYS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CodesignParameters:
+@dataclass(frozen=True, kw_only=True)
+class CodesignParameters(Nsga3Parameters):
     """Knobs of :class:`CodesignSearch`.
+
+    Extends :class:`~repro.search.nsga3.Nsga3Parameters` with the routing
+    half of the genome and smaller defaults (a generation prices full CDCM
+    replays).  Every field is keyword-only, in the order
+    ``population_size``, ``generations``, ``tournament_size``,
+    ``crossover_rate``, ``mutation_rate``, ``n_workers``, ``divisions``,
+    ``table_mutation_rate``, ``table_mutations``.
 
     Attributes
     ----------
@@ -79,8 +85,6 @@ class CodesignParameters:
         ``(table, mapping)`` individuals per generation (at least 4).
     generations:
         Number of (mu + lambda) generations to evolve.
-    tournament_size:
-        Individuals drawn per niched tournament.
     crossover_rate:
         Probability a child's *mapping* comes from uniform crossover.
     mutation_rate:
@@ -91,47 +95,20 @@ class CodesignParameters:
         mapping moves and routing moves emerges from the two rates).
     table_mutations:
         Minimal-next-hop entry flips per table mutation.
-    divisions:
-        Das–Dennis divisions of the NSGA-III reference lattice (``None``
-        auto-picks the smallest lattice covering the population).
-    n_workers:
-        Parallel pricing fan-out (bit-identical to serial, as everywhere).
     """
 
     population_size: int = 16
     generations: int = 12
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
     table_mutation_rate: float = 0.5
     table_mutations: int = 2
-    divisions: Optional[int] = None
-    n_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ConfigurationError("population_size must be at least 4")
-        if self.generations < 1:
-            raise ConfigurationError("generations must be positive")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ConfigurationError(
-                "tournament_size must be between 1 and population_size"
-            )
-        for name in ("crossover_rate", "mutation_rate", "table_mutation_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1]")
+        super().__post_init__()
+        if not 0.0 <= self.table_mutation_rate <= 1.0:
+            raise ConfigurationError("table_mutation_rate must be in [0, 1]")
         if self.table_mutations < 1:
             raise ConfigurationError(
                 f"table_mutations must be positive, got {self.table_mutations}"
-            )
-        if self.divisions is not None and self.divisions < 1:
-            raise ConfigurationError(
-                f"divisions must be positive, got {self.divisions}"
-            )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {self.n_workers}"
             )
 
 
@@ -140,6 +117,14 @@ class _Individual(NamedTuple):
 
     routing: SynthesizedRouting
     mapping: Mapping
+
+
+@dataclass
+class _CodesignRun(_Run):
+    """A co-design run: its certification gate and pricing contexts."""
+
+    certify: Callable[[NextHopTable], Optional[SynthesizedRouting]] = None
+    contexts: Dict[str, EvaluationContext] = field(default_factory=dict)
 
 
 @dataclass
@@ -173,8 +158,13 @@ class CodesignResult(SearchResult):
     last_witness: Tuple[Channel, ...] = ()
 
 
-class CodesignSearch(PoolOwnerMixin, Searcher):
+class CodesignSearch(NSGA3Search):
     """NSGA-III co-evolution of deadlock-free route tables and mappings.
+
+    This is :class:`~repro.search.nsga3.NSGA3Search` with a
+    ``(table, mapping)`` genome: the same loop, tournament and niching, with
+    children bred by :meth:`_breed`, priced per routing, and the contexts of
+    extinct routings dropped after each selection.
 
     Parameters
     ----------
@@ -214,6 +204,8 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
     """
 
     name = "codesign"
+    preferred_keys = DEFAULT_CODESIGN_KEYS
+    parameters_type = CodesignParameters
 
     def __init__(
         self,
@@ -227,10 +219,7 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
         backend=None,
         n_workers: Optional[int] = None,
     ) -> None:
-        params = parameters or CodesignParameters()
-        if n_workers is not None:
-            params = replace(params, n_workers=n_workers)
-        self.parameters = params
+        super().__init__(parameters, keys, backend, n_workers)
         self.platform = platform
         self.certification_policy = certification_policy
         if context_factory is None:
@@ -244,12 +233,6 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
                 application, routed
             )
         self.context_factory = context_factory
-        if keys is not None and not tuple(keys):
-            raise ConfigurationError(
-                "dominance keys must name at least one metric (or pass None "
-                "for the energy/time/congestion default)"
-            )
-        self.keys = tuple(keys) if keys is not None else None
         self.synthesizer = synthesizer or TableSynthesizer(platform.mesh)
         if self.synthesizer.topology is not platform.mesh:
             if self.synthesizer.topology.num_tiles != platform.num_tiles:
@@ -257,63 +240,7 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
                     f"synthesizer covers {self.synthesizer.topology} but the "
                     f"platform fabric is {platform.mesh}"
                 )
-        self._backend = backend
-        self._owned_backend = None
 
-    # ------------------------------------------------------------------
-    # Certification and pricing plumbing
-    # ------------------------------------------------------------------
-    def _resolve_keys(self, source: EvaluationContext) -> Tuple[str, ...]:
-        names = tuple(source.metric_names)
-        if self.keys is None:
-            preferred = tuple(
-                key for key in DEFAULT_CODESIGN_KEYS if key in names
-            )
-            return preferred if len(preferred) >= 2 else names
-        unknown = [key for key in self.keys if key not in names]
-        if unknown:
-            raise ConfigurationError(
-                f"dominance keys {unknown!r} are not components of the "
-                f"pricing context; available metrics are {names}"
-            )
-        return self.keys
-
-    def _context_for(
-        self,
-        routing: SynthesizedRouting,
-        contexts: Dict[str, EvaluationContext],
-    ) -> EvaluationContext:
-        # Contexts exist only for certified routings: every entry to this
-        # dict goes through _certify below, which is the structural form of
-        # the certify-before-price invariant.
-        context = contexts.get(routing.digest)
-        if context is None:
-            context = self.context_factory(self.platform.with_routing(routing))
-            contexts[routing.digest] = context
-        return context
-
-    def _price(
-        self,
-        individuals: Sequence[_Individual],
-        contexts: Dict[str, EvaluationContext],
-        backend,
-    ) -> List[MetricVector]:
-        """Batch-price *individuals*, grouped by routing in first-seen order."""
-        groups: Dict[str, List[int]] = {}
-        for index, individual in enumerate(individuals):
-            groups.setdefault(individual.routing.digest, []).append(index)
-        vectors: List[Optional[MetricVector]] = [None] * len(individuals)
-        for digest, indices in groups.items():
-            context = self._context_for(individuals[indices[0]].routing, contexts)
-            priced = context.evaluate_metrics_batch(
-                [individuals[i].mapping for i in indices], backend=backend
-            )
-            for position, vector in zip(indices, priced):
-                vectors[position] = vector
-        return vectors  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # The search loop
     # ------------------------------------------------------------------
     def search(
         self,
@@ -345,6 +272,8 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
             ``tables_*`` counters and ``last_witness`` describe the gate's
             traffic.
         """
+        from repro.analysis.pareto import ParetoPoint
+
         if initial is None:
             raise ConfigurationError(
                 "CodesignSearch.search requires an initial mapping"
@@ -355,48 +284,53 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
                 "(use the configured factory) or a Platform -> "
                 "EvaluationContext callable"
             )
-        factory = self.context_factory
-        if objective is not None:
-            self.context_factory = objective
-        try:
-            return self._search(initial, rng)
-        finally:
-            self.context_factory = factory
-
-    def _search(self, initial: Mapping, rng: RandomSource) -> CodesignResult:
-        from repro.analysis.pareto import ParetoPoint
-
+        factory = objective or self.context_factory
         params = self.parameters
         synthesizer = self.synthesizer
-        policy = self.certification_policy
         generator = ensure_rng(rng)
-        num_tiles = initial.num_tiles
-        if num_tiles is None:
-            raise ConfigurationError(
-                "co-design search requires the initial mapping to know the "
-                "NoC size"
-            )
+        num_tiles = self._num_tiles(initial)
         cores = initial.cores
         backend = self._resolve_backend(params.n_workers)
         contexts: Dict[str, EvaluationContext] = {}
-        certified_count = 0
-        rejected_count = 0
-        repaired_count = 0
+        gate = {"certified": 0, "rejected": 0, "repaired": 0}
         last_witness: Tuple[Channel, ...] = ()
 
         def certify(table: NextHopTable) -> Optional[SynthesizedRouting]:
-            nonlocal certified_count, rejected_count, repaired_count
             nonlocal last_witness
-            result = synthesizer.certify(table, policy=policy)
+            result = synthesizer.certify(table, policy=self.certification_policy)
             if result.witness:
                 last_witness = result.witness
             if not result.certified:
-                rejected_count += 1
-                return None
-            certified_count += 1
-            if result.repaired:
-                repaired_count += 1
+                gate["rejected"] += 1
+            else:
+                gate["certified"] += 1
+                gate["repaired"] += result.repaired
             return result.routing
+
+        def context_for(routing: SynthesizedRouting) -> EvaluationContext:
+            # Contexts exist only for certified routings: every routing a
+            # genome carries came out of certify above, which is the
+            # structural form of the certify-before-price invariant.
+            context = contexts.get(routing.digest)
+            if context is None:
+                context = factory(self.platform.with_routing(routing))
+                contexts[routing.digest] = context
+            return context
+
+        def price(individuals: List[_Individual]) -> List[MetricVector]:
+            # Batch-price grouped by routing, in first-seen order.
+            groups: Dict[str, List[int]] = {}
+            for index, individual in enumerate(individuals):
+                groups.setdefault(individual.routing.digest, []).append(index)
+            vectors: List[Optional[MetricVector]] = [None] * len(individuals)
+            for indices in groups.values():
+                context = context_for(individuals[indices[0]].routing)
+                priced = context.evaluate_metrics_batch(
+                    [individuals[i].mapping for i in indices], backend=backend
+                )
+                for position, vector in zip(indices, priced):
+                    vectors[position] = vector
+            return vectors  # type: ignore[return-value]
 
         # Seed population: every certified registry seed paired with the
         # initial mapping, then random (table, mapping) genomes — random
@@ -410,184 +344,85 @@ class CodesignSearch(PoolOwnerMixin, Searcher):
             population.append(_Individual(routing, initial))
         fallback_routing = population[0].routing
         while len(population) < params.population_size:
-            routing = certify(synthesizer.random_table(generator))
-            if routing is None:
-                routing = fallback_routing
+            routing = certify(synthesizer.random_table(generator)) or fallback_routing
             mapping = Mapping.random(cores, num_tiles, generator)
             population.append(_Individual(routing, mapping))
 
-        first_context = self._context_for(population[0].routing, contexts)
+        first_context = context_for(population[0].routing)
         keys = self._resolve_keys(first_context)
-        divisions = params.divisions
-        if divisions is None:
-            divisions = default_divisions(len(keys), params.population_size)
-        references = das_dennis_reference_points(len(keys), divisions)
         weights = dict(getattr(first_context, "weights", None) or {})
 
-        def score(vector: MetricVector) -> float:
+        def score(individual: _Individual, vector: MetricVector) -> float:
             if weights:
                 return vector.weighted_sum(weights, strict=False)
             return vector[keys[0]]
 
-        vectors = self._price(population, contexts, backend)
-        evaluations = len(population)
-        mutations = 0
+        run = _CodesignRun(
+            keys, cores, num_tiles, price, score, certify=certify, contexts=contexts
+        )
+        outcome = self._evolve(population, run, generator)
 
-        costs = [score(vector) for vector in vectors]
-        best_idx = min(range(len(population)), key=costs.__getitem__)
-        best, best_cost = population[best_idx], costs[best_idx]
-        best_vector = vectors[best_idx]
-        history: List[Tuple[int, float]] = [(evaluations, best_cost)]
-
-        for _ in range(params.generations):
-            fronts = fast_non_dominated_sort(vectors, keys)
-            ranks = [0] * len(population)
-            for rank, front in enumerate(fronts):
-                for index in front:
-                    ranks[index] = rank
-            normalised = _normalise(range(len(population)), vectors, keys)
-            association = associate_to_references(normalised, references)
-            niche_counts = [0] * len(references)
-            for index in range(len(population)):
-                niche_counts[association[index][0]] += 1
-
-            # Whole brood first (fixed RNG consumption order per child:
-            # two tournaments, mapping coins, table coin), then grouped
-            # batch pricing — the deterministic parallel seam.
-            children: List[_Individual] = []
-            while len(children) < params.population_size:
-                parent_a = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                parent_b = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                if generator.random() < params.crossover_rate:
-                    mapping = uniform_assignment_crossover(
-                        parent_a.mapping,
-                        parent_b.mapping,
-                        cores,
-                        num_tiles,
-                        generator,
-                    )
-                else:
-                    mapping = parent_a.mapping
-                if generator.random() < params.mutation_rate:
-                    mapping = swap_mutation(mapping, num_tiles, generator)
-                    mutations += 1
-                routing = parent_a.routing
-                if generator.random() < params.table_mutation_rate:
-                    mutated = synthesizer.mutate(
-                        routing.next_hops,
-                        generator,
-                        mutations=params.table_mutations,
-                    )
-                    candidate = certify(mutated)
-                    if candidate is not None:
-                        routing = candidate
-                        mutations += 1
-                    # Rejected tables fall back to the parent's certified
-                    # routing: nothing uncertified ever reaches pricing.
-                children.append(_Individual(routing, mapping))
-            child_vectors = self._price(children, contexts, backend)
-            evaluations += len(children)
-
-            for individual, vector in zip(children, child_vectors):
-                cost = score(vector)
-                if cost < best_cost:
-                    best, best_cost, best_vector = individual, cost, vector
-                    history.append((evaluations, best_cost))
-
-            # (mu + lambda) environmental selection, NSGA-III style.
-            combined = population + children
-            combined_vectors = vectors + child_vectors
-            survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_vectors, keys):
-                if len(survivors) + len(front) <= params.population_size:
-                    survivors.extend(front)
-                    if len(survivors) == params.population_size:
-                        break
-                    continue
-                survivors.extend(
-                    niche_select(
-                        survivors,
-                        front,
-                        combined_vectors,
-                        keys,
-                        references,
-                        params.population_size - len(survivors),
-                    )
-                )
-                break
-            population = [combined[i] for i in survivors]
-            vectors = [combined_vectors[i] for i in survivors]
-
-            # Contexts for extinct routings are dropped (their route tables
-            # stay in the process cache); survivors keep their memos warm.
-            live = {individual.routing.digest for individual in population}
-            live.add(best.routing.digest)
-            for digest in [d for d in contexts if d not in live]:
-                del contexts[digest]
-
-        # Final non-dominated genomes, routings kept aligned (dominance on
-        # rank-0 indices rather than repro.analysis.pareto.non_dominated,
-        # which would lose the mapping->routing pairing).
-        front_indices = fast_non_dominated_sort(vectors, keys)[0]
-        front_points: List[ParetoPoint] = []
-        front_routings: List[SynthesizedRouting] = []
-        seen = set()
-        for index in front_indices:
-            individual = population[index]
-            key = (
-                individual.routing.digest,
-                tuple(sorted(individual.mapping.assignments().items())),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            front_points.append(
-                ParetoPoint(mapping=individual.mapping, metrics=vectors[index])
-            )
-            front_routings.append(individual.routing)
-
+        # Final non-dominated genomes, first of each (routing, mapping),
+        # routings kept aligned (dominance on rank-0 indices rather than
+        # repro.analysis.pareto.non_dominated, which would lose the
+        # mapping->routing pairing).
+        unique: Dict[tuple, int] = {}
+        for index in fast_non_dominated_sort(outcome.vectors, keys)[0]:
+            individual = outcome.population[index]
+            assignments = tuple(sorted(individual.mapping.assignments().items()))
+            unique.setdefault((individual.routing.digest, assignments), index)
+        front = [outcome.population[index] for index in unique.values()]
         return CodesignResult(
-            best_mapping=best.mapping,
-            best_cost=best_cost,
-            evaluations=evaluations,
-            history=history,
-            accepted_moves=mutations,
-            best_metrics=best_vector,
-            front=front_points,
-            best_routing=best.routing,
-            front_routings=front_routings,
-            tables_certified=certified_count,
-            tables_rejected=rejected_count,
-            tables_repaired=repaired_count,
+            best_mapping=outcome.best.mapping,
+            best_cost=outcome.best_cost,
+            evaluations=outcome.evaluations,
+            history=outcome.history,
+            accepted_moves=outcome.moves,
+            best_metrics=outcome.best_vector,
+            front=[
+                ParetoPoint(mapping=front[i].mapping, metrics=outcome.vectors[index])
+                for i, index in enumerate(unique.values())
+            ],
+            best_routing=outcome.best.routing,
+            front_routings=[individual.routing for individual in front],
+            tables_certified=gate["certified"],
+            tables_rejected=gate["rejected"],
+            tables_repaired=gate["repaired"],
             last_witness=last_witness,
         )
 
     # ------------------------------------------------------------------
-    def _tournament(
-        self,
-        population: List[_Individual],
-        ranks: List[int],
-        association: Dict[int, Tuple[int, float]],
-        niche_counts: List[int],
-        rng,
-    ) -> _Individual:
-        """Niched tournament over genomes (same key as NSGA-III)."""
-        size = self.parameters.tournament_size
-        indices = rng.integers(0, len(population), size=size)
-        winner = min(
-            (int(index) for index in indices),
-            key=lambda index: (
-                ranks[index],
-                niche_counts[association[index][0]],
-                association[index][1],
-                index,
-            ),
+    def _breed(self, parent_a, parent_b, run, rng):
+        """A child genome: NSGA-III's mapping child, then the table coin.
+
+        On the table coin the first parent's table is mutated and sent
+        through the gate; a rejected table falls back to the parent's
+        certified routing, so nothing uncertified ever reaches pricing.
+        """
+        params = self.parameters
+        mapping, moves = super()._breed(
+            parent_a.mapping, parent_b.mapping, run, rng
         )
-        return population[winner]
+        routing = parent_a.routing
+        if rng.random() < params.table_mutation_rate:
+            mutated = self.synthesizer.mutate(
+                routing.next_hops, rng, mutations=params.table_mutations
+            )
+            candidate = run.certify(mutated)
+            if candidate is not None:
+                routing = candidate
+                moves += 1
+        return _Individual(routing, mapping), moves
+
+    def _selected(self, population, best, run):
+        """Drop the contexts of extinct routings; survivors keep theirs warm.
+
+        Dropped routings' route tables stay in the process cache.
+        """
+        live = {individual.routing.digest for individual in population}
+        live.add(best.routing.digest)
+        for digest in [d for d in run.contexts if d not in live]:
+            del run.contexts[digest]
 
 
 __all__ = [

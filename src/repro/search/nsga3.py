@@ -10,7 +10,8 @@ fills under-represented directions first — diversity pressure that scales to
 the many-objective fronts the routing×mapping co-design subsystem optimises
 (energy × time × link congestion, see :mod:`repro.codesign`).
 
-The engine is a drop-in sibling of :class:`~repro.search.nsga2.NSGA2Search`:
+The engine is a drop-in sibling of :class:`~repro.search.nsga2.NSGA2Search`
+and runs the same :class:`~repro.search.nsga2.PopulationSearch` loop:
 same :class:`~repro.core.objective.VectorObjective` protocol, same GA
 variation operators, same ``evaluate_metrics_batch`` pricing seam (so
 :class:`~repro.eval.parallel.BatchBackend` parallelism applies and seeded
@@ -33,80 +34,38 @@ robustness on small populations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.search.base import (
-    PoolOwnerMixin,
-    SearchResult,
-    Searcher,
-    as_objective,
-    objective_metrics,
-)
-from repro.search.genetic import swap_mutation, uniform_assignment_crossover
-from repro.search.nsga2 import fast_non_dominated_sort
+from repro.search.nsga2 import Nsga2Parameters, PopulationSearch
 from repro.utils.errors import ConfigurationError
-from repro.utils.rng import RandomSource, ensure_rng
 
 
-@dataclass(frozen=True)
-class Nsga3Parameters:
-    """Knobs of :class:`NSGA3Search` (Nsga2Parameters-style).
+@dataclass(frozen=True, kw_only=True)
+class Nsga3Parameters(Nsga2Parameters):
+    """Knobs of :class:`NSGA3Search`: NSGA-II's knobs plus the lattice.
+
+    Extends :class:`~repro.search.nsga2.Nsga2Parameters`, whose fields come
+    first and keep their meaning.  Every field is keyword-only.
 
     Attributes
     ----------
-    population_size:
-        Individuals per generation (at least 4).
-    generations:
-        Number of (mu + lambda) generations to evolve.
-    tournament_size:
-        Individuals drawn per tournament (2 is the canonical binary
-        tournament).
-    crossover_rate:
-        Probability a child is produced by crossover rather than cloning.
-    mutation_rate:
-        Probability a child is mutated by one tile swap.
     divisions:
         Das–Dennis divisions per objective axis for the reference-point
         lattice.  ``None`` (the default) picks the smallest division count
         whose lattice has at least ``population_size`` points, so every
         individual can occupy its own niche.
-    n_workers:
-        Parallel pricing fan-out, exactly like
-        :attr:`~repro.search.nsga2.Nsga2Parameters.n_workers`.  Results are
-        bit-identical either way.
     """
 
-    population_size: int = 32
-    generations: int = 40
-    tournament_size: int = 2
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.3
     divisions: Optional[int] = None
-    n_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.population_size < 4:
-            raise ConfigurationError("population_size must be at least 4")
-        if self.generations < 1:
-            raise ConfigurationError("generations must be positive")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ConfigurationError(
-                "tournament_size must be between 1 and population_size"
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError("mutation_rate must be in [0, 1]")
+        super().__post_init__()
         if self.divisions is not None and self.divisions < 1:
             raise ConfigurationError(
                 f"divisions must be positive, got {self.divisions}"
-            )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {self.n_workers}"
             )
 
 
@@ -173,8 +132,9 @@ def _normalise(
     """Min/max normalisation of the pool's vectors onto ``[0, 1]`` per key.
 
     The ideal point is the per-key minimum over the pool, the nadir estimate
-    the per-key maximum; degenerate keys (zero span) normalise to 0.0 so they
-    stop influencing the association geometry.
+    the per-key maximum; degenerate keys — zero span, or a span that is not
+    finite because a component is ±inf — normalise to 0.0 so they stop
+    influencing the association geometry and no coordinate is NaN.
     """
     ideal = [math.inf] * len(keys)
     nadir = [-math.inf] * len(keys)
@@ -187,7 +147,7 @@ def _normalise(
             if value > nadir[axis]:
                 nadir[axis] = value
     spans = [
-        (high - low) if (high - low) > 0.0 else 0.0
+        (high - low) if 0.0 < (high - low) < math.inf else 0.0
         for low, high in zip(ideal, nadir)
     ]
     normalised: Dict[int, Tuple[float, ...]] = {}
@@ -287,7 +247,7 @@ def niche_select(
     return chosen
 
 
-class NSGA3Search(PoolOwnerMixin, Searcher):
+class NSGA3Search(PopulationSearch):
     """Reference-point many-objective search (NSGA-III) over mappings.
 
     Parameters
@@ -322,230 +282,29 @@ class NSGA3Search(PoolOwnerMixin, Searcher):
     """
 
     name = "nsga3"
+    parameters_type = Nsga3Parameters
 
-    def __init__(
-        self,
-        parameters: Nsga3Parameters | None = None,
-        keys: Optional[Sequence[str]] = None,
-        backend=None,
-        n_workers: Optional[int] = None,
-    ) -> None:
-        params = parameters or Nsga3Parameters()
-        if n_workers is not None:
-            params = replace(params, n_workers=n_workers)
-        self.parameters = params
-        if keys is not None and not tuple(keys):
-            raise ConfigurationError(
-                "front keys must name at least one metric (or pass None for "
-                "the default energy/time trade-off)"
-            )
-        self.keys = tuple(keys) if keys is not None else None
-        self._backend = backend
-        self._owned_backend = None
-
-    # ------------------------------------------------------------------
-    def _resolve_keys(self, source) -> Tuple[str, ...]:
-        """The dominance keys for *source* (validated against its components)."""
-        names = tuple(source.metric_names)
-        if self.keys is None:
-            preferred = tuple(key for key in ("energy", "time") if key in names)
-            return preferred if len(preferred) >= 2 else names
-        unknown = [key for key in self.keys if key not in names]
-        if unknown:
-            raise ConfigurationError(
-                f"front keys {unknown!r} are not components of the objective; "
-                f"available metrics are {names}"
-            )
-        return self.keys
-
-    def _reference_points(
-        self, keys: Sequence[str]
-    ) -> Tuple[Tuple[float, ...], ...]:
-        """The engine's Das–Dennis lattice for *keys* (divisions auto-picked)."""
-        divisions = self.parameters.divisions
-        if divisions is None:
-            divisions = default_divisions(
-                len(keys), self.parameters.population_size
-            )
-        return das_dennis_reference_points(len(keys), divisions)
-
-    @staticmethod
-    def _scalar_view(objective, source):
-        """``MetricVector -> float`` incumbent scorer (same rule as NSGA-II)."""
-        weights = getattr(objective, "weights", None)
-        if not weights:
-            weights = getattr(source, "weights", None)
-        if weights:
-            return lambda mapping, vector: vector.weighted_sum(
-                weights, strict=False
-            )
-        return lambda mapping, vector: objective(mapping)
-
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        objective,
-        initial: Mapping,
-        rng: RandomSource = None,
-    ) -> SearchResult:
-        """Evolve a population front from *initial* and return it.
-
-        Parameters
-        ----------
-        objective:
-            A vector-capable objective spec (context, counting objective,
-            scalarised view, or ``(vector_objective, weights)`` pair).
-        initial:
-            Seed individual; must know the NoC size.
-        rng:
-            Seed or generator driving selection, crossover and mutation.
-
-        Returns
-        -------
-        SearchResult
-            ``front`` carries the final non-dominated set;
-            ``best_mapping`` / ``best_cost`` / ``history`` report the
-            incumbent under the objective's scalar weight view, and
-            ``accepted_moves`` counts applied mutations.
-        """
-        from repro.analysis.pareto import ParetoPoint, non_dominated
-        from repro.core.objective import resolve_vector_source
-
+    def _evolve(self, population, run, rng):
+        # The lattice depends only on the key count: built once per run.
         params = self.parameters
-        scalar = as_objective(objective)
-        source = resolve_vector_source(scalar)
-        keys = self._resolve_keys(source)
-        references = self._reference_points(keys)
-        score = self._scalar_view(scalar, source)
-        generator = ensure_rng(rng)
-        num_tiles = initial.num_tiles
-        if num_tiles is None:
-            raise ConfigurationError(
-                "NSGA-III search requires the initial mapping to know the NoC size"
-            )
-        cores = initial.cores
-        backend = self._resolve_backend(params.n_workers)
-
-        def price(candidates: List[Mapping]) -> List[MetricVector]:
-            return source.evaluate_metrics_batch(candidates, backend=backend)
-
-        population: List[Mapping] = [initial]
-        while len(population) < params.population_size:
-            population.append(Mapping.random(cores, num_tiles, generator))
-        vectors = price(population)
-        evaluations = len(population)
-        mutations = 0
-
-        costs = [score(m, v) for m, v in zip(population, vectors)]
-        best_idx = min(range(len(population)), key=costs.__getitem__)
-        best, best_cost = population[best_idx], costs[best_idx]
-        history: List[Tuple[int, float]] = [(evaluations, best_cost)]
-
-        for _ in range(params.generations):
-            # Rank the current population and associate it with the lattice
-            # once per generation; the tournament reads rank first and niche
-            # pressure (niche count, then perpendicular distance) on ties.
-            fronts = fast_non_dominated_sort(vectors, keys)
-            ranks = [0] * len(population)
-            for rank, front in enumerate(fronts):
-                for index in front:
-                    ranks[index] = rank
-            normalised = _normalise(range(len(population)), vectors, keys)
-            association = associate_to_references(normalised, references)
-            niche_counts = [0] * len(references)
-            for index in range(len(population)):
-                niche_counts[association[index][0]] += 1
-
-            # Whole brood first (fixed RNG consumption order), then one
-            # batch pricing call — the parallel seam, exactly like NSGA-II.
-            children: List[Mapping] = []
-            while len(children) < params.population_size:
-                parent_a = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                parent_b = self._tournament(
-                    population, ranks, association, niche_counts, generator
-                )
-                if generator.random() < params.crossover_rate:
-                    child = uniform_assignment_crossover(
-                        parent_a, parent_b, cores, num_tiles, generator
-                    )
-                else:
-                    child = parent_a
-                if generator.random() < params.mutation_rate:
-                    child = swap_mutation(child, num_tiles, generator)
-                    mutations += 1
-                children.append(child)
-            child_vectors = price(children)
-            evaluations += len(children)
-
-            for mapping, vector in zip(children, child_vectors):
-                cost = score(mapping, vector)
-                if cost < best_cost:
-                    best, best_cost = mapping, cost
-                    history.append((evaluations, best_cost))
-
-            # (mu + lambda) environmental selection: whole fronts while they
-            # fit, reference-point niching for the spilling front.
-            combined = population + children
-            combined_vectors = vectors + child_vectors
-            survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_vectors, keys):
-                if len(survivors) + len(front) <= params.population_size:
-                    survivors.extend(front)
-                    if len(survivors) == params.population_size:
-                        break
-                    continue
-                survivors.extend(
-                    niche_select(
-                        survivors,
-                        front,
-                        combined_vectors,
-                        keys,
-                        references,
-                        params.population_size - len(survivors),
-                    )
-                )
-                break
-            population = [combined[i] for i in survivors]
-            vectors = [combined_vectors[i] for i in survivors]
-
-        final_points = [
-            ParetoPoint(mapping=mapping, metrics=vector)
-            for mapping, vector in zip(population, vectors)
-        ]
-        return SearchResult(
-            best_mapping=best,
-            best_cost=best_cost,
-            evaluations=evaluations,
-            history=history,
-            accepted_moves=mutations,
-            best_metrics=objective_metrics(scalar, best),
-            front=non_dominated(final_points, keys),
+        divisions = params.divisions or default_divisions(
+            len(run.keys), params.population_size
         )
+        run.references = das_dennis_reference_points(len(run.keys), divisions)
+        return super()._evolve(population, run, rng)
 
-    # ------------------------------------------------------------------
-    def _tournament(
-        self,
-        population: List[Mapping],
-        ranks: List[int],
-        association: Dict[int, Tuple[int, float]],
-        niche_counts: List[int],
-        rng,
-    ) -> Mapping:
-        """Niched tournament: lowest rank wins, emptier niche breaks the tie."""
-        size = self.parameters.tournament_size
-        indices = rng.integers(0, len(population), size=size)
-        winner = min(
-            (int(index) for index in indices),
-            key=lambda index: (
-                ranks[index],
-                niche_counts[association[index][0]],
-                association[index][1],
-                index,
-            ),
+    def _tiebreak(self, fronts, vectors, run):
+        """Niched tie-break: the emptier niche, then the nearer its reference."""
+        normalised = _normalise(range(len(vectors)), vectors, run.keys)
+        association = associate_to_references(normalised, run.references)
+        counts = Counter(reference for reference, _ in association.values())
+        return [(counts[ref], distance) for ref, distance in association.values()]
+
+    def _truncate(self, accepted, front, vectors, slots, run):
+        """Reference-point niching of the spilling *front* (:func:`niche_select`)."""
+        return niche_select(
+            accepted, front, vectors, run.keys, run.references, slots
         )
-        return population[winner]
 
 
 __all__ = [

@@ -8,6 +8,9 @@ finite values, ±inf and −0.0, heavy ties and duplicate rows, one to five
 keys, zero to 300 vectors, and vectors that list their components in
 different orders.  NaN has no dominance order, so every front builder
 rejects it with a typed error instead of silently dropping individuals.
+±inf stays legal, and the selection that reads the fronts (crowding,
+NSGA-III normalisation) treats a key whose span is not finite like a flat
+one, so no NaN reaches a tournament or a truncation.
 """
 
 from __future__ import annotations
@@ -25,8 +28,20 @@ from repro.core.dominance import key_matrix, non_dominated_mask, pareto_fronts
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import EvaluationContext
-from repro.search.nsga2 import NSGA2Search, Nsga2Parameters, fast_non_dominated_sort
-from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
+from repro.search.nsga2 import (
+    NSGA2Search,
+    Nsga2Parameters,
+    _Run,
+    crowding_distances,
+    fast_non_dominated_sort,
+)
+from repro.search.nsga3 import (
+    NSGA3Search,
+    Nsga3Parameters,
+    _normalise,
+    associate_to_references,
+    das_dennis_reference_points,
+)
 from repro.utils.errors import ConfigurationError
 
 SETTINGS = settings(
@@ -184,3 +199,45 @@ class TestNanRejected:
         initial = Mapping({"a": 1, "b": 0, "c": 2}, num_tiles=6)
         with pytest.raises(ConfigurationError, match="NaN 'time'"):
             engine.search(_NanTimeContext(), initial, rng=3)
+
+
+#: A front whose energy span is infinite; point 5 is the time anchor.
+INF_FRONT = [(0, 9), (1, 7), (2, 4), (3, 2), (4, 1), (math.inf, 0)]
+INF_KEYS = ("energy", "time")
+
+
+class TestInfiniteSpan:
+    """A key whose span is not finite adds only its anchors and normalises to 0.
+
+    Crowding once divided an infinite gap by an infinite span (NaN for point
+    4), so truncation depended on the order the front was listed in and
+    could drop an anchor; NSGA-III's normalisation mapped the infinite point
+    to NaN.
+    """
+
+    @staticmethod
+    def _vectors():
+        return [MetricVector(INF_KEYS, point) for point in INF_FRONT]
+
+    def test_crowding_has_no_nan(self):
+        distances = crowding_distances(range(6), self._vectors(), INF_KEYS)
+        assert not any(math.isnan(value) for value in distances.values())
+        assert distances[0] == distances[5] == math.inf
+        # Time alone spreads the interior: (7 - 2) / 9 for point 1.
+        assert distances[1] == pytest.approx(5 / 9)
+
+    @pytest.mark.parametrize("front", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
+    def test_truncation_keeps_both_anchors_in_either_order(self, front):
+        run = _Run(INF_KEYS, cores=[], num_tiles=0, price=None, score=None)
+        kept = NSGA2Search()._truncate([], front, self._vectors(), 3, run)
+        assert set(kept) == {0, 1, 5}
+
+    def test_normalisation_and_association_have_no_nan(self):
+        normalised = _normalise(range(6), self._vectors(), INF_KEYS)
+        coordinates = [value for point in normalised.values() for value in point]
+        assert not any(math.isnan(value) for value in coordinates)
+        assert all(point[0] == 0.0 for point in normalised.values())
+        association = associate_to_references(
+            normalised, das_dennis_reference_points(2, 4)
+        )
+        assert not any(math.isnan(distance) for _, distance in association.values())
