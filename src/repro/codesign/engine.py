@@ -44,15 +44,14 @@ from repro.eval.context import CdcmEvaluationContext, EvaluationContext
 from repro.noc.deadlock import Channel
 from repro.noc.platform import Platform
 from repro.search.base import SearchResult
-from repro.search.nsga2 import _Run
+from repro.search.nsga2 import _Run, fast_non_dominated_sort
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import RandomSource, ensure_rng
 
-# perfbench/tracing.py wraps these names in this module, so they stay
-# importable here although the loop calls them from repro.search.
+# Kept only for perfbench/tracing.py, which wraps these names in this
+# module; the shared loop calls them from repro.search.
 from repro.search.genetic import swap_mutation, uniform_assignment_crossover
-from repro.search.nsga2 import fast_non_dominated_sort
 from repro.search.nsga3 import associate_to_references, niche_select
 
 #: Builds the pricing context for one certified routing's platform.
@@ -371,7 +370,7 @@ class CodesignSearch(NSGA3Search):
             individual = outcome.population[index]
             assignments = tuple(sorted(individual.mapping.assignments().items()))
             unique.setdefault((individual.routing.digest, assignments), index)
-        front = [outcome.population[index] for index in unique.values()]
+        front = [(outcome.population[i], outcome.vectors[i]) for i in unique.values()]
         return CodesignResult(
             best_mapping=outcome.best.mapping,
             best_cost=outcome.best_cost,
@@ -379,12 +378,9 @@ class CodesignSearch(NSGA3Search):
             history=outcome.history,
             accepted_moves=outcome.moves,
             best_metrics=outcome.best_vector,
-            front=[
-                ParetoPoint(mapping=front[i].mapping, metrics=outcome.vectors[index])
-                for i, index in enumerate(unique.values())
-            ],
+            front=[ParetoPoint(mapping=g.mapping, metrics=v) for g, v in front],
             best_routing=outcome.best.routing,
-            front_routings=[individual.routing for individual in front],
+            front_routings=[genome.routing for genome, _ in front],
             tables_certified=gate["certified"],
             tables_rejected=gate["rejected"],
             tables_repaired=gate["repaired"],

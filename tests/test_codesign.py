@@ -560,6 +560,28 @@ class TestCodesignEngine:
         if result.tables_rejected:
             assert len(result.last_witness) >= 2
 
+    def test_engine_is_reusable_across_runs(self, encoder_workload):
+        # No run leaves state on the engine: a run with a per-run factory in
+        # between does not change the configured factory or the next run.
+        cdcg, platform = encoder_workload
+        initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=7)
+        engine = CodesignSearch(cdcg, platform, CODESIGN_PARAMS)
+        factory = engine.context_factory
+        first = engine.search(initial=initial, rng=SEED)
+        cwg = cdcg_to_cwg(cdcg)
+        engine.search(
+            objective=lambda routed: LoadAwareCwmContext(cwg, routed),
+            initial=initial,
+            rng=SEED,
+        )
+        again = engine.search(initial=initial, rng=SEED)
+        assert engine.context_factory is factory
+        assert again.history == first.history
+        assert [p.metrics for p in again.front] == [p.metrics for p in first.front]
+        assert [r.digest for r in again.front_routings] == [
+            r.digest for r in first.front_routings
+        ]
+
     def test_invalid_construction(self, encoder_workload):
         cdcg, platform = encoder_workload
         with pytest.raises(ConfigurationError):
