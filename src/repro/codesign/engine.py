@@ -122,7 +122,7 @@ class _Individual(NamedTuple):
 class _CodesignRun(_Run):
     """A co-design run: its certification gate and pricing contexts."""
 
-    certify: Callable[[NextHopTable], Optional[SynthesizedRouting]] = None
+    certify: Optional[Callable[[NextHopTable], Optional[SynthesizedRouting]]] = None
     contexts: Dict[str, EvaluationContext] = field(default_factory=dict)
 
 
@@ -343,7 +343,9 @@ class CodesignSearch(NSGA3Search):
             population.append(_Individual(routing, initial))
         fallback_routing = population[0].routing
         while len(population) < params.population_size:
-            routing = certify(synthesizer.random_table(generator)) or fallback_routing
+            routing = certify(synthesizer.random_table(generator))
+            if routing is None:
+                routing = fallback_routing
             mapping = Mapping.random(cores, num_tiles, generator)
             population.append(_Individual(routing, mapping))
 
