@@ -1,11 +1,15 @@
-"""Seeded NSGA-II, NSGA-III and co-design runs pinned to literal values.
+"""Seeded GA, NSGA-II, NSGA-III and co-design runs pinned to literal values.
 
 The determinism tests next to each engine compare two runs of the same code,
 so a change that reorders the random stream or a selection tie-break still
 passes them.  These pins hold every seeded trajectory to the values recorded
-before the three engines shared one population loop: the incumbent, its
+before the three population engines shared one loop: the incumbent, its
 history, the evaluation and move counts, and the final front with its
 mappings.  Co-design runs also pin their routing digests and gate counters.
+The GA runs, which return no front, pin their best mapping instead; they and
+the partial-placement runs (more tiles than cores, so the crossover repair
+shuffles leftover tiles) were recorded before the breeding operators were
+rewritten.
 
 Mappings are pinned as the tile of each core, cores in sorted order.  Floats
 are compared exactly: pricing is deterministic and every front here comes
@@ -18,10 +22,11 @@ import pytest
 
 from repro.codesign import CodesignParameters, CodesignSearch, LoadAwareCwmContext
 from repro.core.mapping import Mapping
-from repro.eval.context import CdcmEvaluationContext
+from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
+from repro.search.genetic import GeneticParameters, GeneticSearch
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
 from repro.workloads.embedded import image_encoder
@@ -32,6 +37,7 @@ SEED = 20050307
 NSGA2_PARAMS = Nsga2Parameters(population_size=12, generations=6)
 NSGA3_PARAMS = Nsga3Parameters(population_size=12, generations=6)
 CODESIGN_PARAMS = CodesignParameters(population_size=8, generations=4)
+GENETIC_PARAMS = GeneticParameters(population_size=12, generations=6)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,26 @@ def tgff():
     platform = Platform(mesh=Mesh(4, 3))
     initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=7)
     return cdcg, platform, initial
+
+
+@pytest.fixture(scope="module")
+def tgff_partial():
+    """The same 12-core application on a 4x4 mesh: four tiles stay empty."""
+    spec = TgffSpec(name="pin-12", num_cores=12, num_packets=36, total_bits=72_000)
+    cdcg = TgffLikeGenerator(SEED).generate(spec)
+    platform = Platform(mesh=Mesh(4, 4))
+    initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=7)
+    return cdcg, platform, initial
+
+
+def _genetic_cwm(cdcg, platform, initial):
+    context = CwmEvaluationContext(cdcg_to_cwg(cdcg), platform)
+    return GeneticSearch(GENETIC_PARAMS).search(context, initial, rng=SEED)
+
+
+def _genetic_cdcm(cdcg, platform, initial):
+    context = CdcmEvaluationContext(cdcg, platform)
+    return GeneticSearch(GENETIC_PARAMS).search(context, initial, rng=SEED)
 
 
 def _nsga2_cdcm(cdcg, platform, initial):
@@ -103,8 +129,12 @@ def _codesign_load_cwm(cdcg, platform, initial):
 
 #: Run name -> (workload fixture, search).
 RUNS = {
+    "genetic-cdcm": ("encoder", _genetic_cdcm),
+    "genetic-cwm": ("encoder", _genetic_cwm),
+    "genetic-partial": ("tgff_partial", _genetic_cwm),
     "nsga2-cdcm": ("encoder", _nsga2_cdcm),
     "nsga2-load-cwm": ("tgff", _nsga2_load_cwm),
+    "nsga2-partial": ("tgff_partial", _nsga2_load_cwm),
     "nsga3-2-keys": ("encoder", _nsga3_two_keys),
     "nsga3-3-keys": ("encoder", _nsga3_three_keys),
     "codesign-repair": ("encoder", _codesign("repair")),
@@ -120,14 +150,17 @@ def _summary(result, cores):
         "history": tuple(result.history),
         "evaluations": result.evaluations,
         "accepted_moves": result.accepted_moves,
-        "front": tuple(
+    }
+    if result.front is None:
+        summary["best"] = tuple(result.best_mapping.tile_of(core) for core in cores)
+    else:
+        summary["front"] = tuple(
             (
                 tuple(point.metrics.values),
                 tuple(point.mapping.tile_of(core) for core in cores),
             )
             for point in result.front
-        ),
-    }
+        )
     if hasattr(result, "front_routings"):
         summary["front_digests"] = tuple(r.digest for r in result.front_routings)
         summary["best_digest"] = result.best_routing.digest
@@ -140,7 +173,8 @@ def _summary(result, cores):
     return summary
 
 
-#: Recorded from the engines before they shared one population loop.
+#: Recorded from the engines before they shared one population loop; the GA
+#: and partial-placement runs, before the breeding operators were rewritten.
 PINS = {
     "codesign-load-cwm": {
         "best_cost": 114196.47999999998,
@@ -312,6 +346,40 @@ PINS = {
         "tables": (23, 0, 7),
         "last_witness": ((4, 7), (7, 8), (8, 5), (5, 4)),
     },
+    "genetic-cdcm": {
+        "best_cost": 155722.88,
+        "history": (
+            (12, 170858.72),
+            (22, 170826.72),
+            (42, 161457.28),
+            (72, 155722.88),
+        ),
+        "evaluations": 72,
+        "accepted_moves": 16,
+        "best": (8, 1, 6, 4, 2, 3, 0, 7),
+    },
+    "genetic-cwm": {
+        "best_cost": 114196.48,
+        "history": (
+            (12, 124518.4),
+            (32, 114196.48),
+        ),
+        "evaluations": 72,
+        "accepted_moves": 15,
+        "best": (3, 1, 8, 0, 6, 2, 5, 4),
+    },
+    "genetic-partial": {
+        "best_cost": 50799.200000000004,
+        "history": (
+            (12, 59357.12),
+            (22, 52358.52),
+            (52, 51985.83999999998),
+            (62, 50799.200000000004),
+        ),
+        "evaluations": 72,
+        "accepted_moves": 18,
+        "best": (9, 2, 7, 4, 6, 8, 11, 14, 12, 10, 15, 13),
+    },
     "nsga2-cdcm": {
         "best_cost": 155949.28,
         "history": (
@@ -387,6 +455,31 @@ PINS = {
             (
                 (56743.32000000002, 11119.0, 6519.911764705882),
                 (4, 6, 9, 11, 1, 0, 7, 3, 8, 10, 2, 5),
+            ),
+        ),
+    },
+    "nsga2-partial": {
+        "best_cost": 54006.319999999985,
+        "history": (
+            (12, 59357.12),
+            (24, 57206.16),
+            (24, 57128.03999999998),
+            (48, 56906.279999999984),
+            (48, 56433.35999999999),
+            (84, 55197.159999999996),
+            (84, 54245.71999999999),
+            (84, 54006.319999999985),
+        ),
+        "evaluations": 84,
+        "accepted_moves": 27,
+        "front": (
+            (
+                (54006.319999999985, 10732.0, 7677.958333333334),
+                (4, 15, 2, 12, 11, 1, 6, 10, 0, 7, 3, 5),
+            ),
+            (
+                (55197.159999999996, 9953.0, 6810.354166666666),
+                (4, 15, 2, 12, 11, 13, 14, 10, 0, 7, 3, 5),
             ),
         ),
     },
