@@ -33,6 +33,7 @@ never changes which mapping a seeded run returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import List, Optional, Tuple
 
 from repro.core.mapping import Mapping
@@ -45,7 +46,7 @@ from repro.search.base import (
     batch_callable,
     objective_metrics,
 )
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.rng import RandomSource, ensure_rng
 
 
@@ -62,41 +63,78 @@ def uniform_assignment_crossover(
     preferring a uniformly chosen parent but falling back to the other when
     the preferred tile is already taken; cores whose tiles are both taken
     are placed on shuffled leftover tiles in a final repair pass.  The RNG
-    is consumed once per core plus one shuffle, so seeded runs are
-    reproducible.
+    is consumed as one coin vector ``rng.random(len(cores))`` — the same
+    doubles as one scalar draw per core — plus one shuffle of the leftover
+    tiles, so seeded runs are reproducible.
 
-    Shared by :class:`GeneticSearch` and
-    :class:`~repro.search.nsga2.NSGA2Search` — the scalar GA and the
-    population-front engine explore the same move space with the same
-    operators.
+    The child is built once: placed cores in *cores* order, then the
+    repaired cores.  It is injective by construction, so it skips the
+    constructor's validation.
+
+    Shared by :class:`GeneticSearch` and the population engines of
+    :mod:`repro.search.nsga2` — the scalar GA and the front engines explore
+    the same move space with the same operators.
+
+    Raises
+    ------
+    MappingError
+        When a parent does not place one of *cores*, or when the child would
+        inherit a tile outside the ``num_tiles``-tile NoC.
     """
-    child: dict[str, int] = {}
-    used: set[int] = set()
-    order = list(cores)
-    for core in order:
-        choices = [parent_a.tile_of(core), parent_b.tile_of(core)]
-        if rng.random() < 0.5:
-            choices.reverse()
-        tile = next((t for t in choices if t not in used), None)
-        if tile is None:
-            continue  # resolved in the repair pass below
-        child[core] = tile
-        used.add(tile)
-    free = [t for t in range(num_tiles) if t not in used]
-    rng.shuffle(free)
-    for core in order:
-        if core not in child:
-            child[core] = free.pop()
-    return Mapping(child, num_tiles=num_tiles)
+    tiles_a = parent_a._core_to_tile
+    tiles_b = parent_b._core_to_tile
+    flips = (rng.random(len(cores)) < 0.5).tolist()
+    free = bytearray(b"\x01") * num_tiles
+    core_to_tile: dict[str, int] = {}
+    tile_to_core: dict[int, str] = {}
+    repaired: List[str] = []
+    try:
+        for core, first, second, flip in zip(
+            cores,
+            map(tiles_a.__getitem__, cores),
+            map(tiles_b.__getitem__, cores),
+            flips,
+        ):
+            if flip:
+                first, second = second, first
+            if free[first]:
+                tile = first
+            elif free[second]:
+                tile = second
+            else:
+                repaired.append(core)  # resolved in the repair pass below
+                continue
+            free[tile] = 0
+            core_to_tile[core] = tile
+            tile_to_core[tile] = core
+    except KeyError as exc:
+        raise MappingError(f"core {exc.args[0]!r} is not mapped") from None
+    except IndexError:
+        tile = first if first >= num_tiles else second
+        raise MappingError(
+            f"core {core!r} mapped to tile {tile}, but the NoC only has "
+            f"{num_tiles} tiles"
+        ) from None
+    leftover = list(compress(range(num_tiles), free))
+    rng.shuffle(leftover)
+    for core in repaired:
+        tile = leftover.pop()
+        core_to_tile[core] = tile
+        tile_to_core[tile] = core
+    return Mapping._from_trusted(core_to_tile, tile_to_core, num_tiles)
 
 
 def swap_mutation(mapping: Mapping, num_tiles: int, rng) -> Mapping:
     """Swap the contents of two distinct uniformly drawn tiles.
 
     The same move simulated annealing proposes; either tile may be empty.
-    Consumes exactly two RNG draws.  Shared by :class:`GeneticSearch` and
-    :class:`~repro.search.nsga2.NSGA2Search`.
+    Consumes exactly two RNG draws, or none on a NoC of fewer than two
+    tiles, where there is nothing to swap and *mapping* comes back
+    unchanged.  Shared by :class:`GeneticSearch` and the population engines
+    of :mod:`repro.search.nsga2`.
     """
+    if num_tiles < 2:
+        return mapping
     tile_a = int(rng.integers(num_tiles))
     tile_b = int(rng.integers(num_tiles - 1))
     if tile_b >= tile_a:
@@ -302,9 +340,8 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
     def _tournament(self, population: List[Mapping], costs: List[float], rng) -> Mapping:
         """Pick the cheapest of ``tournament_size`` uniformly drawn individuals."""
         size = self.parameters.tournament_size
-        indices = rng.integers(0, len(population), size=size)
-        winner = min(indices, key=lambda idx: costs[int(idx)])
-        return population[int(winner)]
+        drawn = rng.integers(0, len(population), size=size)
+        return population[min(drawn.tolist(), key=costs.__getitem__)]
 
     def _crossover(
         self,

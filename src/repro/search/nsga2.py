@@ -195,6 +195,23 @@ def crowding_distances(
     return distances
 
 
+def _tournament_positions(ranks: List[int], tiebreak: list) -> List[int]:
+    """Each index's place in the tournament order: rank, tie-break, index.
+
+    Sorted once per generation.  Tie-breaks are NaN-free (the dominance
+    sort rejects NaN keys, and crowding and niching treat a non-finite span
+    as flat), so the order is total and the drawn index placed first is the
+    one with the lowest ``(rank, tie-break, index)`` key.
+    """
+    order = sorted(
+        range(len(ranks)), key=lambda index: (ranks[index], tiebreak[index], index)
+    )
+    position = [0] * len(ranks)
+    for place, index in enumerate(order):
+        position[index] = place
+    return position
+
+
 @dataclass
 class _Run:
     """State of one search run, handed to every hook of the loop.
@@ -396,14 +413,16 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
             for rank, front in enumerate(fronts):
                 for index in front:
                     ranks[index] = rank
-            tiebreak = self._tiebreak(fronts, vectors, run)
+            position = _tournament_positions(
+                ranks, self._tiebreak(fronts, vectors, run)
+            )
 
             # The whole brood first (fixed RNG consumption order), then one
             # batch pricing call.
             children = []
             while len(children) < size:
-                parent_a = population[self._tournament(ranks, tiebreak, rng)]
-                parent_b = population[self._tournament(ranks, tiebreak, rng)]
+                parent_a = population[self._tournament(position, rng)]
+                parent_b = population[self._tournament(position, rng)]
                 child, applied = self._breed(parent_a, parent_b, run, rng)
                 moves += applied
                 children.append(child)
@@ -438,13 +457,14 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
             evaluations, moves,
         )
 
-    def _tournament(self, ranks: List[int], tiebreak: list, rng) -> int:
-        """Index of a tournament winner: lowest rank, tie-break, then index."""
-        drawn = rng.integers(0, len(ranks), size=self.parameters.tournament_size)
-        return min(
-            (int(index) for index in drawn),
-            key=lambda index: (ranks[index], tiebreak[index], index),
-        )
+    def _tournament(self, position: List[int], rng) -> int:
+        """Index of a tournament winner: the drawn index placed first.
+
+        *position* is each index's place in the generation's tournament
+        order (lowest rank, then tie-break, then index).
+        """
+        drawn = rng.integers(0, len(position), size=self.parameters.tournament_size)
+        return min(drawn.tolist(), key=position.__getitem__)
 
     # ------------------------------------------------------------------
     # Hooks

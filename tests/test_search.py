@@ -1,17 +1,22 @@
 """Search engines (repro.search)."""
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import Mapping
 from repro.core.objective import cdcm_objective, cwm_objective
+from repro.eval.context import CwmEvaluationContext
 from repro.graphs.convert import cdcg_to_cwg
+from repro.graphs.cwg import CWG
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
 from repro.search.annealing import FAST_SCHEDULE, AnnealingSchedule, SimulatedAnnealing
 from repro.search.base import SearchResult
 from repro.search.exhaustive import ExhaustiveSearch
-from repro.search.genetic import GeneticParameters, GeneticSearch
+from repro.search.genetic import GeneticParameters, GeneticSearch, swap_mutation
 from repro.search.greedy import GreedyConstructive
+from repro.search.nsga2 import NSGA2Search, Nsga2Parameters
+from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
 from repro.search.random_search import RandomSearch
 from repro.search.registry import available_searchers, get_searcher
 from repro.utils.errors import ConfigurationError
@@ -188,6 +193,40 @@ class TestGeneticSearch:
             GeneticParameters(crossover_rate=2.0)
         with pytest.raises(ConfigurationError):
             GeneticParameters(elite_count=40)
+
+
+class TestOneTileNoc:
+    """A one-core application on a 1x1 mesh: there is no move to make."""
+
+    @pytest.fixture
+    def solo(self):
+        cwg = CWG("solo")
+        cwg.add_core("a")
+        context = CwmEvaluationContext(cwg, Platform(mesh=Mesh(1, 1)))
+        return context, Mapping({"a": 0}, num_tiles=1)
+
+    def test_swap_mutation_returns_the_mapping_and_draws_nothing(self, solo):
+        _, mapping = solo
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert swap_mutation(mapping, 1, rng) is mapping
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            NSGA2Search(Nsga2Parameters(population_size=4, generations=3)),
+            NSGA3Search(Nsga3Parameters(population_size=4, generations=3)),
+            GeneticSearch(GeneticParameters(population_size=4, generations=3)),
+        ],
+        ids=["nsga2", "nsga3", "genetic"],
+    )
+    def test_population_engines_return_the_only_mapping(self, solo, engine):
+        context, initial = solo
+        result = engine.search(context, initial, rng=1)
+        assert result.best_mapping == initial
+        assert result.best_cost == 0.0
+        assert result.accepted_moves > 0
 
 
 class TestRegistry:
