@@ -114,7 +114,13 @@ def das_dennis_reference_points(
 
 
 def default_divisions(num_objectives: int, population_size: int) -> int:
-    """Smallest division count whose lattice holds ``population_size`` points."""
+    """Smallest division count whose lattice holds ``population_size`` points.
+
+    One objective has a one-point lattice at every division count, so it
+    gets one division.
+    """
+    if num_objectives == 1:
+        return 1
     divisions = 1
     while (
         len(das_dennis_reference_points(num_objectives, divisions))

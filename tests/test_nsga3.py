@@ -27,8 +27,9 @@ import pytest
 
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.eval.context import CdcmEvaluationContext
+from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
 from repro.search import available_searchers, get_searcher
@@ -112,8 +113,12 @@ class TestReferencePoints:
         assert points == ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))
 
     def test_default_divisions_covers_population(self):
-        for objectives, population in ((2, 16), (3, 12), (3, 91), (4, 8)):
+        for objectives, population in ((1, 16), (2, 16), (3, 12), (3, 91), (4, 8)):
             divisions = default_divisions(objectives, population)
+            if objectives == 1:
+                # One axis has one lattice point at every division count.
+                assert divisions == 1
+                continue
             assert (
                 len(das_dennis_reference_points(objectives, divisions))
                 >= population
@@ -261,3 +266,16 @@ class TestRegistryIntegration:
         context = CdcmEvaluationContext(example_cdcg, example_platform)
         engine = NSGA3Search(Nsga3Parameters(population_size=6, generations=2))
         assert engine._resolve_keys(context) == ("energy", "time")
+
+    def test_single_key_context_runs_to_completion(self, encoder_workload):
+        # Plain CWM prices one component, so the keys fall back to it and
+        # the reference lattice has a single point.
+        cdcg, platform = encoder_workload
+        context = CwmEvaluationContext(cdcg_to_cwg(cdcg), platform)
+        initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=7)
+        result = get_searcher("nsga3").search(context, initial, rng=SEED)
+        assert result.evaluations == 32 * 41
+        assert result.best_cost == context.cost(result.best_mapping)
+        assert {context.cost(point.mapping) for point in result.front} == {
+            result.best_cost
+        }
