@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Documentation gate for CI: docstrings + intra-doc links.
+"""Documentation gate for CI: docstrings, intra-doc links and guide coverage.
 
-Two checks, zero third-party dependencies:
+Three checks, zero third-party dependencies:
 
 1. **Docstring coverage** — every public module, class, function and public
-   method reachable from ``repro.eval`` and ``repro.search`` (the documented
+   method reachable from the packages in :data:`PACKAGES` (the documented
    API surface of docs/api.md) must carry a docstring.  Public means: listed
    in ``__all__`` (for module members) or not underscore-prefixed (for
    methods of public classes); dunder methods and inherited members are
@@ -15,16 +15,12 @@ Two checks, zero third-party dependencies:
    (``path#anchor`` or ``#anchor``) must match a heading in the target file
    (GitHub-style slugs).
 
-3. **Engine guide coverage** — every search engine shipped in
-   ``repro.search`` (every exported ``Searcher`` subclass) must have a
-   section heading in ``docs/search.md`` naming its registry identifier, so
-   a new engine cannot land undocumented.
-
-4. **Topology guide coverage** — every topology class exported by
-   ``repro.noc`` must have a section heading in ``docs/topologies.md``, and
-   every registered routing spec (``repro.noc.routing.available_routings``)
-   must appear in the guide's spec table, so a new topology or routing
-   cannot land undocumented.
+3. **Guide coverage** — one table, :data:`GUIDES`, says what each guide
+   under ``docs/`` must contain: section headings naming its contracts,
+   the symbols it must mention, and names enumerated from code (every
+   search engine, topology, routing spec, repair knob, ``EvalJob`` field
+   and scenario event kind), so a new engine, knob or event cannot land
+   undocumented.
 
 Exits non-zero with a list of violations; run from the repository root:
 
@@ -38,6 +34,7 @@ import inspect
 import re
 import sys
 from pathlib import Path
+from typing import Callable, List, NamedTuple, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -52,8 +49,11 @@ PACKAGES = [
     "repro.codesign",
 ]
 
+#: The guides directory.
+DOCS_DIR = REPO_ROOT / "docs"
+
 #: Markdown files whose relative links are verified.
-DOC_FILES = sorted(Path(REPO_ROOT, "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+DOC_FILES = sorted(DOCS_DIR.glob("*.md")) + [REPO_ROOT / "README.md"]
 
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -152,324 +152,186 @@ def check_links() -> list:
 
 
 # ----------------------------------------------------------------------
-# Engine guide coverage
+# Guide coverage
 # ----------------------------------------------------------------------
-def check_engine_sections() -> list:
-    """Every shipped search engine needs a section in docs/search.md."""
+Names = Tuple[List[str], List[str]]
+
+
+def _no_names() -> Names:
+    return [], []
+
+
+def _exported_subclasses(package, base: type) -> list:
+    """The proper subclasses of *base* in *package*'s ``__all__``."""
+    members = [getattr(package, name, None) for name in package.__all__]
+    return [
+        member
+        for member in members
+        if inspect.isclass(member) and issubclass(member, base) and member is not base
+    ]
+
+
+def _engine_names() -> Names:
+    """Every exported search engine needs a heading naming its registry id."""
     import repro.search as search_package
     from repro.search.base import Searcher
 
-    guide = REPO_ROOT / "docs" / "search.md"
-    if not guide.exists():
-        return ["docs/search.md: file missing (the search-engine guide)"]
-    headings = [heading.lower() for heading in _HEADING_RE.findall(guide.read_text())]
-    problems = []
-    for name in search_package.__all__:
-        member = getattr(search_package, name, None)
-        if (
-            not inspect.isclass(member)
-            or not issubclass(member, Searcher)
-            or member is Searcher
-        ):
-            continue
-        engine = member.name.lower()
-        if not any(engine in heading for heading in headings):
-            problems.append(
-                f"docs/search.md: no section heading names engine "
-                f"{member.name!r} ({member.__name__})"
-            )
-    return problems
+    return [
+        engine.name.lower()
+        for engine in _exported_subclasses(search_package, Searcher)
+    ], []
 
 
-# ----------------------------------------------------------------------
-# Topology guide coverage
-# ----------------------------------------------------------------------
-def check_topology_sections() -> list:
-    """Every shipped topology and routing spec needs docs/topologies.md cover."""
+def _topology_names() -> Names:
+    """Every exported topology needs a heading, every routing spec a mention."""
     import repro.noc as noc_package
     from repro.noc.routing import available_routings
     from repro.noc.topology import Topology
 
-    guide = REPO_ROOT / "docs" / "topologies.md"
-    if not guide.exists():
-        return ["docs/topologies.md: file missing (the topology & routing guide)"]
-    text = guide.read_text()
-    headings = _HEADING_RE.findall(text)
-    problems = []
-    for name in noc_package.__all__:
-        member = getattr(noc_package, name, None)
-        if (
-            not inspect.isclass(member)
-            or not issubclass(member, Topology)
-            or member is Topology
-        ):
-            continue
-        if not any(member.__name__ in heading for heading in headings):
-            problems.append(
-                f"docs/topologies.md: no section heading names topology "
-                f"{member.__name__!r}"
-            )
-    for spec in available_routings():
-        if f"`{spec}`" not in text:
-            problems.append(
-                f"docs/topologies.md: routing spec `{spec}` missing from the "
-                f"spec table"
-            )
-    if "validate_deadlock_free" not in text:
-        problems.append(
-            "docs/topologies.md: no deadlock-validation guidance "
-            "(validate_deadlock_free is never mentioned)"
-        )
-    return problems
+    topologies = [
+        topology.__name__
+        for topology in _exported_subclasses(noc_package, Topology)
+    ]
+    return topologies, [f"`{spec}`" for spec in available_routings()]
 
 
-# ----------------------------------------------------------------------
-# Bounded-repair contract coverage
-# ----------------------------------------------------------------------
-def check_repair_sections() -> list:
-    """The bounded-repair contract must stay documented end to end.
-
-    ``repro.eval.repair`` is already swept by the docstring check (it lives
-    under the ``repro.eval`` package); this check pins the prose half: the
-    architecture guide must explain the drift/resync contract under a
-    "bounded repair" heading, and the API guide must document the ``repair``
-    gate and every :class:`~repro.eval.repair.RepairPolicy` knob, so a new
-    knob cannot land undocumented.
-    """
+def _api_names() -> Names:
+    """Every RepairPolicy knob and EvalJob field needs a mention."""
     import dataclasses
 
     from repro.eval.repair import RepairPolicy
-
-    problems = []
-    architecture = REPO_ROOT / "docs" / "architecture.md"
-    if not architecture.exists():
-        problems.append("docs/architecture.md: file missing")
-    else:
-        headings = _HEADING_RE.findall(architecture.read_text())
-        if not any("bounded repair" in heading.lower() for heading in headings):
-            problems.append(
-                "docs/architecture.md: no section heading names 'bounded "
-                "repair' (the CDCM incremental-rescheduling contract)"
-            )
-    api = REPO_ROOT / "docs" / "api.md"
-    if not api.exists():
-        problems.append("docs/api.md: file missing")
-    else:
-        text = api.read_text()
-        if "`repair`" not in text:
-            problems.append(
-                "docs/api.md: the `repair` gate of CdcmEvaluationContext is "
-                "undocumented"
-            )
-        for knob in dataclasses.fields(RepairPolicy):
-            if f"`{knob.name}`" not in text:
-                problems.append(
-                    f"docs/api.md: RepairPolicy knob `{knob.name}` is "
-                    f"undocumented"
-                )
-    return problems
-
-
-# ----------------------------------------------------------------------
-# Mapping-service contract coverage
-# ----------------------------------------------------------------------
-def check_service_sections() -> list:
-    """The mapping-service contracts must stay documented end to end.
-
-    ``repro.service`` modules are swept by the docstring check; this check
-    pins the prose half: ``docs/service.md`` must keep a section per
-    contract (store key, daemon lifecycle, shared-memory transport,
-    bit-identity, the ComparisonConfig pin), the architecture guide must
-    cover the service data flow, and the API guide must document the
-    ``backend`` knob of ``ComparisonConfig`` and every ``EvalJob`` field,
-    so a new knob cannot land undocumented.
-    """
-    import dataclasses
-
     from repro.service.daemon import EvalJob
 
-    problems = []
-    guide = REPO_ROOT / "docs" / "service.md"
-    if not guide.exists():
-        return ["docs/service.md: file missing (the mapping-service guide)"]
-    text = guide.read_text()
-    headings = [heading.lower() for heading in _HEADING_RE.findall(text)]
-    required = {
-        "store": "the result-store key anatomy",
-        "daemon": "the daemon lifecycle",
-        "shared-memory": "the shared-memory transport",
-        "bit-identity": "the bit-identity contract",
-        "comparisonconfig": "the reproduction pin",
-    }
-    for needle, what in required.items():
-        if not any(needle in heading for heading in headings):
-            problems.append(
-                f"docs/service.md: no section heading names {needle!r} ({what})"
-            )
-    for symbol in ("ResultStore", "MappingDaemon", "SharedArrayBackend",
-                   "ServiceBackend", "tools/serve.py"):
-        if symbol not in text:
-            problems.append(f"docs/service.md: {symbol} is never mentioned")
-    architecture = REPO_ROOT / "docs" / "architecture.md"
-    if architecture.exists():
-        arch_headings = _HEADING_RE.findall(architecture.read_text())
-        if not any(
-            "service" in heading.lower() for heading in arch_headings
-        ):
-            problems.append(
-                "docs/architecture.md: no section heading names the mapping "
-                "service (its data flow is undocumented)"
-            )
-    api = REPO_ROOT / "docs" / "api.md"
-    if api.exists():
-        api_text = api.read_text()
-        if "`ComparisonConfig.backend`" not in api_text:
-            problems.append(
-                "docs/api.md: the `ComparisonConfig.backend` pin is "
-                "undocumented"
-            )
-        for field in dataclasses.fields(EvalJob):
-            if f"`{field.name}" not in api_text and field.name not in api_text:
-                problems.append(
-                    f"docs/api.md: EvalJob field `{field.name}` is "
-                    f"undocumented"
-                )
-    return problems
+    knobs = [f"`{knob.name}`" for knob in dataclasses.fields(RepairPolicy)]
+    return [], knobs + [field.name for field in dataclasses.fields(EvalJob)]
 
 
-# ----------------------------------------------------------------------
-# Dynamic-scenario contract coverage
-# ----------------------------------------------------------------------
-def check_scenario_sections() -> list:
-    """The dynamic-scenario contracts must stay documented end to end.
-
-    ``repro.scenario`` modules are swept by the docstring check; this check
-    pins the prose half: ``docs/scenarios.md`` must keep a section per
-    contract (the event model, the fault/certify/remap data flow, the
-    determinism contract, the ComparisonConfig pin), name the load-bearing
-    symbols, and the architecture guide must place the scenario layer — so
-    a new event kind or runner knob cannot land undocumented.
-    """
-    problems = []
-    guide = REPO_ROOT / "docs" / "scenarios.md"
-    if not guide.exists():
-        return ["docs/scenarios.md: file missing (the dynamic-scenario guide)"]
-    text = guide.read_text()
-    headings = [heading.lower() for heading in _HEADING_RE.findall(text)]
-    required = {
-        "event model": "the typed event vocabulary and script hashing",
-        "fault": "the fault/certify/remap data flow",
-        "determinism": "the replay determinism contract",
-        "comparisonconfig": "the scenario-free reproduction pin",
-    }
-    for needle, what in required.items():
-        if not any(needle in heading for heading in headings):
-            problems.append(
-                f"docs/scenarios.md: no section heading names {needle!r} "
-                f"({what})"
-            )
-    for symbol in (
-        "ScenarioScript",
-        "FabricManager",
-        "RegionObjective",
-        "ScenarioRunner",
-        "validate_deadlock_free",
-        "IrregularTopology.from_crg",
-        "tests/scenario_harness.py",
-    ):
-        if symbol not in text:
-            problems.append(f"docs/scenarios.md: {symbol} is never mentioned")
-
+def _event_names() -> Names:
+    """Every scenario event kind needs a mention."""
     from repro.scenario.events import EVENT_TYPES
 
-    for kind in EVENT_TYPES:
-        if f"`{kind}`" not in text:
-            problems.append(
-                f"docs/scenarios.md: event kind `{kind}` is undocumented"
-            )
-    architecture = REPO_ROOT / "docs" / "architecture.md"
-    if architecture.exists():
-        arch_headings = _HEADING_RE.findall(architecture.read_text())
-        if not any(
-            "scenario" in heading.lower() for heading in arch_headings
-        ):
-            problems.append(
-                "docs/architecture.md: no section heading names the "
-                "dynamic-scenario layer (its data flow is undocumented)"
-            )
-    return problems
+    return [], [f"`{kind}`" for kind in EVENT_TYPES]
 
 
-def check_codesign_sections() -> list:
-    """The routing×mapping co-design contracts must stay documented.
+class Guide(NamedTuple):
+    """What one guide under ``docs/`` must contain."""
 
-    ``repro.codesign`` modules are swept by the docstring check; this check
-    pins the prose half: ``docs/codesign.md`` must keep a section per
-    contract (the genome model, the certification gate, reference-point
-    selection, the ComparisonConfig pin), name the load-bearing symbols,
-    and ``docs/search.md`` must cover the ``nsga3`` and ``codesign``
-    engines — so a new gate policy or engine knob cannot land undocumented.
+    #: File name under ``docs/``.
+    path: str
+    #: Needles some section heading must contain (see :func:`heading_matches`).
+    headings: Tuple[str, ...] = ()
+    #: Strings the guide's text must contain.
+    symbols: Tuple[str, ...] = ()
+    #: Names enumerated from code: ``() -> (heading needles, symbols)``.
+    names: Callable[[], Names] = _no_names
+
+
+#: Every guide gate, one row per guide.
+GUIDES: Tuple[Guide, ...] = (
+    Guide("search.md", headings=("nsga3", "codesign"), names=_engine_names),
+    Guide(
+        "topologies.md",
+        symbols=("validate_deadlock_free",),
+        names=_topology_names,
+    ),
+    Guide(
+        "architecture.md",
+        # The bounded-repair drift/resync contract, and the service and
+        # dynamic-scenario data flows.
+        headings=("bounded repair", "service", "scenario"),
+    ),
+    Guide(
+        "api.md",
+        symbols=("`repair`", "`ComparisonConfig.backend`"),
+        names=_api_names,
+    ),
+    Guide(
+        "service.md",
+        headings=("store", "daemon", "shared-memory", "bit-identity", "comparisonconfig"),
+        symbols=(
+            "ResultStore",
+            "MappingDaemon",
+            "SharedArrayBackend",
+            "ServiceBackend",
+            "tools/serve.py",
+        ),
+    ),
+    Guide(
+        "scenarios.md",
+        headings=("event model", "fault", "determinism", "comparisonconfig"),
+        symbols=(
+            "ScenarioScript",
+            "FabricManager",
+            "RegionObjective",
+            "ScenarioRunner",
+            "validate_deadlock_free",
+            "IrregularTopology.from_crg",
+            "tests/scenario_harness.py",
+        ),
+        names=_event_names,
+    ),
+    Guide(
+        "codesign.md",
+        headings=("genome", "certification gate", "reference-point", "comparisonconfig"),
+        symbols=(
+            "SynthesizedRouting",
+            "TableSynthesizer",
+            "CodesignSearch",
+            "register_synthesized",
+            "validate_deadlock_free",
+            "max_link_utilisation",
+        ),
+    ),
+)
+
+
+def heading_matches(heading: str, needle: str) -> bool:
+    """Whether *heading* names *needle*.
+
+    A lower-case needle matches in any case; a needle with capitals (a class
+    name) must match as written.
     """
+    return needle in (heading.lower() if needle.islower() else heading)
+
+
+def requirements(guide: Guide) -> Names:
+    """Every heading needle and symbol of *guide*, the names from code last."""
+    heading_needles, symbols = guide.names()
+    return [*guide.headings, *heading_needles], [*guide.symbols, *symbols]
+
+
+def check_guides(docs_dir: Path = DOCS_DIR) -> list:
+    """Every :data:`GUIDES` row against the guides in *docs_dir*."""
     problems = []
-    guide = REPO_ROOT / "docs" / "codesign.md"
-    if not guide.exists():
-        return ["docs/codesign.md: file missing (the co-design guide)"]
-    text = guide.read_text()
-    headings = [heading.lower() for heading in _HEADING_RE.findall(text)]
-    required = {
-        "genome": "the (routing table, mapping) genome model",
-        "certification gate": "the certify-before-price contract",
-        "reference-point": "the NSGA-III niching behind the 3-key front",
-        "comparisonconfig": "the reproduction pin",
-    }
-    for needle, what in required.items():
-        if not any(needle in heading for heading in headings):
-            problems.append(
-                f"docs/codesign.md: no section heading names {needle!r} "
-                f"({what})"
-            )
-    for symbol in (
-        "SynthesizedRouting",
-        "TableSynthesizer",
-        "CodesignSearch",
-        "register_synthesized",
-        "validate_deadlock_free",
-        "max_link_utilisation",
-    ):
-        if symbol not in text:
-            problems.append(f"docs/codesign.md: {symbol} is never mentioned")
-    search_guide = REPO_ROOT / "docs" / "search.md"
-    if search_guide.exists():
-        search_headings = [
-            heading.lower()
-            for heading in _HEADING_RE.findall(search_guide.read_text())
-        ]
-        for engine in ("nsga3", "codesign"):
-            if not any(engine in heading for heading in search_headings):
-                problems.append(
-                    f"docs/search.md: no section heading names engine "
-                    f"{engine!r}"
-                )
+    for guide in GUIDES:
+        label = f"docs/{guide.path}"
+        path = docs_dir / guide.path
+        if not path.exists():
+            problems.append(f"{label}: file missing")
+            continue
+        text = path.read_text()
+        headings = _HEADING_RE.findall(text)
+        needles, symbols = requirements(guide)
+        for needle in needles:
+            if not any(heading_matches(heading, needle) for heading in headings):
+                problems.append(f"{label}: no section heading names {needle!r}")
+        for symbol in symbols:
+            if symbol not in text:
+                problems.append(f"{label}: {symbol} is never mentioned")
     return problems
 
 
 def main() -> int:
-    problems = (
-        check_docstrings()
-        + check_links()
-        + check_engine_sections()
-        + check_topology_sections()
-        + check_repair_sections()
-        + check_service_sections()
-        + check_scenario_sections()
-        + check_codesign_sections()
-    )
+    problems = check_docstrings() + check_links() + check_guides()
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print("check_docs: all docstrings present, all intra-doc links resolve")
+    print(
+        "check_docs: all docstrings present, all intra-doc links resolve, "
+        "every guide covers its contracts"
+    )
     return 0
 
 
