@@ -273,8 +273,10 @@ class TestRegistryIntegration:
         cdcg, platform = encoder_workload
         context = CwmEvaluationContext(cdcg_to_cwg(cdcg), platform)
         initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=7)
-        result = get_searcher("nsga3").search(context, initial, rng=SEED)
-        assert result.evaluations == 32 * 41
+        engine = get_searcher("nsga3")
+        result = engine.search(context, initial, rng=SEED)
+        params = engine.parameters
+        assert result.evaluations == params.population_size * (params.generations + 1)
         assert result.best_cost == context.cost(result.best_mapping)
         assert {context.cost(point.mapping) for point in result.front} == {
             result.best_cost
