@@ -110,6 +110,8 @@ def uniform_assignment_crossover(
     except KeyError as exc:
         raise MappingError(f"core {exc.args[0]!r} is not mapped") from None
     except IndexError:
+        # The free mask covers the NoC only: the first tile it could not
+        # index is the one the child would have inherited.
         tile = first if first >= num_tiles else second
         raise MappingError(
             f"core {core!r} mapped to tile {tile}, but the NoC only has "

@@ -154,13 +154,6 @@ class TestCrossover:
             messages.add(str(old_error))
         assert "core 'y' mapped to tile 2, but the NoC only has 2 tiles" in messages
 
-    def test_tile_outside_the_noc_raises(self):
-        parent = Mapping({"a": 0, "b": 5}, num_tiles=6)
-        with pytest.raises(MappingError, match="tile 5, but the NoC only has 4"):
-            uniform_assignment_crossover(
-                parent, parent, ["a", "b"], 4, np.random.default_rng(0)
-            )
-
 
 @st.composite
 def tournament_cases(draw):
