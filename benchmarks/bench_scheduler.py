@@ -2,7 +2,10 @@
 
 Measures how one schedule replay scales with the number of packets and with
 the NoC size — the quantities behind the paper's NDP-proportional complexity
-claim — plus the raw throughput on the embedded applications.
+claim — plus the raw throughput on the embedded applications.  The packet
+sweep also times ``schedule_subset`` over every packet on the same
+instances: both entry points run one replay loop, and the repair engine
+reaches it through the subset call.
 
 Schedulers price packet paths off the shared
 :class:`~repro.eval.route_table.RouteTable`; the table is built (and cached)
@@ -44,6 +47,19 @@ def test_scheduler_scales_with_packets(benchmark, num_packets):
     result = benchmark(scheduler.schedule, cdcg, mapping)
     assert result.execution_time > 0
     assert len(result.packet_schedules) == num_packets
+
+
+@pytest.mark.benchmark(group="scheduler-packets")
+@pytest.mark.parametrize("num_packets", [25, 100, 400])
+def test_full_cover_subset_scales_with_packets(benchmark, num_packets):
+    scheduler, cdcg, mapping = _benchmark_case(
+        num_cores=12, num_packets=num_packets, mesh=Mesh(4, 4)
+    )
+    tile_of = mapping.assignments()
+    names = [p.name for p in cdcg.packets]
+    result = benchmark(scheduler.schedule_subset, cdcg, tile_of, names)
+    assert len(result.schedules) == num_packets
+    assert result.schedules == scheduler.schedule(cdcg, mapping).packet_schedules
 
 
 @pytest.mark.benchmark(group="scheduler-mesh")

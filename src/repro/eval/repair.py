@@ -242,6 +242,11 @@ def _occupation_start(occupation: Occupation) -> float:
     return occupation.start
 
 
+def _footprint_start(entry: Tuple[Resource, Occupation]) -> float:
+    """Sort key of a ``(resource, occupation)`` entry of a packet footprint."""
+    return entry[1].start
+
+
 class CdcmRepairEngine:
     """Stateful bounded-repair pricer of CDCM two-tile swaps.
 
@@ -405,6 +410,13 @@ class CdcmRepairEngine:
         for resource, occupations in index.items():
             for occupation in occupations:
                 footprints[occupation.packet].append((resource, occupation))
+        # The index yields entries in first-use order across the schedule;
+        # candidates compare footprints position by position against
+        # schedule_subset's, which are in route order.  Starts strictly
+        # increase along a route (every hop adds the link time, which is
+        # positive), so sorting by start restores route order.
+        for footprint in footprints.values():
+            footprint.sort(key=_footprint_start)
         tile_of = {core: mapping.tile_of(core) for core in self.cdcg.cores()}
         link_busy: Dict[Resource, float] = {}
         for resource, occupations in index.items():

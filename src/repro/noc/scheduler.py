@@ -33,10 +33,10 @@ Besides the full replay, the scheduler exposes the machinery of the
 * :class:`FrozenOccupations` — a read-only background of occupations the
   partial replay treats as immovable;
 * :meth:`CdcmScheduler.schedule_subset` — replays only a subset of packets
-  against such a frozen background.  With the subset covering every packet
-  and no background, the partial replay is bit-identical to
-  :meth:`CdcmScheduler.schedule` by construction (pinned in
-  ``tests/test_repair.py``).
+  against such a frozen background.  Both entry points run one heap loop and
+  one grant routine, so with the subset covering every packet and no
+  background the partial replay is bit-identical to
+  :meth:`CdcmScheduler.schedule` (pinned in ``tests/test_repair.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping as TypingMapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Collection, Dict, Iterable, List, Mapping as TypingMapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graphs.cdcg import CDCG, Packet
 from repro.noc.platform import Platform
@@ -338,9 +338,9 @@ class CdcmScheduler:
 
             route_table = get_route_table(platform)
         self._route_table = route_table
-        # Heap tie-break order of the most recent CDCG, cached because
-        # schedule_subset is called per repair delta (hot path) and the
-        # packet list of a CDCG instance never changes.
+        # Heap tie-break order of the most recent CDCG, cached for
+        # schedule_subset: it runs per repair delta (hot path), on a CDCG that
+        # gains no packets meanwhile.  schedule() rebuilds its own per call.
         self._order_cache: Optional[Tuple[CDCG, Dict[str, int]]] = None
 
     def _order_index(self, cdcg: CDCG) -> Dict[str, int]:
@@ -374,72 +374,14 @@ class CdcmScheduler:
             If the CDCG has a dependence cycle (it then never terminates).
         """
         tile_of = _tile_lookup(cdcg, mapping, self.platform)
-        params = self.platform.parameters
-        tr = params.routing_time
-        tl = params.link_time
-
-        # Dependence bookkeeping ------------------------------------------------
+        # Rebuilt per call rather than read from the identity-keyed cache: a
+        # CDCG can gain packets between calls.  Its keys are every packet, so
+        # it doubles as the replayed set.
         order_index = {p.name: i for i, p in enumerate(cdcg.packets)}
-        remaining_preds = {
-            p.name: len(cdcg.predecessors(p.name)) for p in cdcg.packets
-        }
-        ready_time: Dict[str, float] = {
-            p.name: 0.0 for p in cdcg.packets if remaining_preds[p.name] == 0
-        }
-
-        # Resource availability: next instant a contention resource is free.
-        free_at: Dict[Resource, float] = {}
         occupations: Dict[Resource, List[Occupation]] = {}
-        schedules: Dict[str, PacketSchedule] = {}
-
-        # Event-driven processing: always schedule next the ready packet with
-        # the earliest injection time, which approximates the FCFS arbitration
-        # of a real router for independent packets.
-        heap: List[Tuple[float, int, str]] = []
-        for name, ready in ready_time.items():
-            packet = cdcg.packet(name)
-            injection = ready + packet.computation_time
-            heapq.heappush(heap, (injection, order_index[name], name))
-
-        scheduled_count = 0
-        while heap:
-            _, _, name = heapq.heappop(heap)
-            packet = cdcg.packet(name)
-            ready = ready_time[name]
-            schedule = self._schedule_packet(
-                packet,
-                ready,
-                tile_of[packet.source],
-                tile_of[packet.target],
-                tr,
-                tl,
-                params.flits(packet.bits),
-                params.serialize_local_links,
-                free_at,
-                occupations,
-            )
-            schedules[name] = schedule
-            scheduled_count += 1
-
-            for successor in cdcg.successors(name):
-                remaining_preds[successor] -= 1
-                current = ready_time.get(successor, 0.0)
-                ready_time[successor] = max(current, schedule.delivery_time)
-                if remaining_preds[successor] == 0:
-                    succ_packet = cdcg.packet(successor)
-                    injection = (
-                        ready_time[successor] + succ_packet.computation_time
-                    )
-                    heapq.heappush(
-                        heap, (injection, order_index[successor], successor)
-                    )
-
-        if scheduled_count != cdcg.num_packets:
-            raise SchedulingError(
-                f"only {scheduled_count} of {cdcg.num_packets} packets could be "
-                f"scheduled; the CDCG of {cdcg.name!r} has a dependence cycle"
-            )
-
+        schedules = self._replay(
+            cdcg, tile_of, order_index, order_index, {}, occupations=occupations
+        ).schedules
         execution_time = max(
             (s.delivery_time for s in schedules.values()), default=0.0
         )
@@ -498,38 +440,61 @@ class CdcmScheduler:
         SchedulingError
             If the dependences among the subset packets contain a cycle.
         """
+        order_index = self._order_index(cdcg)
+        floors = ready_floor or {}
+        return self._replay(cdcg, tile_of, order_index, set(subset), floors, background)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _replay(
+        self,
+        cdcg: CDCG,
+        tile_of: TypingMapping[str, int],
+        order_index: Dict[str, int],
+        names: Collection[str],
+        floors: TypingMapping[str, float],
+        background: Optional[FrozenOccupations] = None,
+        occupations: Optional[Dict[Resource, List[Occupation]]] = None,
+    ) -> SubsetSchedule:
+        """Replay the packets in *names*: the heap loop behind both entry points.
+
+        Dependences on packets outside *names* enter only through *floors*.
+        With *occupations* given, every packet's records are appended to it
+        (see :meth:`_grant`) and the footprints come back empty; otherwise
+        each packet of *names* gets its contention footprint.  A dependence
+        cycle among *names* raises :class:`SchedulingError`.
+        """
         params = self.platform.parameters
         tr = params.routing_time
         tl = params.link_time
         serialize_local = params.serialize_local_links
-        names = set(subset)
-        floors = ready_floor or {}
 
-        order_index = self._order_index(cdcg)
         remaining_preds = {
             name: sum(1 for p in cdcg.predecessors(name) if p in names)
             for name in names
         }
+        # Event-driven processing: always schedule next the ready packet with
+        # the earliest injection time, which approximates the FCFS arbitration
+        # of a real router for independent packets.
         ready_time: Dict[str, float] = {}
         heap: List[Tuple[float, int, str]] = []
         for name in names:
             if remaining_preds[name] == 0:
-                ready = floors.get(name, 0.0)
-                ready_time[name] = ready
-                packet = cdcg.packet(name)
-                heapq.heappush(
-                    heap, (ready + packet.computation_time, order_index[name], name)
-                )
+                ready = ready_time[name] = floors.get(name, 0.0)
+                injection = ready + cdcg.packet(name).computation_time
+                heapq.heappush(heap, (injection, order_index[name], name))
 
+        # Resource availability: next instant a contention resource is free.
         free_at: Dict[Resource, float] = {}
         schedules: Dict[str, PacketSchedule] = {}
-        footprints: Dict[str, List[Tuple[Resource, Occupation]]] = {
-            name: [] for name in names
-        }
+        footprints: Dict[str, List[Tuple[Resource, Occupation]]] = (
+            {} if occupations is not None else {name: [] for name in names}
+        )
         while heap:
             _, _, name = heapq.heappop(heap)
             packet = cdcg.packet(name)
-            schedule = self._schedule_packet_bounded(
+            schedule = self._grant(
                 packet,
                 ready_time[name],
                 tile_of[packet.source],
@@ -539,8 +504,9 @@ class CdcmScheduler:
                 params.flits(packet.bits),
                 serialize_local,
                 free_at,
-                footprints[name],
                 background,
+                occupations,
+                footprints.get(name),
             )
             schedules[name] = schedule
 
@@ -549,30 +515,19 @@ class CdcmScheduler:
                     continue
                 remaining_preds[successor] -= 1
                 current = ready_time.get(successor, floors.get(successor, 0.0))
-                ready_time[successor] = max(current, schedule.delivery_time)
+                ready = ready_time[successor] = max(current, schedule.delivery_time)
                 if remaining_preds[successor] == 0:
-                    succ_packet = cdcg.packet(successor)
-                    heapq.heappush(
-                        heap,
-                        (
-                            ready_time[successor] + succ_packet.computation_time,
-                            order_index[successor],
-                            successor,
-                        ),
-                    )
+                    injection = ready + cdcg.packet(successor).computation_time
+                    heapq.heappush(heap, (injection, order_index[successor], successor))
 
         if len(schedules) != len(names):
             raise SchedulingError(
-                f"only {len(schedules)} of {len(names)} subset packets could "
-                f"be scheduled; the CDCG of {cdcg.name!r} has a dependence "
-                f"cycle"
+                f"only {len(schedules)} of {len(names)} packets could be "
+                f"scheduled; the CDCG of {cdcg.name!r} has a dependence cycle"
             )
         return SubsetSchedule(schedules=schedules, footprints=footprints)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _schedule_packet(
+    def _grant(
         self,
         packet: Packet,
         ready: float,
@@ -583,13 +538,25 @@ class CdcmScheduler:
         num_flits: int,
         serialize_local: bool,
         free_at: Dict[Resource, float],
-        occupations: Dict[Resource, List[Occupation]],
+        background: Optional[FrozenOccupations],
+        occupations: Optional[Dict[Resource, List[Occupation]]],
+        footprint: Optional[List[Tuple[Resource, Occupation]]],
     ) -> PacketSchedule:
-        """Reserve the resources along one packet's route and time its delivery."""
+        """Reserve the resources along one packet's route and time its delivery.
+
+        A grant yields to the replayed packets' ``free_at`` and, when
+        *background* is given, to its frozen occupations — resolved by a
+        small fixpoint, since pushing the start later can expose yet-later
+        background grants.  The reservations go into *occupations* when it
+        is given: every router, link and local link, the cost-variable lists
+        of Figure 3.  Otherwise only the contention-resource occupations go
+        into *footprint*, in route order — router records never influence
+        timing, and the repair engine prices dynamic energy from hop counts,
+        not occupation lists.
+        """
         path = self._route_table.path(source_tile, target_tile)
         injection = ready + packet.computation_time
         stream_time = num_flits * tl
-        contention = 0.0
 
         # Source local link: the core streams the whole packet to its router.
         source_local = LocalLinkResource(source_tile)
@@ -598,27 +565,32 @@ class CdcmScheduler:
             available = free_at.get(source_local, 0.0)
             if available > injection:
                 source_start = available
-                contention += source_start - injection
+            while background is not None:
+                blocked = background.blocking_end(source_local, source_start)
+                if blocked <= source_start:
+                    break
+                source_start = blocked
             free_at[source_local] = source_start + stream_time
-        _record(
-            occupations,
-            source_local,
-            Occupation(
+        contention = source_start - injection
+        if occupations is not None or serialize_local:
+            occupation = Occupation(
                 packet.name,
                 packet.bits,
                 source_start,
                 source_start + stream_time,
                 contended=source_start > injection,
-            ),
-        )
+            )
+            if occupations is None:
+                footprint.append((source_local, occupation))
+            else:
+                occupations.setdefault(source_local, []).append(occupation)
 
         # Header progresses hop by hop; the tail follows (num_flits - 1) x tl
         # behind the header once the header's output has been granted.
         head_arrival = source_start + tl
         link_start = head_arrival  # placeholder, overwritten in the loop
         for position, router_tile in enumerate(path):
-            is_last = position == len(path) - 1
-            if is_last:
+            if position == len(path) - 1:
                 output: Resource = LocalLinkResource(target_tile)
                 output_contends = serialize_local
             else:
@@ -627,7 +599,6 @@ class CdcmScheduler:
 
             earliest = head_arrival + tr
             link_start = earliest
-            contended_here = False
             if output_contends:
                 available = free_at.get(output, 0.0)
                 if available > head_arrival:
@@ -635,33 +606,40 @@ class CdcmScheduler:
                     # output link is released, then still pays the routing /
                     # arbitration latency tr before streaming out.
                     link_start = max(link_start, available + tr)
+                # Fixpoint: a later start can fall behind further frozen
+                # grants; each push is strictly later and bounded by the last
+                # background end + tr, so the loop terminates.
+                while background is not None:
+                    blocked = background.blocking_end(output, link_start)
+                    if blocked <= head_arrival or blocked + tr <= link_start:
+                        break
+                    link_start = blocked + tr
                 if link_start > earliest:
-                    contended_here = True
                     contention += link_start - earliest
                 free_at[output] = link_start + stream_time
 
-            _record(
-                occupations,
-                RouterResource(router_tile),
-                Occupation(
-                    packet.name,
-                    packet.bits,
-                    head_arrival,
-                    link_start + (num_flits - 1) * tl,
-                    contended=contended_here,
-                ),
-            )
-            _record(
-                occupations,
-                output,
-                Occupation(
+            if occupations is not None:
+                occupations.setdefault(RouterResource(router_tile), []).append(
+                    Occupation(
+                        packet.name,
+                        packet.bits,
+                        head_arrival,
+                        link_start + (num_flits - 1) * tl,
+                        contended=link_start > earliest,
+                    )
+                )
+            if occupations is not None or output_contends:
+                occupation = Occupation(
                     packet.name,
                     packet.bits,
                     link_start,
                     link_start + stream_time,
-                    contended=contended_here,
-                ),
-            )
+                    contended=link_start > earliest,
+                )
+                if occupations is None:
+                    footprint.append((output, occupation))
+                else:
+                    occupations.setdefault(output, []).append(occupation)
             head_arrival = link_start + tl
 
         delivery = link_start + stream_time
@@ -676,133 +654,6 @@ class CdcmScheduler:
             contention_delay=contention,
             num_flits=num_flits,
         )
-
-    def _schedule_packet_bounded(
-        self,
-        packet: Packet,
-        ready: float,
-        source_tile: int,
-        target_tile: int,
-        tr: float,
-        tl: float,
-        num_flits: int,
-        serialize_local: bool,
-        free_at: Dict[Resource, float],
-        footprint: List[Tuple[Resource, Occupation]],
-        background: Optional[FrozenOccupations],
-    ) -> PacketSchedule:
-        """Timing twin of :meth:`_schedule_packet` against a frozen background.
-
-        Identical grant arithmetic, with two differences: (1) besides the
-        replayed packets' ``free_at``, a grant also yields to *background*
-        occupations — resolved by a small fixpoint, since pushing the start
-        later can expose yet-later background grants; (2) only
-        contention-resource occupations are recorded (into *footprint*) —
-        router records never influence timing and the repair engine prices
-        dynamic energy from hop counts, not occupation lists.
-        """
-        path = self._route_table.path(source_tile, target_tile)
-        injection = ready + packet.computation_time
-        stream_time = num_flits * tl
-        contention = 0.0
-
-        source_local = LocalLinkResource(source_tile)
-        source_start = injection
-        if serialize_local:
-            available = free_at.get(source_local, 0.0)
-            if available > injection:
-                source_start = available
-            if background is not None:
-                while True:
-                    blocked = background.blocking_end(source_local, source_start)
-                    if blocked > source_start:
-                        source_start = blocked
-                    else:
-                        break
-            if source_start > injection:
-                contention += source_start - injection
-            free_at[source_local] = source_start + stream_time
-            footprint.append(
-                (
-                    source_local,
-                    Occupation(
-                        packet.name,
-                        packet.bits,
-                        source_start,
-                        source_start + stream_time,
-                        contended=source_start > injection,
-                    ),
-                )
-            )
-
-        head_arrival = source_start + tl
-        link_start = head_arrival  # placeholder, overwritten in the loop
-        for position, router_tile in enumerate(path):
-            is_last = position == len(path) - 1
-            if is_last:
-                output: Resource = LocalLinkResource(target_tile)
-                output_contends = serialize_local
-            else:
-                output = LinkResource(router_tile, path[position + 1])
-                output_contends = True
-
-            earliest = head_arrival + tr
-            link_start = earliest
-            contended_here = False
-            if output_contends:
-                available = free_at.get(output, 0.0)
-                if available > head_arrival:
-                    link_start = max(link_start, available + tr)
-                if background is not None:
-                    # Fixpoint: a later start can fall behind further frozen
-                    # grants; each push is strictly later and bounded by the
-                    # last background end + tr, so the loop terminates.
-                    while True:
-                        blocked = background.blocking_end(output, link_start)
-                        if blocked > head_arrival:
-                            moved = max(link_start, blocked + tr)
-                            if moved > link_start:
-                                link_start = moved
-                                continue
-                        break
-                if link_start > earliest:
-                    contended_here = True
-                    contention += link_start - earliest
-                free_at[output] = link_start + stream_time
-                footprint.append(
-                    (
-                        output,
-                        Occupation(
-                            packet.name,
-                            packet.bits,
-                            link_start,
-                            link_start + stream_time,
-                            contended=contended_here,
-                        ),
-                    )
-                )
-            head_arrival = link_start + tl
-
-        delivery = link_start + stream_time
-        return PacketSchedule(
-            packet=packet,
-            source_tile=source_tile,
-            target_tile=target_tile,
-            path=tuple(path),
-            ready_time=ready,
-            injection_time=injection,
-            delivery_time=delivery,
-            contention_delay=contention,
-            num_flits=num_flits,
-        )
-
-
-def _record(
-    occupations: Dict[Resource, List[Occupation]],
-    resource: Resource,
-    occupation: Occupation,
-) -> None:
-    occupations.setdefault(resource, []).append(occupation)
 
 
 def _tile_lookup(

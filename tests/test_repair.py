@@ -5,7 +5,8 @@ The contract under test has three layers:
 * **subset identity** — ``CdcmScheduler.schedule_subset`` over the whole
   application with no floors and no background must be bit-identical to
   ``schedule`` (same grant order, same arithmetic): the partial replay is a
-  restriction of the full one, not a second scheduler;
+  restriction of the full one, not a second scheduler; and the repair
+  engine's base footprints must equal that replay's, in route order;
 * **delta conformance** — walking random swap sequences, the running sum
   ``cost0 + sum(deltas)`` must match a full recompute exactly at every
   resync point and whenever the engine claims a step exact, and stay within
@@ -121,6 +122,25 @@ class TestSubsetReplayIdentity:
         for resource, occupations in rebuilt.items():
             occupations.sort(key=lambda o: o.start)
         assert rebuilt == index
+
+
+class TestBaseFootprints:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("fabric", sorted(FABRICS), ids=sorted(FABRICS))
+    def test_base_footprints_match_the_full_subset_in_route_order(
+        self, fabric, seed
+    ):
+        # Candidates compare footprints position by position, so a base
+        # footprint out of route order marks an unmoved packet as changed.
+        platform = FABRICS[fabric]()
+        cdcg = _workload(num_cores=6, num_packets=20)
+        mapping = Mapping.random(cdcg.cores(), platform.num_tiles, rng=seed)
+        engine = CdcmRepairEngine(cdcg, platform)
+        base = engine._full_state(mapping)
+        sub = engine.scheduler.schedule_subset(
+            cdcg, base.tile_of, [p.name for p in cdcg.packets]
+        )
+        assert base.footprints == sub.footprints
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mapping import Mapping
+from repro.eval.context import CdcmEvaluationContext
 from repro.graphs.cdcg import CDCG
 from repro.noc.platform import NocParameters, Platform
 from repro.noc.resources import LinkResource, LocalLinkResource, RouterResource
@@ -232,6 +233,39 @@ class TestMappingValidation:
             linear_cdcg, {"a": 0, "b": 1, "c": 3}
         )
         assert result.execution_time > 0
+
+
+class TestCyclicCdcg:
+    """A dependence cycle raises a typed error naming the CDCG, on every path."""
+
+    MESSAGE = r"only 1 of 3 packets could be scheduled; the CDCG of 'loop' has"
+
+    @pytest.fixture
+    def cyclic(self):
+        cdcg = CDCG("loop")
+        cdcg.add_packet("ab", "a", "b", computation_time=1.0, bits=8)
+        cdcg.add_packet("ba", "b", "a", computation_time=1.0, bits=8)
+        cdcg.add_packet("free", "a", "c", computation_time=1.0, bits=8)
+        cdcg.add_dependence("ab", "ba")
+        cdcg.add_dependence("ba", "ab")
+        return cdcg, _simple_platform(), {"a": 0, "b": 1, "c": 3}
+
+    def test_schedule_raises(self, cyclic):
+        cdcg, platform, tiles = cyclic
+        with pytest.raises(SchedulingError, match=self.MESSAGE):
+            CdcmScheduler(platform).schedule(cdcg, tiles)
+
+    def test_full_cover_subset_raises(self, cyclic):
+        cdcg, platform, tiles = cyclic
+        names = [p.name for p in cdcg.packets]
+        with pytest.raises(SchedulingError, match=self.MESSAGE):
+            CdcmScheduler(platform).schedule_subset(cdcg, tiles, names)
+
+    def test_context_metrics_raise(self, cyclic):
+        cdcg, platform, tiles = cyclic
+        context = CdcmEvaluationContext(cdcg, platform)
+        with pytest.raises(SchedulingError, match=self.MESSAGE):
+            context.metrics(Mapping(tiles, num_tiles=platform.num_tiles))
 
 
 class TestScheduleResultEdgeCases:

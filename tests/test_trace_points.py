@@ -6,7 +6,10 @@ a wrapped module still passes every other test, while the benchmark layer it
 fed silently reads zero.  This test reads ``TRACE_POINTS`` from that file
 without changing it, wraps every entry with a call counter the way the
 tracer's ``_patch`` does, and runs a tiny NSGA-II search over load-aware CWM
-pricing and a tiny co-design search.
+pricing, a tiny co-design search and a tiny annealing search with
+bounded-repair CDCM deltas.  The two scheduler spans must each count only
+their own calls, so the last test also checks that neither entry point of
+the replay calls the other.
 
 ``search.niche`` is not asserted: its trace points name
 ``repro.codesign.engine``, while the niching now runs in
@@ -25,10 +28,15 @@ from pathlib import Path
 import pytest
 
 from repro.codesign import CodesignParameters, CodesignSearch, LoadAwareCwmContext
+from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
+from repro.core.objective import cdcm_objective
+from repro.eval.context import CdcmEvaluationContext
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
+from repro.noc.scheduler import CdcmScheduler
 from repro.noc.topology import Mesh
+from repro.search.annealing import AnnealingSchedule, SimulatedAnnealing
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters
 from repro.workloads.embedded import image_encoder
 
@@ -128,3 +136,29 @@ def test_codesign_reaches_its_layers(encoder, calls):
     _assert_reached(
         calls, SEARCH_LAYERS + ("codesign.certify", "noc.deadlock.validate")
     )
+
+
+def test_bounded_repair_annealing_reaches_both_replays(encoder, calls):
+    cdcg, platform, initial = encoder
+    context = CdcmEvaluationContext(cdcg, platform, repair=True)
+    objective = cdcm_objective(cdcg, platform, context=context)
+    schedule = AnnealingSchedule(max_evaluations=40, moves_per_temperature=16)
+    calls.clear()
+    SimulatedAnnealing(schedule, use_delta=True).search(objective, initial, rng=11)
+    layers = ("noc.scheduler.schedule", "noc.scheduler.subset", "eval.repair.delta")
+    missing = [layer for layer in layers if not calls[layer]]
+    assert not missing, f"no traced call reached {missing}"
+
+    calls.clear()
+    CdcmEvaluator(platform).evaluate(cdcg, initial)
+    assert calls["core.cdcm.evaluate"] == 1
+    assert calls["noc.scheduler.schedule"] == 1
+    assert calls["noc.scheduler.subset"] == 0
+
+    calls.clear()
+    tile_of = {core: initial.tile_of(core) for core in cdcg.cores()}
+    CdcmScheduler(platform).schedule_subset(
+        cdcg, tile_of, [p.name for p in cdcg.packets]
+    )
+    assert calls["noc.scheduler.subset"] == 1
+    assert calls["noc.scheduler.schedule"] == 0
