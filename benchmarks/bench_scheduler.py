@@ -11,17 +11,37 @@ Schedulers price packet paths off the shared
 :class:`~repro.eval.route_table.RouteTable`; the table is built (and cached)
 when the scheduler is constructed, outside the timed region, so the numbers
 below measure the replay itself, exactly as a search loop experiences it.
+
+The last case prices the 12x10 Table 1 row through a memo-less
+``CdcmEvaluationContext`` (the lean replay, no Figure-3 records) and through
+``CdcmEvaluator.evaluate(...).metric_vector()`` (the recorded replay), and
+asserts the lean path at >= 5x the recorded one.  Like the other perf bars
+of the suite, the bar can be waived with ``REPRO_BENCH_NO_PERF_BARS=1``;
+``REPRO_BENCH_RECORD=1`` appends both rates to ``BENCH_scheduler.json``.
 """
+
+import os
+import time
 
 import pytest
 
+from conftest import emit, record_sample
+from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
+from repro.eval.context import CdcmEvaluationContext
 from repro.eval.route_table import get_route_table
 from repro.noc.platform import Platform
 from repro.noc.scheduler import CdcmScheduler
 from repro.noc.topology import Mesh
 from repro.workloads.embedded import embedded_applications
+from repro.workloads.suite import table1_suite
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
+
+_SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
+    "0",
+    "",
+    "false",
+)
 
 
 def _benchmark_case(num_cores: int, num_packets: int, mesh: Mesh, seed: int = 1):
@@ -82,3 +102,58 @@ def test_scheduler_on_embedded_applications(benchmark, app_name):
     scheduler = CdcmScheduler(platform)
     result = benchmark(scheduler.schedule, cdcg, mapping)
     assert result.execution_time >= cdcg.critical_path_time()
+
+
+def _median_seconds(fn, mappings, rounds: int) -> float:
+    """Median wall time of one call of *fn* over *mappings*, *rounds* passes."""
+    times = []
+    for _ in range(rounds):
+        for mapping in mappings:
+            start = time.perf_counter()
+            fn(mapping)
+            times.append(time.perf_counter() - start)
+    times.sort()
+    return times[len(times) // 2]
+
+
+@pytest.mark.benchmark(group="scheduler-lean")
+def test_lean_pricing_beats_the_recorded_replay(benchmark):
+    entry = next(e for e in table1_suite() if e.name == "12x10")
+    cdcg = entry.build()
+    platform = Platform(mesh=entry.mesh)
+    mappings = [
+        Mapping.random(cdcg.cores(), platform.num_tiles, rng=seed) for seed in range(8)
+    ]
+    context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+    evaluator = CdcmEvaluator(platform)
+    for mapping in mappings:
+        recorded = evaluator.evaluate(cdcg, mapping).metric_vector()
+        assert context.metrics(mapping) == recorded
+
+    def run():
+        lean = _median_seconds(context.metrics, mappings, rounds=8)
+        recorded = _median_seconds(
+            lambda m: evaluator.evaluate(cdcg, m).metric_vector(), mappings, rounds=2
+        )
+        return lean, recorded
+
+    lean, recorded = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit(
+        "CDCM pricing - lean replay vs recorded replay (12x10 Table 1 row)",
+        f"{'path':<10} {'ms/candidate':>13} {'candidates/s':>13}\n"
+        f"{'lean':<10} {lean * 1e3:>13.3f} {1 / lean:>13,.0f}\n"
+        f"{'recorded':<10} {recorded * 1e3:>13.3f} {1 / recorded:>13,.0f}\n"
+        f"speedup: {recorded / lean:.1f}x",
+    )
+    record_sample(
+        "BENCH_scheduler.json",
+        {
+            "bench": "bench_scheduler",
+            "lean_candidates_per_s": 1 / lean,
+            "recorded_candidates_per_s": 1 / recorded,
+            "speedup": recorded / lean,
+        },
+    )
+    if _SKIP_PERF_BARS:
+        pytest.skip(">= 5x bar waived via REPRO_BENCH_NO_PERF_BARS")
+    assert recorded >= 5.0 * lean

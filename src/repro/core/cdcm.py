@@ -25,11 +25,13 @@ from repro.core.metrics import (
     MetricVector,
     scalarisation_weights,
 )
+from repro.energy.bit_energy import bit_energy_route
+from repro.energy.static import noc_static_power
 from repro.energy.technology import Technology
 from repro.energy.totals import EnergyBreakdown, total_energy_cdcm
 from repro.graphs.cdcg import CDCG
 from repro.noc.platform import Platform
-from repro.noc.scheduler import CdcmScheduler, ScheduleResult
+from repro.noc.scheduler import CdcmScheduler, ReplayTotals, ScheduleResult
 from repro.core.mapping import Mapping
 from repro.utils.errors import ConfigurationError
 
@@ -98,6 +100,28 @@ class CdcmReport:
         )
 
 
+def cdcm_metric_vector(totals: ReplayTotals, static_power: float) -> MetricVector:
+    """The CDCM metric vector of one replay, from its :class:`ReplayTotals`.
+
+    ``EstNoC`` is *static_power* (``PstNoC``, equation 5) times ``texec``
+    (equation 9), ``ENoC`` adds the dynamic term (equation 10), and
+    ``max_link_utilisation`` divides the busiest link's busy time by
+    ``texec`` (0.0 when ``texec`` is 0).  :meth:`CdcmEvaluator.metrics` and
+    the bounded-repair engine (:mod:`repro.eval.repair`) both build their
+    vectors here.
+    """
+    execution_time = totals.execution_time
+    dynamic = totals.dynamic_energy
+    static = static_power * execution_time
+    utilisation = (
+        totals.max_link_busy / execution_time if execution_time > 0 else 0.0
+    )
+    return MetricVector(
+        CDCM_METRIC_NAMES,
+        (dynamic + static, execution_time, dynamic, static, utilisation),
+    )
+
+
 #: Metrics a CDCM objective can minimise.
 _METRICS = ("energy", "time", "weighted")
 
@@ -145,6 +169,14 @@ class CdcmEvaluator:
         self.include_local = include_local
         self.weights = scalarisation_weights(metric, energy_weight, time_weight)
         self._scheduler = CdcmScheduler(platform, route_table=route_table)
+        technology = platform.technology
+        self._static_power = noc_static_power(technology, platform.num_tiles)
+        # EBit of a route through k routers, by k: a loop-free route visits
+        # each tile at most once.
+        self._bit_energy = [0.0] + [
+            bit_energy_route(technology, hops, include_local)
+            for hops in range(1, platform.num_tiles + 1)
+        ]
 
     @property
     def route_table(self):
@@ -168,8 +200,16 @@ class CdcmEvaluator:
     def metrics(
         self, cdcg: CDCG, mapping: Union[Mapping, Dict[str, int]]
     ) -> MetricVector:
-        """Named component vector of a mapping (one replay, every metric)."""
-        return self.evaluate(cdcg, mapping).metric_vector()
+        """Named component vector of a mapping (one replay, every metric).
+
+        Prices :meth:`CdcmScheduler.totals`, which records no Figure-3
+        lists, through :func:`cdcm_metric_vector`; bit-identical to
+        ``evaluate(cdcg, mapping).metric_vector()``.
+        """
+        return cdcm_metric_vector(
+            self._scheduler.totals(cdcg, mapping, self._bit_energy),
+            self._static_power,
+        )
 
     # ------------------------------------------------------------------
     # Full report
@@ -214,4 +254,4 @@ class CdcmEvaluator:
         )
 
 
-__all__ = ["CdcmEvaluator", "CdcmReport"]
+__all__ = ["CdcmEvaluator", "CdcmReport", "cdcm_metric_vector"]

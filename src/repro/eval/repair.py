@@ -55,9 +55,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.cdcm import CdcmEvaluator, cdcm_metric_vector
 from repro.core.mapping import Mapping
 from repro.core.metrics import CDCM_METRIC_NAMES, MetricVector
-from repro.energy.dynamic import cdcm_dynamic_energy, communication_dynamic_energy
+from repro.energy.dynamic import communication_dynamic_energy
 from repro.energy.static import noc_static_power
 from repro.graphs.cdcg import CDCG
 from repro.noc.platform import Platform
@@ -66,7 +67,7 @@ from repro.noc.scheduler import (
     CdcmScheduler,
     FrozenOccupations,
     PacketSchedule,
-    ScheduleResult,
+    ReplayTotals,
     contention_index,
 )
 from repro.utils.errors import ConfigurationError, MappingError
@@ -292,6 +293,13 @@ class CdcmRepairEngine:
         self.weights = dict(weights) if weights else {"energy": 1.0}
         self.policy = policy if policy is not None else RepairPolicy()
         self.scheduler = CdcmScheduler(platform, route_table=route_table)
+        # Full states are priced exactly as CdcmEvaluator.metrics prices a
+        # mapping, so at every resync the tracked vector is a full replay's.
+        self._evaluator = CdcmEvaluator(
+            platform,
+            include_local=include_local,
+            route_table=self.scheduler.route_table,
+        )
         self.stats = RepairStats()
         #: :class:`RepairOutcome` of the most recent :meth:`metric_delta`.
         self.last_outcome: Optional[RepairOutcome] = None
@@ -428,24 +436,8 @@ class CdcmRepairEngine:
             schedules=dict(result.packet_schedules),
             index=index,
             footprints=footprints,
-            metrics=self._exact_metrics(result),
+            metrics=self._evaluator.metrics(self.cdcg, mapping),
             link_busy=link_busy,
-        )
-
-    def _exact_metrics(self, result: ScheduleResult) -> MetricVector:
-        """Metric vector of a full replay — same arithmetic as the evaluator."""
-        technology = self.platform.technology
-        dynamic = cdcm_dynamic_energy(result, technology, self.include_local)
-        static = self._static_power * result.execution_time
-        return MetricVector(
-            CDCM_METRIC_NAMES,
-            (
-                dynamic + static,
-                result.execution_time,
-                dynamic,
-                static,
-                result.max_link_utilisation(),
-            ),
         )
 
     def _scalarise(self, metrics: MetricVector) -> float:
@@ -799,7 +791,6 @@ class CdcmRepairEngine:
                     bits, old_hops, technology, self.include_local
                 )
         dynamic = base.metrics["dynamic_energy"] + dynamic_delta
-        static = self._static_power * execution_time
         # Congestion component: only the ``changed`` packets moved busy time
         # between links, so the tracked per-link numerators are patched by a
         # small delta dict and the max rescanned (division by the shared
@@ -826,10 +817,8 @@ class CdcmRepairEngine:
         for resource, change in link_busy_delta.items():
             if resource not in base.link_busy and change > max_busy:
                 max_busy = change
-        utilisation = max_busy / execution_time if execution_time > 0 else 0.0
-        metrics = MetricVector(
-            CDCM_METRIC_NAMES,
-            (dynamic + static, execution_time, dynamic, static, utilisation),
+        metrics = cdcm_metric_vector(
+            ReplayTotals(execution_time, dynamic, max_busy), self._static_power
         )
         delta = MetricVector(
             CDCM_METRIC_NAMES,

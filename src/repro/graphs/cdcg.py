@@ -112,6 +112,7 @@ class CDCG:
         self._successors: Dict[str, Set[str]] = {}
         self._predecessors: Dict[str, Set[str]] = {}
         self._explicit_cores: List[str] = []
+        self._revision = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,6 +138,7 @@ class CDCG:
         self._order.append(name)
         self._successors.setdefault(name, set())
         self._predecessors.setdefault(name, set())
+        self._revision += 1
         return packet
 
     def add_dependence(self, predecessor: str, successor: str) -> None:
@@ -165,6 +167,7 @@ class CDCG:
             )
         self._successors[predecessor].add(successor)
         self._predecessors[successor].add(predecessor)
+        self._revision += 1
 
     def add_core(self, core: str) -> None:
         """Register a core that may not appear in any packet.
@@ -177,10 +180,22 @@ class CDCG:
             raise GraphValidationError("core name must be a non-empty string")
         if core not in self._explicit_cores:
             self._explicit_cores.append(core)
+            self._revision += 1
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+    @property
+    def revision(self) -> int:
+        """Counter incremented by :meth:`add_packet`, :meth:`add_dependence`
+        and :meth:`add_core`.
+
+        Caches derived from a CDCG (the replay scheduler's per-CDCG arrays)
+        are keyed on the graph and this counter, so a graph that grows
+        between two uses is read afresh.
+        """
+        return self._revision
+
     @property
     def packets(self) -> List[Packet]:
         """All packets in insertion order."""

@@ -10,7 +10,13 @@ inter-router link are serialised: the later packet waits in the input buffer
 of the router before the contention point and its remaining hops are delayed
 accordingly, exactly as in the A->F / B->F contention of Figure 3(a)/Figure 4.
 
-The result (:class:`ScheduleResult`) carries:
+One replay loop serves every entry point.  Without a recorder it keeps only
+what pricing reads (:class:`ReplayTotals`: the execution time, the dynamic
+energy summed per packet in grant order and the busiest link's busy time);
+:meth:`CdcmScheduler.totals` is that path, and
+:meth:`repro.core.cdcm.CdcmEvaluator.metrics` prices through it.  With a
+recorder the loop also keeps each grant's start times, from which
+:meth:`CdcmScheduler.schedule` builds a :class:`ScheduleResult`:
 
 * one :class:`PacketSchedule` per packet — injection time, delivery time,
   path, contention delay;
@@ -33,10 +39,10 @@ Besides the full replay, the scheduler exposes the machinery of the
 * :class:`FrozenOccupations` — a read-only background of occupations the
   partial replay treats as immovable;
 * :meth:`CdcmScheduler.schedule_subset` — replays only a subset of packets
-  against such a frozen background.  Both entry points run one heap loop and
-  one grant routine, so with the subset covering every packet and no
-  background the partial replay is bit-identical to
-  :meth:`CdcmScheduler.schedule` (pinned in ``tests/test_repair.py``).
+  against such a frozen background, through the same loop, so with the
+  subset covering every packet and no background the partial replay is
+  bit-identical to :meth:`CdcmScheduler.schedule` (pinned in
+  ``tests/test_repair.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Mapping as TypingMapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Mapping as TypingMapping, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graphs.cdcg import CDCG, Packet
 from repro.noc.platform import Platform
@@ -55,7 +61,7 @@ from repro.noc.resources import (
     Resource,
     RouterResource,
 )
-from repro.utils.errors import MappingError, SchedulingError
+from repro.utils.errors import ConfigurationError, MappingError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.core.mapping import Mapping
@@ -171,7 +177,11 @@ class ScheduleResult:
         for resource, occupations in self.occupations.items():
             if not isinstance(resource, LinkResource):
                 continue
-            busy = sum(o.duration for o in occupations)
+            # Summed one record at a time, as the replay loop sums it:
+            # sum() of floats is compensated on Python 3.12 and later.
+            busy = 0.0
+            for occupation in occupations:
+                busy += occupation.duration
             best = max(best, busy / self.execution_time)
         return best
 
@@ -315,8 +325,84 @@ class SubsetSchedule:
     footprints: Dict[str, List[Tuple[Resource, Occupation]]]
 
 
+class ReplayTotals(NamedTuple):
+    """What pricing reads from one replay (:meth:`CdcmScheduler.totals`).
+
+    Attributes
+    ----------
+    execution_time:
+        ``texec``: the latest delivery, in ns (0.0 without packets).
+    dynamic_energy:
+        ``EDyNoC`` (equation 4): each packet's bits times the per-bit energy
+        of its route, summed in grant order.
+    max_link_busy:
+        Busy time of the busiest inter-router link, in ns: per link, the
+        ``(start + stream) - start`` of every grant, summed in grant order.
+    """
+
+    execution_time: float
+    dynamic_energy: float
+    max_link_busy: float
+
+
+class _CdcgArrays:
+    """A CDCG as the index arrays the replay loop reads.
+
+    Packets are numbered in declaration order, which is the heap's
+    tie-break; cores in :meth:`CDCG.cores` order.  A scheduler keeps one
+    instance per CDCG revision (stream times depend on its platform).
+    """
+
+    __slots__ = (
+        "cdcg",
+        "revision",
+        "packets",
+        "index",
+        "cores",
+        "source",
+        "target",
+        "computation",
+        "bits",
+        "flits",
+        "stream",
+        "successors",
+        "predecessors",
+        "initial",
+        "everyone",
+    )
+
+    def __init__(self, cdcg: CDCG, parameters) -> None:
+        self.cdcg = cdcg
+        self.revision = cdcg.revision
+        packets = self.packets = cdcg.packets
+        index = self.index = {p.name: i for i, p in enumerate(packets)}
+        cores = self.cores = cdcg.cores()
+        core_index = {core: i for i, core in enumerate(cores)}
+        self.source = [core_index[p.source] for p in packets]
+        self.target = [core_index[p.target] for p in packets]
+        self.computation = [p.computation_time for p in packets]
+        self.bits = [p.bits for p in packets]
+        self.flits = [parameters.flits(p.bits) for p in packets]
+        link_time = parameters.link_time
+        self.stream = [flits * link_time for flits in self.flits]
+        self.successors = [
+            tuple(index[s] for s in cdcg.successors(p.name)) for p in packets
+        ]
+        self.predecessors = [len(cdcg.predecessors(p.name)) for p in packets]
+        self.initial = [i for i, count in enumerate(self.predecessors) if count == 0]
+        self.everyone = [True] * len(packets)
+
+
 class CdcmScheduler:
     """Replays a CDCG over a mapped platform, producing a :class:`ScheduleResult`.
+
+    One loop replays every entry point.  It arbitrates over integer link ids
+    (numbered as in :meth:`~repro.eval.route_table.RouteTable.link_csr`) and
+    flat ``free_at`` lists, and keeps only delivery times, hop counts and
+    per-link busy sums: that is :meth:`totals`, the path pricing takes.
+    :meth:`schedule` and :meth:`schedule_subset` also record each grant's
+    start times and build the :class:`PacketSchedule` and
+    :class:`~repro.noc.resources.Occupation` records from them afterwards.
 
     Parameters
     ----------
@@ -338,19 +424,65 @@ class CdcmScheduler:
 
             route_table = get_route_table(platform)
         self._route_table = route_table
-        # Heap tie-break order of the most recent CDCG, cached for
-        # schedule_subset: it runs per repair delta (hot path), on a CDCG that
-        # gains no packets meanwhile.  schedule() rebuilds its own per call.
-        self._order_cache: Optional[Tuple[CDCG, Dict[str, int]]] = None
+        self._num_tiles = route_table.num_tiles
+        # Arrays of the most recent CDCG, rebuilt when its revision moves.
+        self._cdcg_arrays: Optional[_CdcgArrays] = None
+        # Per tile pair (source * num_tiles + target): link ids, hop count
+        # and path, filled on first use; the link-id lookup, the Resource
+        # keys of the records and the free/busy lists are sized per link.
+        self._routes: Dict[int, Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = {}
+        self._link_ids: Optional[Dict[Tuple[int, int], int]] = None
+        self._resources: Optional[
+            Tuple[List[LinkResource], List[LocalLinkResource], List[RouterResource]]
+        ] = None
+
+    def _arrays(self, cdcg: CDCG) -> _CdcgArrays:
+        """The index arrays of *cdcg* at its current revision."""
+        arrays = self._cdcg_arrays
+        stale = arrays is None or arrays.cdcg is not cdcg
+        if stale or arrays.revision != cdcg.revision:
+            arrays = self._cdcg_arrays = _CdcgArrays(cdcg, self.platform.parameters)
+        return arrays
 
     def _order_index(self, cdcg: CDCG) -> Dict[str, int]:
         """Deterministic heap tie-break ranks (CDCG declaration order)."""
-        cached = self._order_cache
-        if cached is not None and cached[0] is cdcg:
-            return cached[1]
-        order_index = {p.name: i for i, p in enumerate(cdcg.packets)}
-        self._order_cache = (cdcg, order_index)
-        return order_index
+        return self._arrays(cdcg).index
+
+    def _link_id_map(self) -> Dict[Tuple[int, int], int]:
+        """Id of every topology link, numbered as in ``RouteTable.link_csr``."""
+        if self._link_ids is None:
+            links = sorted(self._route_table.mesh.links())
+            self._link_ids = {link: i for i, link in enumerate(links)}
+        return self._link_ids
+
+    def _route(
+        self, source: int, target: int
+    ) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
+        """``(link ids, hop count, path)`` of one route, memoised per tile pair."""
+        link_ids = self._link_id_map()
+        path = tuple(self._route_table.path(source, target))
+        try:
+            ids = tuple(link_ids[link] for link in zip(path, path[1:]))
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"{self._route_table!r} routes over link {exc.args[0]}, which "
+                f"its topology does not list"
+            ) from None
+        route = self._routes[source * self._num_tiles + target] = (ids, len(path), path)
+        return route
+
+    def _resource_lists(
+        self,
+    ) -> Tuple[List[LinkResource], List[LocalLinkResource], List[RouterResource]]:
+        """Resource keys by link id and by tile (built on first recorded replay)."""
+        if self._resources is None:
+            tiles = range(self._num_tiles)
+            self._resources = (
+                [LinkResource(tail, head) for tail, head in self._link_id_map()],
+                [LocalLinkResource(tile) for tile in tiles],
+                [RouterResource(tile) for tile in tiles],
+            )
+        return self._resources
 
     @property
     def route_table(self):
@@ -373,24 +505,41 @@ class CdcmScheduler:
         SchedulingError
             If the CDCG has a dependence cycle (it then never terminates).
         """
-        tile_of = _tile_lookup(cdcg, mapping, self.platform)
-        # Rebuilt per call rather than read from the identity-keyed cache: a
-        # CDCG can gain packets between calls.  Its keys are every packet, so
-        # it doubles as the replayed set.
-        order_index = {p.name: i for i, p in enumerate(cdcg.packets)}
+        arrays = self._arrays(cdcg)
+        tiles = self._placement(arrays, mapping)
+        record: List[Tuple[int, float, List[float]]] = []
+        totals = self._replay(arrays, tiles, record=record)
         occupations: Dict[Resource, List[Occupation]] = {}
-        schedules = self._replay(
-            cdcg, tile_of, order_index, order_index, {}, occupations=occupations
-        ).schedules
-        execution_time = max(
-            (s.delivery_time for s in schedules.values()), default=0.0
-        )
+        schedules = self._recorded(arrays, tiles, record, occupations=occupations)
         return ScheduleResult(
             application=cdcg.name,
-            execution_time=execution_time,
+            execution_time=totals.execution_time,
             packet_schedules=schedules,
             occupations=occupations,
         )
+
+    def totals(
+        self,
+        cdcg: CDCG,
+        mapping: "Mapping | TypingMapping[str, int]",
+        bit_energy: Sequence[float],
+    ) -> ReplayTotals:
+        """Replay *cdcg* under *mapping* and keep only what pricing reads.
+
+        The same replay as :meth:`schedule`, with the same placement checks
+        and errors, but it builds no :class:`PacketSchedule`,
+        :class:`~repro.noc.resources.Occupation` or resource key.
+
+        Parameters
+        ----------
+        bit_energy:
+            Per-bit energy of a route through ``k`` routers, indexed by
+            ``k`` (``EBit_ij`` of equation 2); a packet adds its bits times
+            the entry of its hop count to ``dynamic_energy``.
+        """
+        arrays = self._arrays(cdcg)
+        tiles = self._placement(arrays, mapping)
+        return self._replay(arrays, tiles, bit_energy=bit_energy)
 
     def schedule_subset(
         self,
@@ -440,234 +589,323 @@ class CdcmScheduler:
         SchedulingError
             If the dependences among the subset packets contain a cycle.
         """
-        order_index = self._order_index(cdcg)
-        floors = ready_floor or {}
-        return self._replay(cdcg, tile_of, order_index, set(subset), floors, background)
+        arrays = self._arrays(cdcg)
+        names = set(subset)
+        index = arrays.index
+        members = []
+        for name in names:
+            if name not in index:
+                cdcg.packet(name)  # raises the graph's typed error
+            members.append(index[name])
+        tiles = [tile_of.get(core) for core in arrays.cores]
+        record: List[Tuple[int, float, List[float]]] = []
+        self._replay(arrays, tiles, members, ready_floor or {}, background, record)
+        footprints: Dict[str, List[Tuple[Resource, Occupation]]] = {
+            name: [] for name in names
+        }
+        schedules = self._recorded(arrays, tiles, record, footprints=footprints)
+        return SubsetSchedule(schedules=schedules, footprints=footprints)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _placement(
+        self, arrays: _CdcgArrays, mapping: "Mapping | TypingMapping[str, int]"
+    ) -> List[int]:
+        """Validated tile of every core, in the arrays' core order."""
+        tile_of = _tile_lookup(arrays.cdcg, mapping, self.platform, arrays.cores)
+        return list(tile_of.values())
+
     def _replay(
         self,
-        cdcg: CDCG,
-        tile_of: TypingMapping[str, int],
-        order_index: Dict[str, int],
-        names: Collection[str],
-        floors: TypingMapping[str, float],
+        arrays: _CdcgArrays,
+        tiles: Sequence[Optional[int]],
+        members: Optional[List[int]] = None,
+        floors: Optional[TypingMapping[str, float]] = None,
         background: Optional[FrozenOccupations] = None,
-        occupations: Optional[Dict[Resource, List[Occupation]]] = None,
-    ) -> SubsetSchedule:
-        """Replay the packets in *names*: the heap loop behind both entry points.
+        record: Optional[List[Tuple[int, float, List[float]]]] = None,
+        bit_energy: Optional[Sequence[float]] = None,
+    ) -> ReplayTotals:
+        """Replay every packet, or the packets at *members*: the one replay loop.
 
-        Dependences on packets outside *names* enter only through *floors*.
-        With *occupations* given, every packet's records are appended to it
-        (see :meth:`_grant`) and the footprints come back empty; otherwise
-        each packet of *names* gets its contention footprint.  A dependence
-        cycle among *names* raises :class:`SchedulingError`.
+        Each step grants the ready packet with the earliest injection time
+        (ties by declaration order) every resource of its route, in route
+        order.  Dependences on packets outside *members* enter only through
+        *floors*, by packet name.  A grant yields to the replayed packets'
+        ``free_at`` and, when *background* is given, to its frozen
+        occupations — resolved by a small fixpoint, since pushing the start
+        later can expose yet-later background grants.  With *record*, each
+        grant appends ``(packet index, ready time, starts)``: the start of
+        its source local link, then of every output along the route.  With
+        *bit_energy*, the totals price dynamic energy.  A dependence cycle
+        among the replayed packets raises :class:`SchedulingError`.
         """
         params = self.platform.parameters
         tr = params.routing_time
         tl = params.link_time
         serialize_local = params.serialize_local_links
+        recording = record is not None
+        frozen = background is not None
+        pricing = bit_energy is not None
+        computation = arrays.computation
+        stream_of = arrays.stream
+        successors = arrays.successors
+        source_core = arrays.source
+        target_core = arrays.target
+        bits = arrays.bits
+        routes = self._routes
+        num_tiles = self._num_tiles
 
-        remaining_preds = {
-            name: sum(1 for p in cdcg.predecessors(name) if p in names)
-            for name in names
-        }
-        # Event-driven processing: always schedule next the ready packet with
-        # the earliest injection time, which approximates the FCFS arbitration
-        # of a real router for independent packets.
-        ready_time: Dict[str, float] = {}
-        heap: List[Tuple[float, int, str]] = []
-        for name in names:
-            if remaining_preds[name] == 0:
-                ready = ready_time[name] = floors.get(name, 0.0)
-                injection = ready + cdcg.packet(name).computation_time
-                heapq.heappush(heap, (injection, order_index[name], name))
+        count = len(computation)
+        ready = [0.0] * count
+        if members is None:
+            member = arrays.everyone
+            remaining = list(arrays.predecessors)
+            starters = arrays.initial
+            expected = count
+        else:
+            member = [False] * count
+            for i in members:
+                member[i] = True
+            remaining = [0] * count
+            packets = arrays.packets
+            for i in members:
+                ready[i] = floors.get(packets[i].name, 0.0)
+                for j in successors[i]:
+                    if member[j]:
+                        remaining[j] += 1
+            starters = members
+            expected = len(members)
+        # Event-driven processing: always grant next the ready packet with
+        # the earliest injection time, which approximates the FCFS
+        # arbitration of a real router for independent packets.
+        heap = [(ready[i] + computation[i], i) for i in starters if remaining[i] == 0]
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
 
-        # Resource availability: next instant a contention resource is free.
-        free_at: Dict[Resource, float] = {}
-        schedules: Dict[str, PacketSchedule] = {}
-        footprints: Dict[str, List[Tuple[Resource, Occupation]]] = (
-            {} if occupations is not None else {name: [] for name in names}
-        )
+        num_links = len(self._link_id_map())
+        # Next instant each contention resource is free: inter-router links
+        # by link id, local links by tile.
+        free = [0.0] * num_links
+        local_free = [0.0] * num_tiles
+        busy = [0.0] * num_links
+        if frozen:
+            link_resources, local_resources, _ = self._resource_lists()
+        execution_time = 0.0
+        dynamic = 0.0
+        granted = 0
         while heap:
-            _, _, name = heapq.heappop(heap)
-            packet = cdcg.packet(name)
-            schedule = self._grant(
-                packet,
-                ready_time[name],
-                tile_of[packet.source],
-                tile_of[packet.target],
-                tr,
-                tl,
-                params.flits(packet.bits),
-                serialize_local,
-                free_at,
-                background,
-                occupations,
-                footprints.get(name),
-            )
-            schedules[name] = schedule
+            i = heappop(heap)[1]
+            granted += 1
+            ready_at = ready[i]
+            injection = ready_at + computation[i]
+            stream = stream_of[i]
+            source = tiles[source_core[i]]
+            target = tiles[target_core[i]]
+            route = routes.get(source * num_tiles + target)
+            if route is None:
+                route = self._route(source, target)
+            link_ids, hops, _ = route
 
-            for successor in cdcg.successors(name):
-                if successor not in names:
-                    continue
-                remaining_preds[successor] -= 1
-                current = ready_time.get(successor, floors.get(successor, 0.0))
-                ready = ready_time[successor] = max(current, schedule.delivery_time)
-                if remaining_preds[successor] == 0:
-                    injection = ready + cdcg.packet(successor).computation_time
-                    heapq.heappush(heap, (injection, order_index[successor], successor))
+            # Source local link: the core streams the whole packet to its
+            # router.
+            start = injection
+            if serialize_local:
+                available = local_free[source]
+                if available > start:
+                    start = available
+                if frozen:
+                    resource = local_resources[source]
+                    while True:
+                        blocked = background.blocking_end(resource, start)
+                        if blocked <= start:
+                            break
+                        start = blocked
+                local_free[source] = start + stream
+            if recording:
+                starts = [start]
 
-        if len(schedules) != len(names):
-            raise SchedulingError(
-                f"only {len(schedules)} of {len(names)} packets could be "
-                f"scheduled; the CDCG of {cdcg.name!r} has a dependence cycle"
-            )
-        return SubsetSchedule(schedules=schedules, footprints=footprints)
-
-    def _grant(
-        self,
-        packet: Packet,
-        ready: float,
-        source_tile: int,
-        target_tile: int,
-        tr: float,
-        tl: float,
-        num_flits: int,
-        serialize_local: bool,
-        free_at: Dict[Resource, float],
-        background: Optional[FrozenOccupations],
-        occupations: Optional[Dict[Resource, List[Occupation]]],
-        footprint: Optional[List[Tuple[Resource, Occupation]]],
-    ) -> PacketSchedule:
-        """Reserve the resources along one packet's route and time its delivery.
-
-        A grant yields to the replayed packets' ``free_at`` and, when
-        *background* is given, to its frozen occupations — resolved by a
-        small fixpoint, since pushing the start later can expose yet-later
-        background grants.  The reservations go into *occupations* when it
-        is given: every router, link and local link, the cost-variable lists
-        of Figure 3.  Otherwise only the contention-resource occupations go
-        into *footprint*, in route order — router records never influence
-        timing, and the repair engine prices dynamic energy from hop counts,
-        not occupation lists.
-        """
-        path = self._route_table.path(source_tile, target_tile)
-        injection = ready + packet.computation_time
-        stream_time = num_flits * tl
-
-        # Source local link: the core streams the whole packet to its router.
-        source_local = LocalLinkResource(source_tile)
-        source_start = injection
-        if serialize_local:
-            available = free_at.get(source_local, 0.0)
-            if available > injection:
-                source_start = available
-            while background is not None:
-                blocked = background.blocking_end(source_local, source_start)
-                if blocked <= source_start:
-                    break
-                source_start = blocked
-            free_at[source_local] = source_start + stream_time
-        contention = source_start - injection
-        if occupations is not None or serialize_local:
-            occupation = Occupation(
-                packet.name,
-                packet.bits,
-                source_start,
-                source_start + stream_time,
-                contended=source_start > injection,
-            )
-            if occupations is None:
-                footprint.append((source_local, occupation))
-            else:
-                occupations.setdefault(source_local, []).append(occupation)
-
-        # Header progresses hop by hop; the tail follows (num_flits - 1) x tl
-        # behind the header once the header's output has been granted.
-        head_arrival = source_start + tl
-        link_start = head_arrival  # placeholder, overwritten in the loop
-        for position, router_tile in enumerate(path):
-            if position == len(path) - 1:
-                output: Resource = LocalLinkResource(target_tile)
-                output_contends = serialize_local
-            else:
-                output = LinkResource(router_tile, path[position + 1])
-                output_contends = True
-
-            earliest = head_arrival + tr
-            link_start = earliest
-            if output_contends:
-                available = free_at.get(output, 0.0)
-                if available > head_arrival:
+            # The header progresses hop by hop; the tail follows
+            # (flits - 1) x tl behind it once each output is granted.
+            head = start + tl
+            for link in link_ids:
+                earliest = head + tr
+                link_start = earliest
+                available = free[link]
+                if available > head:
                     # The header waits in this router's input buffer until the
                     # output link is released, then still pays the routing /
                     # arbitration latency tr before streaming out.
-                    link_start = max(link_start, available + tr)
-                # Fixpoint: a later start can fall behind further frozen
-                # grants; each push is strictly later and bounded by the last
-                # background end + tr, so the loop terminates.
-                while background is not None:
-                    blocked = background.blocking_end(output, link_start)
-                    if blocked <= head_arrival or blocked + tr <= link_start:
-                        break
-                    link_start = blocked + tr
-                if link_start > earliest:
-                    contention += link_start - earliest
-                free_at[output] = link_start + stream_time
+                    available += tr
+                    if available > earliest:
+                        link_start = available
+                if frozen:
+                    # Each push is strictly later and bounded by the last
+                    # background end + tr, so the fixpoint terminates.
+                    resource = link_resources[link]
+                    while True:
+                        blocked = background.blocking_end(resource, link_start)
+                        if blocked <= head or blocked + tr <= link_start:
+                            break
+                        link_start = blocked + tr
+                end = link_start + stream
+                free[link] = end
+                busy[link] += end - link_start
+                if recording:
+                    starts.append(link_start)
+                head = link_start + tl
 
-            if occupations is not None:
-                occupations.setdefault(RouterResource(router_tile), []).append(
-                    Occupation(
-                        packet.name,
-                        packet.bits,
-                        head_arrival,
-                        link_start + (num_flits - 1) * tl,
-                        contended=link_start > earliest,
-                    )
-                )
-            if occupations is not None or output_contends:
+            # The last output: the target tile's local link.
+            earliest = link_start = head + tr
+            if serialize_local:
+                available = local_free[target]
+                if available > head:
+                    available += tr
+                    if available > earliest:
+                        link_start = available
+                if frozen:
+                    resource = local_resources[target]
+                    while True:
+                        blocked = background.blocking_end(resource, link_start)
+                        if blocked <= head or blocked + tr <= link_start:
+                            break
+                        link_start = blocked + tr
+                local_free[target] = link_start + stream
+            delivery = link_start + stream
+            if recording:
+                starts.append(link_start)
+                record.append((i, ready_at, starts))
+            if delivery > execution_time:
+                execution_time = delivery
+            if pricing:
+                dynamic += bits[i] * bit_energy[hops]
+
+            for j in successors[i]:
+                if member[j]:
+                    if delivery > ready[j]:
+                        ready[j] = delivery
+                    remaining[j] -= 1
+                    if remaining[j] == 0:
+                        heappush(heap, (ready[j] + computation[j], j))
+
+        if granted != expected:
+            raise SchedulingError(
+                f"only {granted} of {expected} packets could be "
+                f"scheduled; the CDCG of {arrays.cdcg.name!r} has a dependence cycle"
+            )
+        return ReplayTotals(execution_time, dynamic, max(busy, default=0.0))
+
+    def _recorded(
+        self,
+        arrays: _CdcgArrays,
+        tiles: Sequence[Optional[int]],
+        record: List[Tuple[int, float, List[float]]],
+        occupations: Optional[Dict[Resource, List[Occupation]]] = None,
+        footprints: Optional[Dict[str, List[Tuple[Resource, Occupation]]]] = None,
+    ) -> Dict[str, PacketSchedule]:
+        """The packet schedules of a recorded replay, in grant order.
+
+        Rebuilds every grant from its recorded starts with the replay's own
+        arithmetic.  With *occupations*, every router, link and local-link
+        record is filed under its resource: the cost-variable lists of
+        Figure 3.  With *footprints*, each packet's list gets its
+        contention-resource records, in route order — router records never
+        influence timing, and the repair engine prices dynamic energy from
+        hop counts.
+        """
+        params = self.platform.parameters
+        tr = params.routing_time
+        tl = params.link_time
+        serialize_local = params.serialize_local_links
+        link_resources, local_resources, router_resources = self._resource_lists()
+        routes = self._routes
+        num_tiles = self._num_tiles
+        packets = arrays.packets
+        schedules: Dict[str, PacketSchedule] = {}
+        for i, ready, starts in record:
+            packet = packets[i]
+            name = packet.name
+            bits = packet.bits
+            source = tiles[arrays.source[i]]
+            target = tiles[arrays.target[i]]
+            link_ids, hops, path = routes[source * num_tiles + target]
+            injection = ready + arrays.computation[i]
+            stream = arrays.stream[i]
+            num_flits = arrays.flits[i]
+            tail = (num_flits - 1) * tl
+            footprint = None if footprints is None else footprints[name]
+
+            start = starts[0]
+            contention = start - injection
+            if footprint is None or serialize_local:
                 occupation = Occupation(
-                    packet.name,
-                    packet.bits,
-                    link_start,
-                    link_start + stream_time,
-                    contended=link_start > earliest,
+                    name, bits, start, start + stream, contended=start > injection
                 )
-                if occupations is None:
-                    footprint.append((output, occupation))
+                resource = local_resources[source]
+                if footprint is None:
+                    occupations.setdefault(resource, []).append(occupation)
                 else:
+                    footprint.append((resource, occupation))
+            head = start + tl
+            for position, router in enumerate(path):
+                link_start = starts[position + 1]
+                earliest = head + tr
+                contended = link_start > earliest
+                if contended:
+                    contention += link_start - earliest
+                if footprint is None:
+                    occupations.setdefault(router_resources[router], []).append(
+                        Occupation(
+                            name, bits, head, link_start + tail, contended=contended
+                        )
+                    )
+                if position < hops - 1:
+                    output: Resource = link_resources[link_ids[position]]
+                elif footprint is None or serialize_local:
+                    output = local_resources[target]
+                else:
+                    break  # an unserialised local link is no contention resource
+                occupation = Occupation(
+                    name, bits, link_start, link_start + stream, contended=contended
+                )
+                if footprint is None:
                     occupations.setdefault(output, []).append(occupation)
-            head_arrival = link_start + tl
+                else:
+                    footprint.append((output, occupation))
+                head = link_start + tl
 
-        delivery = link_start + stream_time
-        return PacketSchedule(
-            packet=packet,
-            source_tile=source_tile,
-            target_tile=target_tile,
-            path=tuple(path),
-            ready_time=ready,
-            injection_time=injection,
-            delivery_time=delivery,
-            contention_delay=contention,
-            num_flits=num_flits,
-        )
+            schedules[name] = PacketSchedule(
+                packet=packet,
+                source_tile=source,
+                target_tile=target,
+                path=path,
+                ready_time=ready,
+                injection_time=injection,
+                delivery_time=link_start + stream,
+                contention_delay=contention,
+                num_flits=num_flits,
+            )
+        return schedules
 
 
 def _tile_lookup(
     cdcg: CDCG,
     mapping: "Mapping | TypingMapping[str, int]",
     platform: Platform,
+    cores: Optional[List[str]] = None,
 ) -> Dict[str, int]:
-    """Normalise *mapping* into a plain ``core -> tile`` dict and validate it."""
+    """Normalise *mapping* into a plain ``core -> tile`` dict and validate it.
+
+    The dict follows the order of *cores*, by default ``cdcg.cores()``.
+    """
     if hasattr(mapping, "assignments"):
         assignments = dict(mapping.assignments())  # repro.core.mapping.Mapping
     else:
         assignments = dict(mapping)
 
-    cores = cdcg.cores()
+    if cores is None:
+        cores = cdcg.cores()
     missing = [core for core in cores if core not in assignments]
     if missing:
         raise MappingError(
@@ -690,6 +928,7 @@ def _tile_lookup(
 
 __all__ = [
     "CdcmScheduler",
+    "ReplayTotals",
     "ScheduleResult",
     "PacketSchedule",
     "SubsetSchedule",

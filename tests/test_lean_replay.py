@@ -1,0 +1,164 @@
+"""The lean CDCM replay: what it builds, and which CDCG it reads.
+
+``CdcmEvaluator.metrics`` prices a mapping through ``CdcmScheduler.totals``,
+the replay loop run without a recorder: it must build none of the Figure-3
+records (``PacketSchedule``, ``Occupation``, resource keys) that
+``schedule`` builds.  The scheduler keeps per-CDCG index arrays between
+calls; a CDCG that gains a packet, a dependence or a core between two calls
+must be read afresh by every entry point, exactly as a fresh scheduler
+reads it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.core.cdcm import CdcmEvaluator
+from repro.core.mapping import Mapping
+from repro.graphs.cdcg import CDCG
+from repro.noc import resources, scheduler
+from repro.noc.platform import NocParameters, Platform
+from repro.noc.routing import RoutingAlgorithm
+from repro.noc.scheduler import CdcmScheduler
+from repro.noc.topology import Mesh
+from repro.utils.errors import ConfigurationError, MappingError
+from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
+
+RECORD_TYPES = (
+    scheduler.PacketSchedule,
+    resources.Occupation,
+    resources.RouterResource,
+    resources.LinkResource,
+    resources.LocalLinkResource,
+)
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Instances of each record type built while the fixture is active."""
+    counts: Counter = Counter()
+    for cls in RECORD_TYPES:
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.mark.parametrize("serialize_local", [False, True])
+def test_metrics_build_no_records(constructed, serialize_local):
+    spec = TgffSpec(name="lean", num_cores=12, num_packets=60, total_bits=60 * 2_048)
+    cdcg = TgffLikeGenerator(5).generate(spec)
+    platform = Platform(
+        mesh=Mesh(4, 4),
+        parameters=NocParameters(serialize_local_links=serialize_local),
+    )
+    evaluator = CdcmEvaluator(platform)
+    mappings = [
+        Mapping.random(cdcg.cores(), platform.num_tiles, rng=seed) for seed in range(5)
+    ]
+    constructed.clear()
+    for mapping in mappings:
+        evaluator.metrics(cdcg, mapping)
+        evaluator.cost(cdcg, mapping)
+    assert constructed == Counter()
+
+    report = evaluator.evaluate(cdcg, mappings[0])
+    assert constructed["PacketSchedule"] == cdcg.num_packets
+    assert constructed["Occupation"] > 0
+    assert report.metric_vector() == evaluator.metrics(cdcg, mappings[0])
+
+
+def _chain() -> CDCG:
+    cdcg = CDCG("growing")
+    cdcg.add_packet("p0", "a", "b", computation_time=2.0, bits=64)
+    cdcg.add_packet("p1", "b", "c", computation_time=1.0, bits=32)
+    cdcg.add_packet("p2", "a", "c", computation_time=0.0, bits=96)
+    cdcg.add_dependence("p0", "p1")
+    return cdcg
+
+
+#: Ways a CDCG grows; each leaves a graph the placement still covers.
+GROWTH = {
+    "packet": lambda cdcg: cdcg.add_packet("p3", "c", "a", computation_time=3.0, bits=48),
+    "dependence": lambda cdcg: cdcg.add_dependence("p1", "p2"),
+    "packet+dependence": lambda cdcg: (
+        cdcg.add_packet("p3", "c", "a", computation_time=3.0, bits=48),
+        cdcg.add_dependence("p2", "p3"),
+    ),
+}
+
+PLACEMENT = {"a": 0, "b": 3, "c": 5}
+
+
+def _platform() -> Platform:
+    return Platform(mesh=Mesh(3, 3))
+
+
+@pytest.mark.parametrize("growth", sorted(GROWTH))
+def test_schedule_reads_a_grown_cdcg(growth):
+    cdcg = _chain()
+    kept = CdcmScheduler(_platform())
+    kept.schedule(cdcg, PLACEMENT)
+    GROWTH[growth](cdcg)
+    fresh = CdcmScheduler(_platform()).schedule(cdcg, PLACEMENT)
+    grown = kept.schedule(cdcg, PLACEMENT)
+    assert grown.packet_schedules == fresh.packet_schedules
+    assert grown.occupations == fresh.occupations
+
+
+@pytest.mark.parametrize("growth", sorted(GROWTH))
+def test_schedule_subset_reads_a_grown_cdcg(growth):
+    cdcg = _chain()
+    kept = CdcmScheduler(_platform())
+    kept.schedule_subset(cdcg, PLACEMENT, [p.name for p in cdcg.packets])
+    GROWTH[growth](cdcg)
+    names = [p.name for p in cdcg.packets]
+    fresh = CdcmScheduler(_platform()).schedule_subset(cdcg, PLACEMENT, names)
+    grown = kept.schedule_subset(cdcg, PLACEMENT, names)
+    assert grown.schedules == fresh.schedules
+    assert grown.footprints == fresh.footprints
+
+
+@pytest.mark.parametrize("growth", sorted(GROWTH))
+def test_metrics_read_a_grown_cdcg(growth):
+    cdcg = _chain()
+    kept = CdcmEvaluator(_platform())
+    before = kept.metrics(cdcg, PLACEMENT)
+    GROWTH[growth](cdcg)
+    grown = kept.metrics(cdcg, PLACEMENT)
+    assert grown == CdcmEvaluator(_platform()).metrics(cdcg, PLACEMENT)
+    assert grown != before
+
+
+def test_metrics_see_an_added_core():
+    cdcg = _chain()
+    evaluator = CdcmEvaluator(_platform())
+    evaluator.metrics(cdcg, PLACEMENT)
+    cdcg.add_core("idle")
+    with pytest.raises(MappingError, match="'idle'"):
+        evaluator.metrics(cdcg, PLACEMENT)
+    placed = {**PLACEMENT, "idle": 8}
+    assert evaluator.metrics(cdcg, placed) == CdcmEvaluator(_platform()).metrics(
+        cdcg, placed
+    )
+
+
+class _Teleport(RoutingAlgorithm):
+    """Routes every pair over one direct hop, link or not."""
+
+    name = "teleport"
+
+    def route(self, topology, source, target):
+        return [source] if source == target else [source, target]
+
+
+def test_route_over_an_unlisted_link_raises():
+    platform = Platform(mesh=Mesh(3, 3), routing=_Teleport())
+    with pytest.raises(ConfigurationError, match="routes over link"):
+        CdcmEvaluator(platform).metrics(_chain(), {"a": 0, "b": 4, "c": 8})
