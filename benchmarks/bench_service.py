@@ -1,4 +1,4 @@
-"""Mapping-service throughput — warm-store sweeps and shm vs pickle transport.
+"""Mapping-service throughput — a weight sweep against a cold and a warm store.
 
 The service layer (:mod:`repro.service`) claims two things:
 
@@ -9,20 +9,17 @@ The service layer (:mod:`repro.service`) claims two things:
   1.0).  Both are asserted *always*, like the identity halves of the other
   benches;
 * **throughput** — a weight sweep re-run against a warm store completes at
-  >= 3x the cold jobs/sec on a 16x16 CDCM workload, because every candidate
-  is answered from the store instead of re-scheduled.
+  >= 3x the cold sweep points/sec on a 16x16 CDCM workload, because every
+  candidate is answered from the store instead of re-scheduled.
 
 The operating point is the acceptance workload: a 16x16 mesh, 96 cores and
 128 packets, a 32-candidate population, and a three-point energy/time weight
-sweep submitted as daemon jobs.  Scalarisation weights live outside the
-store key, so the cold pass prices the population exactly once (jobs 2 and 3
-already hit) and the warm pass prices nothing.
-
-The shm-vs-pickle half measures the transport in isolation: the same
-population priced through :class:`~repro.service.shm.SharedArrayBackend`
-with ``transport="shm"`` and ``transport="pickle"``, identity asserted
-against serial both ways.  The transport rates are recorded, not barred —
-the win is payload size, and on small populations the pool dominates.
+sweep priced in-process through
+``CdcmEvaluationContext(backend=ServiceBackend(store))``.  Scalarisation
+weights live outside the store key, so the cold pass prices the population
+exactly once (points 2 and 3 already hit) and the warm pass — a fresh
+context and a fresh ``ResultStore`` over the same root, as the next run
+would build them — prices nothing.
 
 The >= 3x bar follows the suite's perf-bar convention: rates are recorded
 first, then the bar can be waived on constrained or instrumented
@@ -31,21 +28,24 @@ assertions always run.
 
 Set ``REPRO_BENCH_RECORD=1`` to append the measured rates to
 ``BENCH_service.json`` in the working directory — the file the CI
-benchmark-trajectory job uploads.
+benchmark-trajectory job uploads.  Its rate fields keep their names,
+``cold_jobs_per_s`` and ``warm_jobs_per_s``: one sweep point is one job.
 """
 
 import os
 import time
+from typing import NamedTuple, Tuple
 
 import pytest
 
 from conftest import BENCH_SEED, emit, record_sample
 from repro.core.mapping import Mapping
+from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext
 from repro.eval.parallel import SerialBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
-from repro.service import EvalJob, MappingDaemon, ResultStore, SharedArrayBackend
+from repro.service import ResultStore, ServiceBackend
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
 _SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
@@ -54,14 +54,25 @@ _SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
     "false",
 )
 
-_N_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
-
-#: The energy/time weight sweep submitted as daemon jobs.
+#: The energy/time weight sweep, one batch per point.
 _SWEEP = (
     {"energy": 1.0, "time": 0.0},
     {"energy": 0.5, "time": 0.5},
     {"energy": 0.0, "time": 1.0},
 )
+
+
+class SweepPoint(NamedTuple):
+    """The outcome of pricing the population at one sweep point."""
+
+    vectors: Tuple[MetricVector, ...]
+    costs: Tuple[float, ...]
+    priced: int
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of the candidates answered without pricing."""
+        return (len(self.vectors) - self.priced) / len(self.vectors)
 
 
 def _workload():
@@ -83,23 +94,23 @@ def _population(cdcg, platform, count=32):
     ]
 
 
-def _run_sweep(daemon, cdcg, platform, population):
-    """Submit the weight sweep as jobs; return (results, elapsed seconds)."""
+def _run_sweep(store, cdcg, platform, population):
+    """Price the weight sweep through *store*; return (points, elapsed s)."""
     start = time.perf_counter()
-    results = [
-        daemon.run(
-            EvalJob(
-                application=cdcg,
-                platform=platform,
-                mappings=population,
-                model="cdcm",
-                weights=weights,
-                label=f"w{i}",
+    service = ServiceBackend(store)
+    context = CdcmEvaluationContext(cdcg, platform, backend=service)
+    points = []
+    for weights in _SWEEP:
+        priced_before = service.priced
+        vectors = context.evaluate_metrics_batch(population)
+        points.append(
+            SweepPoint(
+                vectors=tuple(vectors),
+                costs=tuple(v.weighted_sum(weights, strict=False) for v in vectors),
+                priced=service.priced - priced_before,
             )
         )
-        for i, weights in enumerate(_SWEEP)
-    ]
-    return results, time.perf_counter() - start
+    return points, time.perf_counter() - start
 
 
 @pytest.mark.benchmark(group="service-throughput")
@@ -109,19 +120,17 @@ def test_service_warm_sweep_throughput(benchmark, tmp_path):
     serial = SerialBackend().evaluate_metrics(
         CdcmEvaluationContext(cdcg, platform, cache_size=0), population
     )
-    store = ResultStore(tmp_path / "store")
+    root = tmp_path / "store"
 
     def run():
-        with MappingDaemon(store=store) as daemon:
-            cold_results, cold_elapsed = _run_sweep(
-                daemon, cdcg, platform, population
-            )
-        # A fresh daemon over the same store root = the next day's run:
-        # cold contexts, cold memos, warm *store*.
-        with MappingDaemon(store=ResultStore(tmp_path / "store")) as daemon:
-            warm_results, warm_elapsed = _run_sweep(
-                daemon, cdcg, platform, population
-            )
+        cold_results, cold_elapsed = _run_sweep(
+            ResultStore(root), cdcg, platform, population
+        )
+        # A fresh store over the same root = the next day's run: cold
+        # context, cold memo, warm *store*.
+        warm_results, warm_elapsed = _run_sweep(
+            ResultStore(root), cdcg, platform, population
+        )
         return cold_results, cold_elapsed, warm_results, warm_elapsed
 
     cold_results, cold_elapsed, warm_results, warm_elapsed = benchmark.pedantic(
@@ -138,14 +147,15 @@ def test_service_warm_sweep_throughput(benchmark, tmp_path):
     assert all(r.priced == 0 for r in cold_results[1:])  # weights reuse vectors
     assert all(r.priced == 0 for r in warm_results)
     assert all(r.hit_rate == 1.0 for r in warm_results)
+    assert [r.costs for r in warm_results] == [r.costs for r in cold_results]
 
     emit(
-        "Mapping service - weight-sweep jobs/sec, cold vs warm store "
+        "Mapping service - weight-sweep points/sec, cold vs warm store "
         "(16x16 mesh, 96 cores, 32 candidates, 3-point sweep)",
-        f"{'store':<8} {'jobs/s':>10} {'sweep s':>10} {'priced':>8}\n"
-        f"{'cold':<8} {cold_rate:>10.3f} {cold_elapsed:>10.2f} "
+        f"{'store':<8} {'points/s':>10} {'sweep s':>10} {'priced':>8}\n"
+        f"{'cold':<8} {cold_rate:>10.3f} {cold_elapsed:>10.4f} "
         f"{sum(r.priced for r in cold_results):>8}\n"
-        f"{'warm':<8} {warm_rate:>10.3f} {warm_elapsed:>10.2f} "
+        f"{'warm':<8} {warm_rate:>10.3f} {warm_elapsed:>10.4f} "
         f"{sum(r.priced for r in warm_results):>8}\n"
         f"speedup: {warm_rate / cold_rate:.2f}x  "
         f"warm hit rate: {warm_results[-1].hit_rate:.2f}",
@@ -168,60 +178,5 @@ def test_service_warm_sweep_throughput(benchmark, tmp_path):
             "above already ran)"
         )
     # The acceptance bar: a warm store answers the identical sweep at >= 3x
-    # the cold jobs/sec.
+    # the cold sweep points/sec.
     assert warm_rate >= 3.0 * cold_rate
-
-
-@pytest.mark.benchmark(group="service-transport")
-def test_shm_vs_pickle_transport(benchmark):
-    cdcg, platform = _workload()
-    population = _population(cdcg, platform)
-    serial = SerialBackend().evaluate_metrics(
-        CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-    )
-
-    def _rate(transport):
-        with SharedArrayBackend(
-            n_workers=_N_WORKERS, min_batch_size=2, transport=transport
-        ) as pool:
-            context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-            pool.evaluate_metrics(context, population[:2])  # warm the pool
-            start = time.perf_counter()
-            got = pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-            )
-            elapsed = time.perf_counter() - start
-        return got, len(population) / elapsed
-
-    def run():
-        shm_got, shm_rate = _rate("shm")
-        pickle_got, pickle_rate = _rate("pickle")
-        return shm_got, shm_rate, pickle_got, pickle_rate
-
-    shm_got, shm_rate, pickle_got, pickle_rate = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-
-    # Identity half, always asserted: both transports price bit-identically.
-    assert shm_got == serial
-    assert pickle_got == serial
-
-    emit(
-        "Mapping service - candidate pricing rate by pool transport "
-        f"(16x16 mesh, 96 cores, {_N_WORKERS} workers)",
-        f"{'transport':<10} {'candidates/s':>14}\n"
-        f"{'shm':<10} {shm_rate:>14,.1f}\n"
-        f"{'pickle':<10} {pickle_rate:>14,.1f}\n"
-        f"ratio: {shm_rate / pickle_rate:.2f}x",
-    )
-    record_sample(
-        "BENCH_service.json",
-        {
-            "bench": "bench_service",
-            "half": "transport",
-            "shm_candidates_per_s": shm_rate,
-            "pickle_candidates_per_s": pickle_rate,
-            "ratio": shm_rate / pickle_rate,
-            "n_workers": _N_WORKERS,
-        },
-    )

@@ -3,18 +3,14 @@
 
 This example demonstrates the service layer end to end:
 
-1. **cold sweep** — a `MappingDaemon` over a persistent `ResultStore` prices
-   a candidate population once for a three-point energy/time weight sweep;
-   scalarisation weights live outside the store key, so jobs 2 and 3 already
-   answer from the store;
-2. **warm re-run** — a *fresh* daemon over the same store directory (the
-   "next day's" process) repeats the identical sweep and re-prices zero
-   candidates: hit rate 1.0, and the costs are bit-identical to the cold
-   pass;
-3. **the transport** — the same population priced through
-   `SharedArrayBackend`, which ships the batch to pool workers as one
-   shared-memory index array instead of pickled mappings, bit-identical to
-   serial pricing by construction.
+1. **cold sweep** — a `ServiceBackend` over an empty `ResultStore` prices a
+   candidate population once for a three-point energy/time weight sweep;
+   scalarisation weights live outside the store key, so points 2 and 3
+   reuse the vectors of point 1;
+2. **warm sweep** — a *fresh* context and a fresh store over the same
+   directory (the "next day's" process) repeat the identical sweep and
+   re-price zero candidates: hit rate 1.0, and the costs are bit-identical
+   to the cold pass and to serial pricing.
 
 Run with:  python examples/service_sweep.py
 (set REPRO_EXAMPLES_SMOKE=1 for the tiny-parameter CI smoke configuration)
@@ -26,14 +22,12 @@ import time
 
 from repro import (
     CdcmEvaluationContext,
-    EvalJob,
-    MappingDaemon,
     Mapping,
     Mesh,
     Platform,
     ResultStore,
     SerialBackend,
-    SharedArrayBackend,
+    ServiceBackend,
 )
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
@@ -48,23 +42,22 @@ SWEEP = (
 )
 
 
-def run_sweep(daemon, cdcg, platform, population):
-    """Submit one job per sweep point; return the results and elapsed time."""
+def run_sweep(root, cdcg, platform, population):
+    """Price every sweep point through a store at *root*.
+
+    Returns the costs per point, the candidates priced per point and the
+    elapsed time.
+    """
     start = time.perf_counter()
-    results = [
-        daemon.run(
-            EvalJob(
-                application=cdcg,
-                platform=platform,
-                mappings=population,
-                model="cdcm",
-                weights=weights,
-                label=f"sweep-{i}",
-            )
-        )
-        for i, weights in enumerate(SWEEP)
-    ]
-    return results, time.perf_counter() - start
+    service = ServiceBackend(ResultStore(root))
+    context = CdcmEvaluationContext(cdcg, platform, backend=service)
+    costs, priced = [], []
+    for weights in SWEEP:
+        before = service.priced
+        vectors = context.evaluate_metrics_batch(population)
+        costs.append([v.weighted_sum(weights, strict=False) for v in vectors])
+        priced.append(service.priced - before)
+    return costs, priced, time.perf_counter() - start
 
 
 def main() -> None:
@@ -89,42 +82,28 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-example-store-") as root:
         # --- 1. cold sweep: the store starts empty --------------------
-        with MappingDaemon(store=ResultStore(root)) as daemon:
-            cold, cold_s = run_sweep(daemon, cdcg, platform, population)
-        priced = sum(r.priced for r in cold)
+        cold, cold_priced, cold_s = run_sweep(root, cdcg, platform, population)
         print(
-            f"cold sweep: {cold_s:.2f}s, priced {priced} candidates "
-            f"(jobs 2+ reuse job 1's vectors: "
-            f"{[r.priced for r in cold]})"
+            f"cold sweep: {cold_s:.3f}s, priced {sum(cold_priced)} candidates "
+            f"(points 2+ reuse point 1's vectors: {cold_priced})"
         )
 
-        # --- 2. warm re-run: a fresh daemon, the same store ----------
-        with MappingDaemon(store=ResultStore(root)) as daemon:
-            warm, warm_s = run_sweep(daemon, cdcg, platform, population)
+        # --- 2. warm sweep: a fresh context and store, the same root --
+        warm, warm_priced, warm_s = run_sweep(root, cdcg, platform, population)
         print(
-            f"warm sweep: {warm_s:.2f}s, priced "
-            f"{sum(r.priced for r in warm)} candidates, "
-            f"hit rate {warm[-1].hit_rate:.2f}, "
+            f"warm sweep: {warm_s:.3f}s, priced {sum(warm_priced)} candidates, "
             f"speedup {cold_s / warm_s:.1f}x"
         )
-        assert all(r.priced == 0 for r in warm)
-        assert [list(r.costs) for r in warm] == [list(r.costs) for r in cold]
-        print(f"balanced-weights winner: cost {min(warm[1].costs):,.0f}\n")
+        assert warm_priced == [0] * len(SWEEP)
+        assert warm == cold
+        print(f"balanced-weights winner: cost {min(warm[1]):,.0f}")
 
-    # --- 3. the shared-memory transport ------------------------------
     serial = SerialBackend().evaluate_metrics(
         CdcmEvaluationContext(cdcg, platform, cache_size=0), population
     )
-    with SharedArrayBackend(n_workers=2, min_batch_size=2) as pool:
-        pooled = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-        )
-        print(
-            f"shared-memory pool: {pool.shm_batches} shm batch(es), "
-            f"{pool.pickle_batches} pickle fallback(s)"
-        )
-    assert pooled == serial, "transport must never change a vector"
-    print("pool vectors bit-identical to serial: OK")
+    expected = [[v.weighted_sum(w, strict=False) for v in serial] for w in SWEEP]
+    assert warm == expected, "the store must never change a cost"
+    print("warm costs bit-identical to serial pricing: OK")
 
 
 if __name__ == "__main__":

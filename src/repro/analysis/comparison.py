@@ -87,7 +87,7 @@ class ComparisonConfig:
     backend:
         Optional :class:`~repro.eval.parallel.BatchBackend` forwarded to the
         framework's evaluation contexts — in particular the store-draining
-        :class:`~repro.service.client.ServiceBackend` of the mapping service
+        :class:`~repro.service.store.ServiceBackend` of the mapping service
         (:mod:`repro.service`).  Defaults to ``None`` here — and only here —
         which keeps the reproduced Table 1/2 rows entirely service-free: no
         persistent store is consulted, so a published row can never be

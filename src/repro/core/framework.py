@@ -124,7 +124,7 @@ class FRWFramework:
         every evaluation context the framework builds (the shared contexts
         and each :meth:`objective` context), so batch misses fan out through
         it — a process pool, or the store-draining
-        :class:`~repro.service.client.ServiceBackend` of the mapping
+        :class:`~repro.service.store.ServiceBackend` of the mapping
         service.  ``None`` (default) prices inline; the comparison driver
         keeps it ``None`` for the reproduced paper rows (see
         :class:`~repro.analysis.comparison.ComparisonConfig`).  The

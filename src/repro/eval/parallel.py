@@ -35,6 +35,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
@@ -105,12 +106,6 @@ def _price_metrics_chunk(
     """
     context = _worker_context(token, payload)
     return list(context._compute_metrics_chunk(mappings))
-
-
-def _call(task: Tuple[Callable[..., Any], Tuple[Any, ...]]) -> Any:
-    """Worker task: apply ``fn(*args)`` (the generic :meth:`BatchBackend.map` unit)."""
-    fn, args = task
-    return fn(*args)
 
 
 def _route_rows(
@@ -310,7 +305,10 @@ class ProcessPoolBackend(BatchBackend):
     The pool is created on first use and survives across batches; call
     :meth:`close` (or use the backend as a context manager) to shut it down.
     Results are reassembled in submission order, so pricing is bit-identical
-    to :class:`SerialBackend` regardless of worker scheduling.
+    to :class:`SerialBackend` regardless of worker scheduling.  A worker that
+    dies mid-batch (an OOM kill, a crash) breaks the whole executor; the
+    backend then rebuilds the pool and resubmits that batch once, and only a
+    second break in the same batch propagates ``BrokenProcessPool``.
     """
 
     name = "process-pool"
@@ -407,15 +405,33 @@ class ProcessPoolBackend(BatchBackend):
             return inline_price(items)
         token, payload = self._context_payload(context)
         chunk = self.chunk_size or math.ceil(len(items) / self.n_workers)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(chunk_task, token, payload, items[i : i + chunk])
+        argslist = [
+            (token, payload, items[i : i + chunk])
             for i in range(0, len(items), chunk)
         ]
-        results: List[Any] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        chunks = self._submit_all(chunk_task, argslist)
+        return [result for chunk_results in chunks for result in chunk_results]
+
+    def _submit_all(
+        self,
+        fn: Callable[..., Any],
+        argslist: Sequence[Tuple[Any, ...]],
+        retry: bool = True,
+    ) -> List[Any]:
+        """``[fn(*args) for args in argslist]`` on the pool, in order.
+
+        A broken pool is shut down and the whole batch resubmitted once to a
+        fresh one; tasks are pure, so the retry returns the same results.
+        """
+        pool = self._ensure_pool()
+        try:
+            futures = [pool.submit(fn, *args) for args in argslist]
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            self._shutdown_pool()
+            if not retry:
+                raise
+        return self._submit_all(fn, argslist, retry=False)
 
     def map(
         self,
@@ -423,18 +439,19 @@ class ProcessPoolBackend(BatchBackend):
         argslist: Sequence[Tuple[Any, ...]],
     ) -> List[Any]:
         """Run ``fn(*args)`` tasks across the pool, preserving order."""
-        tasks = [(fn, tuple(args)) for args in argslist]
+        tasks = [tuple(args) for args in argslist]
         if len(tasks) <= 1:
-            return [fn(*args) for _, args in tasks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_call, task) for task in tasks]
-        return [future.result() for future in futures]
+            return [fn(*args) for args in tasks]
+        return self._submit_all(fn, tasks)
 
-    def close(self) -> None:
-        """Shut the pool down and forget all cached context payloads."""
+    def _shutdown_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+    def close(self) -> None:
+        """Shut the pool down and forget all cached context payloads."""
+        self._shutdown_pool()
         self._payloads = weakref.WeakKeyDictionary()
 
     def __repr__(self) -> str:

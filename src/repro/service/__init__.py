@@ -1,27 +1,17 @@
 """Mapping-as-a-service: persistent pricing across runs and processes.
 
 The evaluation engine (:mod:`repro.eval`) makes pricing fast *within* one
-context; this package makes it persistent *across* them.  Three layers, each
-usable on its own:
+context; this package makes it persistent *across* them.
+:mod:`repro.service.store` holds both halves:
 
-* :mod:`repro.service.store` — :class:`~repro.service.store.ResultStore`, an
-  on-disk, atomically written, versioned cache of priced
-  :class:`~repro.core.metrics.MetricVector`s keyed by the full pricing
-  identity (model + platform + workload content hash + mapping digest).  A
-  candidate priced once — by any process, in any run — is never priced again.
-* :mod:`repro.service.shm` —
-  :class:`~repro.service.shm.SharedArrayBackend`, a process-pool backend
-  that ships candidate batches to workers as one shared-memory ``(pop,
-  cores)`` index array instead of pickled per-mapping dicts, with automatic
-  fallback to the pickle path for batches the array protocol cannot express.
-* :mod:`repro.service.daemon` / :mod:`repro.service.client` — the resident
-  :class:`~repro.service.daemon.MappingDaemon` (warm route tables, warm
-  kernels, warm memos, job queue) with an in-process
-  :class:`~repro.service.client.ServiceBackend` that plugs into the ordinary
-  ``backend=`` seam, and a Unix-socket
-  :class:`~repro.service.client.ServiceClient` /
-  :class:`~repro.service.client.ServiceServer` pair (see the ``tools/serve``
-  CLI) for external processes.
+* :class:`~repro.service.store.ResultStore` — an on-disk, atomically written,
+  versioned cache of priced :class:`~repro.core.metrics.MetricVector`s keyed
+  by the full pricing identity (model + platform + workload content hash +
+  mapping digest).  A candidate priced once — by any process, in any run — is
+  never priced again.
+* :class:`~repro.service.store.ServiceBackend` — the store wired into the
+  ordinary ``backend=`` seam of every evaluation context: hits are answered
+  from the store, misses are priced inline and written back.
 
 Everything is bit-identical to :class:`~repro.eval.parallel.SerialBackend`
 by construction: store entries round-trip floats exactly, misses are priced
@@ -31,20 +21,13 @@ order.  :class:`~repro.analysis.comparison.ComparisonConfig` keeps its
 service.  See ``docs/service.md`` for the full tour.
 """
 
-from repro.service.client import ServiceBackend, ServiceClient, ServiceServer
-from repro.service.daemon import (
-    DEFAULT_MAX_CONTEXTS,
-    JOB_MODELS,
-    EvalJob,
-    JobResult,
-    MappingDaemon,
-)
-from repro.service.shm import SharedArrayBackend, shared_memory_available
 from repro.service.store import (
     STORE_VERSION,
     ResultStore,
+    ServiceBackend,
     StoreCorruptionWarning,
     StoreStats,
+    StoreWriteWarning,
     mapping_digest,
     platform_digest,
     scope_for_context,
@@ -54,20 +37,12 @@ from repro.service.store import (
 __all__ = [
     "STORE_VERSION",
     "StoreCorruptionWarning",
+    "StoreWriteWarning",
     "StoreStats",
     "ResultStore",
+    "ServiceBackend",
     "mapping_digest",
     "platform_digest",
     "scope_for_context",
     "workload_digest",
-    "SharedArrayBackend",
-    "shared_memory_available",
-    "ServiceBackend",
-    "ServiceClient",
-    "ServiceServer",
-    "DEFAULT_MAX_CONTEXTS",
-    "JOB_MODELS",
-    "EvalJob",
-    "JobResult",
-    "MappingDaemon",
 ]

@@ -24,8 +24,14 @@ Durability contract: writes are atomic (temp file + ``os.replace``, so
 concurrent writers can interleave freely and readers never observe a torn
 file), loads are corruption-tolerant (a truncated, garbled or
 version-mismatched file is skipped with a :class:`StoreCorruptionWarning`
-and treated as a miss — never an exception), and an optional byte budget is
-enforced by evicting the oldest entries first.
+and treated as a miss — never an exception), a failed write (a full disk, a
+read-only root) is a :class:`StoreWriteWarning` that leaves no temp file
+behind, and an optional byte budget is enforced by evicting the oldest
+entries first.
+
+:class:`ServiceBackend` drains the store through the ordinary ``backend=``
+seam of every evaluation context: hits are answered from the store, misses
+are priced inline and written back.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import json
 import os
 import uuid
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +49,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
+from repro.eval.parallel import BatchBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import topology_cache_token
 from repro.utils.errors import ConfigurationError
@@ -62,6 +70,16 @@ class StoreCorruptionWarning(UserWarning):
     """
 
 
+class StoreWriteWarning(UserWarning):
+    """Entries could not be persisted and were kept in memory only.
+
+    Emitted (never raised) when writing an entry fails with an ``OSError`` —
+    a full disk, a read-only root.  The caller still gets its priced vectors;
+    the failed entries are not counted in ``writes``, leave no temp file, and
+    are priced again by a later run.
+    """
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """Counters of one :class:`ResultStore` instance.
@@ -73,7 +91,7 @@ class StoreStats:
     memory_hits, disk_hits:
         Which tier answered the hits.
     writes:
-        Entries written to disk.
+        Entries written to disk (failed writes are not counted).
     evictions:
         Entry files deleted by byte-budget enforcement.
     corrupt_skipped:
@@ -294,20 +312,34 @@ class ResultStore:
         Concurrent writers of the same entry are safe: each writes a private
         temp file and installs it with ``os.replace``, and since both priced
         the same key their payloads are identical — last-rename-wins changes
-        nothing.
+        nothing.  A write that fails with an ``OSError`` is a
+        :class:`StoreWriteWarning`, not an exception.
         """
-        self._write(scope, digest, vector)
-        self._remember((scope, digest), vector)
-        if self.byte_budget is not None:
-            self._enforce_budget()
+        self.put_many(scope, [(digest, vector)])
 
     def put_many(
         self, scope: str, entries: Iterable[Tuple[str, MetricVector]]
     ) -> None:
-        """Persist several ``(digest, vector)`` entries of one scope."""
+        """Persist several ``(digest, vector)`` entries of one scope.
+
+        Entries whose write fails are still remembered in the memory front;
+        one :class:`StoreWriteWarning` reports them all.
+        """
+        failures: List[OSError] = []
         for digest, vector in entries:
-            self._write(scope, digest, vector)
+            try:
+                self._write(scope, digest, vector)
+            except OSError as exc:
+                failures.append(exc)
             self._remember((scope, digest), vector)
+        if failures:
+            warnings.warn(
+                f"result store: {len(failures)} entry write(s) under "
+                f"{self.root} failed ({failures[0]}); the vectors were "
+                f"returned but will be priced again by a later run",
+                StoreWriteWarning,
+                stacklevel=2,
+            )
         if self.byte_budget is not None:
             self._enforce_budget()
 
@@ -336,8 +368,8 @@ class ResultStore:
     def clear_memory(self) -> None:
         """Drop the in-memory front (disk entries are untouched).
 
-        Used by tests to force the disk path, and by long-lived daemons to
-        shed memory between unrelated job bursts.
+        Used by tests to force the disk path, and by long-lived processes
+        to shed memory between unrelated sweeps.
         """
         self._memory.clear()
 
@@ -421,7 +453,6 @@ class ResultStore:
 
     def _write(self, scope: str, digest: str, vector: MetricVector) -> None:
         path = self._entry_path(scope, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": STORE_VERSION,
             "names": list(vector.names),
@@ -431,6 +462,7 @@ class ResultStore:
             f".{digest}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
         )
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with open(temp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
             os.replace(temp, path)
@@ -462,7 +494,9 @@ class ResultStore:
             if total <= budget:
                 break
             try:
-                path.unlink()
+                # Another store over the same root may have evicted it
+                # first; the file is gone either way.
+                path.unlink(missing_ok=True)
             except OSError:
                 continue
             total -= size
@@ -472,11 +506,106 @@ class ResultStore:
             )
 
 
+class ServiceBackend(BatchBackend):
+    """Store-draining batch backend: answer hits from the store, price misses.
+
+    Wraps the ``backend=`` seam of
+    :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`:
+    for each batch it digests the candidates, looks them up in the
+    :class:`ResultStore`, prices only the misses inline through the
+    context's own chunk pricer — the serial reference arithmetic — and
+    persists what it priced.
+
+    Parameters
+    ----------
+    store:
+        The persistent result store to drain and refill.
+
+    Notes
+    -----
+    The per-context scope digest is cached in a ``WeakKeyDictionary``, so
+    repeated batches from one context do not re-hash the workload.  The
+    :attr:`priced` / :attr:`store_hits` counters let callers assert warm-path
+    behaviour (a warm weight sweep must show a ``priced`` delta of zero).
+    Generic :meth:`map` tasks have no store key and run serially.
+    """
+
+    name = "service"
+
+    def __init__(self, store: ResultStore) -> None:
+        self.store = store
+        #: Candidates actually priced (store misses), cumulative.
+        self.priced = 0
+        #: Candidates answered from the store, cumulative.
+        self.store_hits = 0
+        self._scopes: "weakref.WeakKeyDictionary[Any, str]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def _scope(self, context: Any) -> str:
+        scope = self._scopes.get(context)
+        if scope is None:
+            scope = scope_for_context(context)
+            self._scopes[context] = scope
+        return scope
+
+    def evaluate_metrics(
+        self, context: Any, mappings: Sequence[Any]
+    ) -> List[Any]:
+        """Metric vectors of *mappings*: store hits + freshly priced misses.
+
+        Store lookups and pricing both preserve submission order, and misses
+        run the same chunk pricer as
+        :class:`~repro.eval.parallel.SerialBackend`, so the returned vectors
+        are bit-identical to a recompute regardless of the hit pattern.
+        """
+        items = list(mappings)
+        if not items:
+            return []
+        scope = self._scope(context)
+        digests = [mapping_digest(item) for item in items]
+        cached = self.store.get_many(scope, digests)
+        miss_positions = [i for i, vector in enumerate(cached) if vector is None]
+        self.store_hits += len(items) - len(miss_positions)
+        if miss_positions:
+            priced = list(
+                context._compute_metrics_chunk([items[i] for i in miss_positions])
+            )
+            self.priced += len(miss_positions)
+            self.store.put_many(
+                scope,
+                [
+                    (digests[position], vector)
+                    for position, vector in zip(miss_positions, priced)
+                ],
+            )
+            for position, vector in zip(miss_positions, priced):
+                cached[position] = vector
+        return cached
+
+    def evaluate(self, context: Any, mappings: Sequence[Any]) -> List[float]:
+        """Scalar costs via :meth:`evaluate_metrics` + the context's weights.
+
+        Scalarisation happens after the store lookup, so one stored component
+        vector serves every weight view of the same candidate.
+        """
+        vectors = self.evaluate_metrics(context, mappings)
+        return [context._scalarise(vector) for vector in vectors]
+
+    def __repr__(self) -> str:
+        return (
+            f"ServiceBackend(store={self.store!r}, "
+            f"hits={self.store_hits}, priced={self.priced})"
+        )
+
+
 __all__ = [
     "STORE_VERSION",
     "StoreCorruptionWarning",
+    "StoreWriteWarning",
     "StoreStats",
     "ResultStore",
+    "ServiceBackend",
     "mapping_digest",
     "workload_digest",
     "platform_digest",

@@ -13,8 +13,11 @@ Worker count for the pool tests comes from ``REPRO_TEST_N_WORKERS``
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.eval.parallel import (
     BatchBackend,
     ProcessPoolBackend,
     SerialBackend,
+    _price_metrics_chunk,
     warm_route_table,
 )
 from repro.eval.route_table import (
@@ -68,6 +72,32 @@ def _random_mappings(cwg, num_tiles, count, offset=0):
         Mapping.random(cwg.cores, num_tiles, rng=offset + seed)
         for seed in range(count)
     ]
+
+
+def _first_call_dies(marker):
+    """True in the one process that creates *marker*; that process must die."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _price_or_die_once(marker, token, payload, mappings):
+    """The pool's chunk task, except that its first call kills its worker."""
+    if _first_call_dies(marker):
+        os._exit(1)
+    return _price_metrics_chunk(token, payload, mappings)
+
+
+def _square_or_die_once(marker, value):
+    if _first_call_dies(marker):
+        os._exit(1)
+    return value * value
+
+
+def _always_die(value):
+    os._exit(1)
 
 
 class TestBackendEquivalence:
@@ -367,7 +397,52 @@ class TestBackendProtocol:
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform, cache_size=0)
         mappings = _random_mappings(cwg, 16, 8)
+        baseline = {p.pid for p in multiprocessing.active_children()}
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as backend:
             backend.evaluate(context, mappings)
             assert backend._pool is not None
         assert backend._pool is None
+        leaked = [
+            p for p in multiprocessing.active_children() if p.pid not in baseline
+        ]
+        assert not leaked, f"closing the backend leaked workers: {leaked}"
+
+
+class TestDeadWorker:
+    """A worker that dies mid-batch costs one retry, not the pool for good."""
+
+    def test_batch_survives_a_dead_worker(self, workload, tmp_path, monkeypatch):
+        cdcg, cwg, platform = workload
+        marker = tmp_path / "worker-died"
+        monkeypatch.setattr(
+            "repro.eval.parallel._price_metrics_chunk",
+            functools.partial(_price_or_die_once, str(marker)),
+        )
+        first = _random_mappings(cwg, 16, 8)
+        second = _random_mappings(cwg, 16, 8, offset=100)
+        context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+        serial = SerialBackend()
+        with ProcessPoolBackend(
+            n_workers=N_WORKERS, min_batch_size=2, start_method="fork"
+        ) as backend:
+            got = backend.evaluate_metrics(context, first)
+            assert marker.exists(), "no worker was killed"
+            assert got == serial.evaluate_metrics(context, first)
+            again = backend.evaluate_metrics(context, second)
+            assert again == serial.evaluate_metrics(context, second)
+
+    def test_map_survives_a_dead_worker(self, tmp_path):
+        marker = str(tmp_path / "worker-died")
+        with ProcessPoolBackend(n_workers=N_WORKERS, start_method="fork") as backend:
+            squares = backend.map(
+                _square_or_die_once, [(marker, value) for value in range(6)]
+            )
+            assert squares == [value * value for value in range(6)]
+            assert backend.map(pow, [(2, 3), (3, 2)]) == [8, 9]
+
+    def test_second_break_reraises_and_the_next_batch_prices(self):
+        with ProcessPoolBackend(n_workers=N_WORKERS, start_method="fork") as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.map(_always_die, [(value,) for value in range(4)])
+            assert backend._pool is None
+            assert backend.map(pow, [(2, 3), (3, 2)]) == [8, 9]

@@ -1,4 +1,4 @@
-"""The mapping service (repro.service): store, daemon, shm transport, client.
+"""The mapping service (repro.service): the result store and its backend.
 
 Four contracts are pinned here:
 
@@ -10,8 +10,9 @@ Four contracts are pinned here:
   torus and irregular fabrics, for both models, whatever mix of store hits
   and misses produced them.
 * **Durability** — corrupted, truncated or version-mismatched store files
-  are warnings and cache misses, never exceptions; concurrent writers never
-  torn-write; byte budgets evict rather than grow.
+  are warnings and cache misses, never exceptions; a failed write is a
+  warning that leaves no temp file; concurrent writers never torn-write;
+  byte budgets evict rather than grow, also under concurrent evictors.
 * **Isolation** — the paper-reproduction pipeline
   (:class:`~repro.analysis.comparison.ComparisonConfig`) never touches the
   service unless a backend is passed explicitly, and passing one changes no
@@ -20,8 +21,8 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import errno
 import json
-import multiprocessing
 import os
 import threading
 import warnings
@@ -40,26 +41,19 @@ from repro.noc.platform import Platform
 from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.service import (
     STORE_VERSION,
-    EvalJob,
-    JobResult,
-    MappingDaemon,
     ResultStore,
     ServiceBackend,
-    SharedArrayBackend,
     StoreCorruptionWarning,
+    StoreWriteWarning,
     mapping_digest,
     platform_digest,
     scope_for_context,
-    shared_memory_available,
     workload_digest,
 )
-from repro.service.client import ServiceClient, ServiceServer
 from repro.utils.errors import ConfigurationError
 from repro.utils.hashing import canonical_token, stable_digest
 from repro.workloads.suite import suite_entry_by_name
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
-
-N_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
 
 EDGES = [("a", "b", 100), ("b", "c", 250), ("c", "a", 75), ("a", "d", 40)]
 
@@ -441,330 +435,108 @@ class TestServiceBackend:
         assert again == vectors
         assert second.priced == 0 and second.store_hits == len(mappings)
 
-    def test_inner_backend_prices_misses(self, tmp_path, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        reference = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as inner:
-            service = ServiceBackend(ResultStore(tmp_path), inner=inner)
-            got = service.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-            )
-        assert got == reference
-
 
 # ---------------------------------------------------------------------------
-# Tentpole: shared-memory transport
+# Store write failures and concurrent eviction
 # ---------------------------------------------------------------------------
-class TestSharedArrayBackend:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        backend = SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2)
-        yield backend
-        backend.close()
+def _raise_oserror(code):
+    def fail(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
 
-    def test_shm_identical_to_serial(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 16)
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        before = pool.shm_batches
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        assert got == serial
-        if shared_memory_available():
-            assert pool.shm_batches == before + 1
-
-    def test_cwm_shm_identical_to_serial(self, pool, workload):
-        _, cwg, platform = workload
-        mappings = _random_mappings(cwg.cores, platform.num_tiles, 16)
-        serial = SerialBackend().evaluate_metrics(
-            CwmEvaluationContext(cwg, platform, cache_size=0), mappings
-        )
-        got = pool.evaluate_metrics(
-            CwmEvaluationContext(cwg, platform, cache_size=0), mappings
-        )
-        assert got == serial
-
-    def test_dict_candidates_fall_back_to_pickle(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        dicts = [m.assignments() for m in mappings]
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), dicts
-        )
-        before = pool.pickle_batches
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), dicts
-        )
-        assert got == serial
-        assert pool.pickle_batches == before + 1
-
-    def test_mixed_core_sets_fall_back_to_pickle(self, pool, workload):
-        _, cwg, platform = workload
-        mappings = _random_mappings(cwg.cores, platform.num_tiles, 7)
-        # One candidate places an extra (isolated, unknown-to-the-kernel)
-        # subset of cores — same length, different core set.
-        kept = dict(list(mappings[0])[:-1])
-        free = next(
-            t for t in range(platform.num_tiles) if t not in kept.values()
-        )
-        odd = Mapping(kept | {"ghost": free}, num_tiles=platform.num_tiles)
-        batch = mappings + [odd]
-        before = pool.pickle_batches
-        with pytest.raises(Exception):
-            # ghost is not a core of the CWG: the fallback still prices via
-            # pickle (counted), then the context rejects the bad candidate
-            # exactly as the serial path would.
-            pool.evaluate_metrics(
-                CwmEvaluationContext(cwg, platform, cache_size=0), batch
-            )
-        assert pool.pickle_batches == before + 1
-
-    def test_forced_pickle_transport(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        with SharedArrayBackend(
-            n_workers=N_WORKERS, min_batch_size=2, transport="pickle"
-        ) as pool:
-            serial = SerialBackend().evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-            )
-            got = pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-            )
-            assert got == serial
-            assert pool.shm_batches == 0 and pool.pickle_batches == 1
-
-    def test_small_batches_price_inline(self, pool, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 1)
-        before = (pool.shm_batches, pool.pickle_batches)
-        got = pool.evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        assert (pool.shm_batches, pool.pickle_batches) == before
-        assert got == SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ConfigurationError):
-            SharedArrayBackend(transport="carrier-pigeon")
+    return fail
 
 
-# ---------------------------------------------------------------------------
-# Tentpole: the daemon
-# ---------------------------------------------------------------------------
-class TestMappingDaemon:
-    def test_run_matches_serial_and_warms(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 8)
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        with MappingDaemon() as daemon:
-            first = daemon.run(
-                EvalJob(application=cdcg, platform=platform, mappings=mappings)
-            )
-            assert list(first.vectors) == serial
-            assert first.priced == len(mappings) and first.hit_rate == 0.0
-            second = daemon.run(
-                EvalJob(
-                    application=cdcg,
-                    platform=platform,
-                    mappings=mappings,
-                    weights={"time": 1.0},
-                )
-            )
-            assert second.priced == 0 and second.hit_rate == 1.0
-            assert list(second.vectors) == serial
-            expected = [v.weighted_sum({"time": 1.0}, strict=False) for v in serial]
-            assert list(second.costs) == expected
+def _open_failing_writes(code):
+    """An ``open`` that raises ``OSError(code)`` for writes and reads as usual."""
 
-    def test_cwm_job_accepts_cdcg(self, workload):
-        cdcg, cwg, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 4)
-        serial = SerialBackend().evaluate_metrics(
-            CwmEvaluationContext(cwg, platform, cache_size=0), mappings
-        )
-        with MappingDaemon() as daemon:
-            result = daemon.run(
-                EvalJob(
-                    application=cdcg,
-                    platform=platform,
-                    mappings=mappings,
-                    model="cwm",
-                )
-            )
-        assert list(result.vectors) == serial
+    def fake_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise OSError(code, os.strerror(code))
+        return open(file, mode, *args, **kwargs)
 
-    def test_submit_poll_result_lifecycle(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 3)
-        with MappingDaemon() as daemon:
-            job_id = daemon.submit(
-                EvalJob(application=cdcg, platform=platform, mappings=mappings,
-                        label="sweep-7")
-            )
-            result = daemon.result(job_id, timeout=60)
-            assert isinstance(result, JobResult)
-            assert result.label == "sweep-7" and result.job_id == job_id
-            assert daemon.poll(job_id) == "done"
-            stats = daemon.stats()
-            assert stats["jobs_done"] == 1
-            assert stats["resident_contexts"] == 1
-
-    def test_job_errors_are_reported_not_fatal(self, workload):
-        cdcg, _, platform = workload
-        with MappingDaemon() as daemon:
-            job_id = daemon.submit(
-                EvalJob(application=object(), platform=platform, mappings=[])
-            )
-            with pytest.raises(ConfigurationError):
-                daemon.result(job_id, timeout=60)
-            assert daemon.poll(job_id) == "error"
-            # The daemon survives and still serves good jobs.
-            good = daemon.run(
-                EvalJob(
-                    application=cdcg,
-                    platform=platform,
-                    mappings=_random_mappings(cdcg.cores(), platform.num_tiles, 2),
-                )
-            )
-            assert len(good.vectors) == 2
-
-    def test_rejects_bad_inputs(self, workload):
-        cdcg, _, platform = workload
-        with pytest.raises(ConfigurationError):
-            EvalJob(application=cdcg, platform=platform, mappings=[], model="xyz")
-        with pytest.raises(ConfigurationError):
-            MappingDaemon(max_contexts=0)
-        with MappingDaemon() as daemon:
-            with pytest.raises(ConfigurationError):
-                daemon.submit("not a job")
-            with pytest.raises(ConfigurationError):
-                daemon.poll("job-999")
-        with pytest.raises(ConfigurationError):
-            daemon.submit(
-                EvalJob(application=cdcg, platform=platform, mappings=[])
-            )  # closed daemon refuses new work
-
-    def test_resident_context_lru_bounded(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 2)
-        with MappingDaemon(max_contexts=1) as daemon:
-            daemon.run(EvalJob(application=cdcg, platform=platform,
-                               mappings=mappings, model="cdcm"))
-            daemon.run(EvalJob(application=cdcg, platform=platform,
-                               mappings=mappings, model="cwm"))
-            assert daemon.stats()["resident_contexts"] == 1
+    return fake_open
 
 
-# ---------------------------------------------------------------------------
-# Satellite (b): worker-pool lifecycle — nothing leaks after shutdown
-# ---------------------------------------------------------------------------
-class TestLifecycle:
-    def test_daemon_close_leaves_no_worker_processes(self, workload):
-        cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 12)
-        baseline = {p.pid for p in multiprocessing.active_children()}
-        daemon = MappingDaemon(n_workers=N_WORKERS)
-        # Force the owned pool to actually spin up workers.
-        daemon.backend.min_batch_size = 2
-        daemon.run(EvalJob(application=cdcg, platform=platform, mappings=mappings))
-        assert any(
-            p.pid not in baseline for p in multiprocessing.active_children()
-        ), "the job should have spun up pool workers"
-        daemon.close()
-        leaked = [
-            p for p in multiprocessing.active_children() if p.pid not in baseline
-        ]
-        assert not leaked, f"daemon.close() leaked workers: {leaked}"
-
-    def test_backend_context_manager_shuts_pool_down(self, workload):
-        cdcg, _, platform = workload
-        baseline = {p.pid for p in multiprocessing.active_children()}
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
-            pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0),
-                _random_mappings(cdcg.cores(), platform.num_tiles, 8),
-            )
-        leaked = [
-            p for p in multiprocessing.active_children() if p.pid not in baseline
-        ]
-        assert not leaked
-
-    def test_daemon_close_is_idempotent(self):
-        daemon = MappingDaemon()
-        daemon.close()
-        daemon.close()
-
-    def test_daemon_borrowed_backend_not_closed(self, workload):
-        cdcg, _, platform = workload
-        with SharedArrayBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
-            with MappingDaemon(backend=pool) as daemon:
-                daemon.run(
-                    EvalJob(
-                        application=cdcg,
-                        platform=platform,
-                        mappings=_random_mappings(
-                            cdcg.cores(), platform.num_tiles, 8
-                        ),
-                    )
-                )
-            # The daemon is gone; the borrowed pool still prices.
-            got = pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0),
-                _random_mappings(cdcg.cores(), platform.num_tiles, 8, offset=50),
-            )
-            assert len(got) == 8
+_WRITE_ERRORS = pytest.mark.parametrize(
+    "code", [errno.ENOSPC, errno.EROFS], ids=["ENOSPC", "EROFS"]
+)
 
 
-# ---------------------------------------------------------------------------
-# Socket client/server
-# ---------------------------------------------------------------------------
-class TestSocketService:
-    def test_round_trip(self, tmp_path, workload):
+class TestStoreWriteFailures:
+    """A store that cannot write warns; the caller still gets its vectors."""
+
+    @_WRITE_ERRORS
+    @pytest.mark.parametrize("target", ["open", "os.replace"])
+    def test_failed_write_warns_and_returns_priced_vectors(
+        self, tmp_path, workload, monkeypatch, target, code
+    ):
         cdcg, _, platform = workload
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 6)
-        serial = SerialBackend().evaluate_metrics(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
-        sock = str(tmp_path / "svc.sock")
-        with MappingDaemon() as daemon:
-            with ServiceServer(daemon, sock):
-                client = ServiceClient(sock, timeout=120)
-                assert client.ping()
-                job_id = client.submit(
-                    EvalJob(application=cdcg, platform=platform,
-                            mappings=mappings)
-                )
-                result = client.result(job_id)
-                assert list(result.vectors) == serial
-                assert client.poll(job_id) == "done"
-                assert client.stats()["jobs_done"] == 1
+        context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+        reference = SerialBackend().evaluate_metrics(context, mappings)
+        store = ResultStore(tmp_path)
+        service = ServiceBackend(store)
+        fake = _open_failing_writes(code) if target == "open" else _raise_oserror(code)
+        with monkeypatch.context() as patch:
+            patch.setattr(f"repro.service.store.{target}", fake, raising=False)
+            with pytest.warns(StoreWriteWarning, match=os.strerror(code)) as caught:
+                got = service.evaluate_metrics(context, mappings)
+        assert [w.category for w in caught] == [StoreWriteWarning]
+        assert got == reference
+        assert service.priced == len(mappings)
+        assert store.stats.writes == 0
+        assert store.disk_entries() == 0
+        assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_unknown_job_id_is_an_error_response(self, tmp_path):
-        sock = str(tmp_path / "svc.sock")
-        with MappingDaemon() as daemon:
-            with ServiceServer(daemon, sock):
-                client = ServiceClient(sock, timeout=30)
-                with pytest.raises(ConfigurationError, match="unknown job id"):
-                    client.poll("job-404")
+    @_WRITE_ERRORS
+    def test_failed_put_keeps_the_vector_in_memory_only(
+        self, tmp_path, monkeypatch, code
+    ):
+        vector = MetricVector(("m",), (1.5,))
+        store = ResultStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.service.store.os.replace", _raise_oserror(code)
+            )
+            with pytest.warns(StoreWriteWarning):
+                store.put("s", "d", vector)
+        assert store.get("s", "d") == vector
+        assert store.stats.writes == 0
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert ResultStore(tmp_path).get("s", "d") is None
 
-    def test_shutdown_op_stops_server(self, tmp_path):
-        sock = str(tmp_path / "svc.sock")
-        with MappingDaemon() as daemon:
-            server = ServiceServer(daemon, sock)
-            client = ServiceClient(sock, timeout=30)
-            client.shutdown()
-            assert not server._running
-            assert not os.path.exists(sock)
+    def test_concurrent_evictors_end_within_budget(self, tmp_path):
+        vector = MetricVector(("m",), (1.0,))
+        probe = ResultStore(tmp_path / "probe")
+        probe.put("s", "d", vector)
+        entry_bytes = probe.disk_bytes()
+        budget = entry_bytes * 8 + entry_bytes // 2  # room for 8 entries
+        root = tmp_path / "shared"
+        stores = [
+            ResultStore(root, byte_budget=budget, memory_entries=0)
+            for _ in range(2)
+        ]
+        errors = []
+
+        def fill(store, prefix):
+            try:
+                for i in range(60):
+                    store.put("s", f"{prefix}{i}", vector)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=fill, args=(store, prefix))
+            for store, prefix in zip(stores, "ab")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert stores[0].disk_bytes() <= budget
+        assert sum(store.stats.evictions for store in stores) > 0
 
 
 # ---------------------------------------------------------------------------

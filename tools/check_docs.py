@@ -18,9 +18,8 @@ Three checks, zero third-party dependencies:
 3. **Guide coverage** — one table, :data:`GUIDES`, says what each guide
    under ``docs/`` must contain: section headings naming its contracts,
    the symbols it must mention, and names enumerated from code (every
-   search engine, topology, routing spec, repair knob, ``EvalJob`` field
-   and scenario event kind), so a new engine, knob or event cannot land
-   undocumented.
+   search engine, topology, routing spec, repair knob and scenario event
+   kind), so a new engine, knob or event cannot land undocumented.
 
 Exits non-zero with a list of violations; run from the repository root:
 
@@ -196,14 +195,12 @@ def _topology_names() -> Names:
 
 
 def _api_names() -> Names:
-    """Every RepairPolicy knob and EvalJob field needs a mention."""
+    """Every RepairPolicy knob needs a mention."""
     import dataclasses
 
     from repro.eval.repair import RepairPolicy
-    from repro.service.daemon import EvalJob
 
-    knobs = [f"`{knob.name}`" for knob in dataclasses.fields(RepairPolicy)]
-    return [], knobs + [field.name for field in dataclasses.fields(EvalJob)]
+    return [], [f"`{knob.name}`" for knob in dataclasses.fields(RepairPolicy)]
 
 
 def _event_names() -> Names:
@@ -247,14 +244,8 @@ GUIDES: Tuple[Guide, ...] = (
     ),
     Guide(
         "service.md",
-        headings=("store", "daemon", "shared-memory", "bit-identity", "comparisonconfig"),
-        symbols=(
-            "ResultStore",
-            "MappingDaemon",
-            "SharedArrayBackend",
-            "ServiceBackend",
-            "tools/serve.py",
-        ),
+        headings=("store", "bit-identity", "comparisonconfig"),
+        symbols=("ResultStore", "ServiceBackend"),
     ),
     Guide(
         "scenarios.md",
