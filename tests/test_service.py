@@ -1,6 +1,6 @@
 """The mapping service (repro.service): the result store and its backend.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * **Content identity** — ``content_hash()`` digests depend on graph content
   only (edge order, insertion order and display names are invisible; any
@@ -13,6 +13,8 @@ Four contracts are pinned here:
   are warnings and cache misses, never exceptions; a failed write is a
   warning that leaves no temp file; concurrent writers never torn-write;
   byte budgets evict rather than grow, also under concurrent evictors.
+* **Lifecycle** — a pool backend used as a context manager leaves no
+  worker processes behind.
 * **Isolation** — the paper-reproduction pipeline
   (:class:`~repro.analysis.comparison.ComparisonConfig`) never touches the
   service unless a backend is passed explicitly, and passing one changes no
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import os
 import threading
 import warnings
@@ -33,7 +36,7 @@ from repro.analysis.comparison import ComparisonConfig, compare_models
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import SerialBackend
+from repro.eval.parallel import ProcessPoolBackend, SerialBackend
 from repro.graphs.cdcg import CDCG
 from repro.graphs.convert import cdcg_to_cwg
 from repro.graphs.cwg import CWG, cwg_from_edges
@@ -537,6 +540,27 @@ class TestStoreWriteFailures:
         assert not errors
         assert stores[0].disk_bytes() <= budget
         assert sum(store.stats.evictions for store in stores) > 0
+
+
+# ---------------------------------------------------------------------------
+# Lifecycle: a pool backend leaves no worker processes behind
+# ---------------------------------------------------------------------------
+class TestLifecycle:
+    def test_backend_context_manager_shuts_pool_down(self, workload):
+        cdcg, _, platform = workload
+        baseline = {p.pid for p in multiprocessing.active_children()}
+        with ProcessPoolBackend(n_workers=2, min_batch_size=2) as pool:
+            pool.evaluate_metrics(
+                CdcmEvaluationContext(cdcg, platform, cache_size=0),
+                _random_mappings(cdcg.cores(), platform.num_tiles, 8),
+            )
+            assert any(
+                p.pid not in baseline for p in multiprocessing.active_children()
+            ), "the batch should have spun up pool workers"
+        leaked = [
+            p for p in multiprocessing.active_children() if p.pid not in baseline
+        ]
+        assert not leaked, f"closing the backend leaked workers: {leaked}"
 
 
 # ---------------------------------------------------------------------------
