@@ -1,4 +1,4 @@
-"""Throughput of the parallel batch-pricing backend — serial vs process pool.
+"""Throughput of the parallel batch-pricing backend — inline vs process pool.
 
 The parallel backend claims two things: (1) pooled pricing is *bit-identical*
 to serial pricing, so seeded GA/exhaustive results do not depend on
@@ -8,8 +8,9 @@ overhead — CDCM replays, the expensive model of the paper — a
 16x16 mesh.  This bench pins both:
 
 * ``parallel-identity`` group — seeded GA (16x16 CDCM) and exhaustive
-  (2x3 CWM) runs priced through ``SerialBackend`` and ``ProcessPoolBackend``
-  must return the same cost, the same mapping and the same history;
+  (2x3 CWM) runs priced inline (``backend=None``) and through
+  ``ProcessPoolBackend`` must return the same cost, the same mapping and the
+  same history;
 * ``parallel-throughput`` group — GA evaluations/sec on an 8x8 mesh (CWM,
   where per-candidate pricing is microseconds and the pool is *expected* to
   lose: the numbers are printed so the overhead stays visible) and on a
@@ -32,7 +33,7 @@ import pytest
 from conftest import emit, record_sample
 from repro.core.mapping import Mapping
 from repro.core.objective import cdcm_objective, cwm_objective
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
@@ -86,7 +87,7 @@ def test_seeded_results_bit_identical_across_backends(benchmark):
 
     def run():
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
-            ga_serial = GeneticSearch(GA_PARAMS, backend=SerialBackend()).search(
+            ga_serial = GeneticSearch(GA_PARAMS, backend=None).search(
                 cdcm_objective(cdcg, platform), initial, rng=SEED
             )
             ga_pooled = GeneticSearch(GA_PARAMS, backend=pool).search(
@@ -137,13 +138,13 @@ def test_ga_throughput_serial_vs_pool(benchmark):
     def run():
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             cheap_serial, cheap_serial_rate = _run_ga(
-                cwm_objective(cheap_cwg, cheap_platform), cheap_initial, SerialBackend()
+                cwm_objective(cheap_cwg, cheap_platform), cheap_initial, None
             )
             cheap_pooled, cheap_pooled_rate = _run_ga(
                 cwm_objective(cheap_cwg, cheap_platform), cheap_initial, pool
             )
             serial, serial_rate = _run_ga(
-                cdcm_objective(cdcg, platform), initial, SerialBackend()
+                cdcm_objective(cdcg, platform), initial, None
             )
             pooled, pooled_rate = _run_ga(
                 cdcm_objective(cdcg, platform), initial, pool
@@ -165,7 +166,7 @@ def test_ga_throughput_serial_vs_pool(benchmark):
         )
     lines.append(f"schedulable CPUs: {_CPUS}, pool size: {N_WORKERS}")
     emit(
-        "Parallel backend - GA pricing throughput, SerialBackend vs "
+        "Parallel backend - GA pricing throughput, inline vs "
         "ProcessPoolBackend(4)",
         "\n".join(lines),
     )

@@ -2,9 +2,9 @@
 
 The service layer (:mod:`repro.service`) claims two things:
 
-* **identity** — service-priced vectors equal
-  :class:`~repro.eval.parallel.SerialBackend` results exactly, whatever mix
-  of store hits and misses produced them, and a warm store answers an
+* **identity** — service-priced vectors equal inline pricing (a context's
+  ``evaluate_metrics_batch`` with no backend) exactly, whatever mix of store
+  hits and misses produced them, and a warm store answers an
   identical weight sweep without re-pricing a single candidate (hit rate
   1.0).  Both are asserted *always*, like the identity halves of the other
   benches;
@@ -42,7 +42,6 @@ from conftest import BENCH_SEED, emit, record_sample
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext
-from repro.eval.parallel import SerialBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
 from repro.service import ResultStore, ServiceBackend
@@ -117,9 +116,9 @@ def _run_sweep(store, cdcg, platform, population):
 def test_service_warm_sweep_throughput(benchmark, tmp_path):
     cdcg, platform = _workload()
     population = _population(cdcg, platform)
-    serial = SerialBackend().evaluate_metrics(
-        CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-    )
+    serial = CdcmEvaluationContext(
+        cdcg, platform, cache_size=0
+    ).evaluate_metrics_batch(population)
     root = tmp_path / "store"
 
     def run():

@@ -9,12 +9,13 @@ This example demonstrates the parallel half of the evaluation engine
    by source row across the pool, then registers the result process-wide so
    every later evaluation (and every forked worker) reuses it;
 2. **pooled GA pricing** — each GA generation is priced as one
-   `evaluate_batch` call fanned out over `ProcessPoolBackend(n_workers=4)`,
+   `evaluate_batch` call whose misses fan out over
+   `ProcessPoolBackend(n_workers=4)`,
    first under the cheap CWM objective, then under the expensive
    contention-aware CDCM objective where the pool actually pays off;
-3. **determinism** — the same seeded search is repeated serially and the
-   results are asserted identical: `n_workers` changes wall-clock time, never
-   the answer.
+3. **determinism** — the same seeded search is repeated inline
+   (`backend=None`) and the results are asserted identical: `n_workers`
+   changes wall-clock time, never the answer.
 
 Run with:  python examples/parallel_ga_sweep.py
 (add --workers N to change the pool size; set REPRO_EXAMPLES_SMOKE=1 for the
@@ -28,7 +29,7 @@ import time
 from repro import Platform, Torus
 from repro.core.mapping import Mapping
 from repro.core.objective import cdcm_objective, cwm_objective
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend, warm_route_table
+from repro.eval.parallel import ProcessPoolBackend, warm_route_table
 from repro.graphs.convert import cdcg_to_cwg
 from repro.search.genetic import GeneticParameters, GeneticSearch
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
@@ -85,7 +86,7 @@ def main() -> None:
             pooled_elapsed = time.perf_counter() - start
 
             start = time.perf_counter()
-            serial = GeneticSearch(params, backend=SerialBackend()).search(
+            serial = GeneticSearch(params, backend=None).search(
                 objective_factory(), initial, rng=SEED
             )
             serial_elapsed = time.perf_counter() - start

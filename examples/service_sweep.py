@@ -10,7 +10,7 @@ This example demonstrates the service layer end to end:
 2. **warm sweep** — a *fresh* context and a fresh store over the same
    directory (the "next day's" process) repeat the identical sweep and
    re-price zero candidates: hit rate 1.0, and the costs are bit-identical
-   to the cold pass and to serial pricing.
+   to the cold pass and to inline pricing.
 
 Run with:  python examples/service_sweep.py
 (set REPRO_EXAMPLES_SMOKE=1 for the tiny-parameter CI smoke configuration)
@@ -26,7 +26,6 @@ from repro import (
     Mesh,
     Platform,
     ResultStore,
-    SerialBackend,
     ServiceBackend,
 )
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
@@ -98,12 +97,12 @@ def main() -> None:
         assert warm == cold
         print(f"balanced-weights winner: cost {min(warm[1]):,.0f}")
 
-    serial = SerialBackend().evaluate_metrics(
-        CdcmEvaluationContext(cdcg, platform, cache_size=0), population
-    )
-    expected = [[v.weighted_sum(w, strict=False) for v in serial] for w in SWEEP]
+    inline = CdcmEvaluationContext(
+        cdcg, platform, cache_size=0
+    ).evaluate_metrics_batch(population)
+    expected = [[v.weighted_sum(w, strict=False) for v in inline] for w in SWEEP]
     assert warm == expected, "the store must never change a cost"
-    print("warm costs bit-identical to serial pricing: OK")
+    print("warm costs bit-identical to inline pricing: OK")
 
 
 if __name__ == "__main__":

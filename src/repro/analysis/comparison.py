@@ -20,7 +20,7 @@ This is the experiment behind Table 2: for one application and one NoC,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence
 
 from repro.core.cdcm import CdcmEvaluator
 from repro.core.framework import FRWFramework, MappingOutcome
@@ -28,14 +28,12 @@ from repro.core.mapping import Mapping
 from repro.energy.technology import TECH_0_07UM, TECH_0_35UM, Technology
 from repro.graphs.cdcg import CDCG
 from repro.noc.platform import Platform
+from repro.noc.topology import noc_label
 from repro.search.annealing import AnnealingSchedule, SimulatedAnnealing
 from repro.search.base import Searcher
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.utils.errors import ConfigurationError
-from repro.utils.rng import RandomSource, derive_rng, ensure_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
-    from repro.eval.parallel import BatchBackend
+from repro.utils.rng import RandomSource, derive_rng
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,6 @@ class ComparisonConfig:
         accept and change a published row).  The comparison still gains the
         route-table pricing speedup either way; set True for production-scale
         sweeps where raw throughput matters more than bit-stable tables.
-    vectorize:
-        Let CWM batch misses be priced by the NumPy array kernel
-        (:mod:`repro.eval.vector`).  Defaults to False here — and only here —
-        for the same bit-stable-tables rationale as ``use_delta``: the kernel
-        is bit-identical to the scalar loop by construction (and
-        property-pinned), but the reproduced rows deliberately exercise the
-        seed arithmetic path, so the comparison keeps the scalar accumulator
-        unless explicitly asked otherwise.  Everywhere else the gate
-        defaults on.
     repair:
         Let CDCM swap deltas be priced by the bounded-repair engine
         (:mod:`repro.eval.repair`).  Defaults to False here — and only here —
@@ -84,20 +73,11 @@ class ComparisonConfig:
         always price by complete replays; set True for production-scale
         sweeps where raw CDCM throughput matters more than bit-stable
         tables.
-    backend:
-        Optional :class:`~repro.eval.parallel.BatchBackend` forwarded to the
-        framework's evaluation contexts — in particular the store-draining
-        :class:`~repro.service.store.ServiceBackend` of the mapping service
-        (:mod:`repro.service`).  Defaults to ``None`` here — and only here —
-        which keeps the reproduced Table 1/2 rows entirely service-free: no
-        persistent store is consulted, so a published row can never be
-        answered by (or polluted through) state left behind by an earlier
-        run.  The service is bit-identical to serial pricing by contract
-        (and pinned so by ``tests/test_service.py``), but the reproduced
-        rows deliberately exercise the seed pricing path, mirroring the
-        ``use_delta`` / ``vectorize`` / ``repair`` conventions.  Pass a
-        backend for production-scale sweeps; the comparison borrows it and
-        never closes it.
+
+    The comparison takes no batch backend: its batches price in process
+    through :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`,
+    so no process pool or persistent result store ever touches a reproduced
+    row.
     """
 
     method: str = "annealing"
@@ -105,9 +85,7 @@ class ComparisonConfig:
     annealing_schedule: Optional[AnnealingSchedule] = None
     restarts: int = 1
     use_delta: bool = False
-    vectorize: bool = False
     repair: bool = False
-    backend: Optional["BatchBackend"] = None
 
     def __post_init__(self) -> None:
         if self.method not in ("annealing", "sa", "exhaustive", "es"):
@@ -214,14 +192,7 @@ def compare_models(
     point.
     """
     config = config or ComparisonConfig()
-    framework = FRWFramework(
-        cdcg,
-        platform,
-        vectorize=config.vectorize,
-        repair=config.repair,
-        backend=config.backend,
-    )
-    base_rng = ensure_rng(seed)
+    framework = FRWFramework(cdcg, platform, repair=config.repair)
 
     cwm_best: Optional[MappingOutcome] = None
     cdcm_best: Optional[MappingOutcome] = None
@@ -244,7 +215,6 @@ def compare_models(
         if cdcm_best is None or cdcm_outcome.cost < cdcm_best.cost:
             cdcm_best = cdcm_outcome
     assert cwm_best is not None and cdcm_best is not None
-    del base_rng
 
     # Evaluate both final mappings under the full CDCM model, per technology.
     evaluator = CdcmEvaluator(platform)
@@ -263,10 +233,9 @@ def compare_models(
             )
         )
 
-    mesh = platform.mesh
     return ModelComparison(
         application=cdcg.name,
-        noc_label=f"{mesh.width} x {mesh.height}",
+        noc_label=noc_label(platform.mesh),
         method=config.method,
         cwm_outcome=cwm_best,
         cdcm_outcome=cdcm_best,

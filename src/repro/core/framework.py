@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.core.cdcm import CdcmReport
 from repro.core.cwm import CwmEvaluator
@@ -45,9 +45,6 @@ from repro.search.greedy import GreedyConstructive
 from repro.search.registry import get_searcher
 from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.rng import RandomSource, ensure_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
-    from repro.eval.parallel import BatchBackend
 
 #: Models the framework can search with.
 _MODELS = ("cwm", "cdcm")
@@ -102,14 +99,6 @@ class FRWFramework:
         Optional explicit CWG.  Must be consistent with the CDCG; supplying it
         is only useful when the application was natively captured as a CWG and
         the CDCG was produced later by hand, as the paper describes.
-    vectorize:
-        Forwarded to every :class:`CwmEvaluationContext` the framework builds
-        (the shared context and each :meth:`objective` context): whether CWM
-        batch misses are priced by the NumPy array kernel of
-        :mod:`repro.eval.vector`.  ``None`` (default) follows the
-        context's default — on; the comparison driver pins it off for the
-        reproduced paper rows (see
-        :class:`~repro.analysis.comparison.ComparisonConfig`).
     repair:
         Forwarded to every :class:`CdcmEvaluationContext` the framework
         builds: whether CDCM swap deltas are priced by the bounded-repair
@@ -119,16 +108,9 @@ class FRWFramework:
     repair_policy:
         Optional :class:`~repro.eval.repair.RepairPolicy` forwarded with
         the ``repair`` gate (resync period, drift bound, closure depth).
-    backend:
-        Optional :class:`~repro.eval.parallel.BatchBackend` forwarded to
-        every evaluation context the framework builds (the shared contexts
-        and each :meth:`objective` context), so batch misses fan out through
-        it — a process pool, or the store-draining
-        :class:`~repro.service.store.ServiceBackend` of the mapping
-        service.  ``None`` (default) prices inline; the comparison driver
-        keeps it ``None`` for the reproduced paper rows (see
-        :class:`~repro.analysis.comparison.ComparisonConfig`).  The
-        framework borrows the backend — callers own its lifecycle.
+
+    The contexts the framework builds price batches in process; a search
+    engine that should fan batches out takes its own ``backend=``.
     """
 
     def __init__(
@@ -136,10 +118,8 @@ class FRWFramework:
         cdcg: CDCG,
         platform: Platform,
         cwg: Optional[CWG] = None,
-        vectorize: Optional[bool] = None,
         repair: Optional[bool] = None,
         repair_policy: Optional[RepairPolicy] = None,
-        backend: Optional["BatchBackend"] = None,
     ) -> None:
         cdcg.validate()
         if cdcg.num_cores > platform.num_tiles:
@@ -154,16 +134,10 @@ class FRWFramework:
         # objective handed to a search engine, and every evaluate() call,
         # prices mappings against the same precomputed tables and memo.
         self.route_table = get_route_table(platform)
-        self._vectorize = vectorize
         self._repair = repair
         self._repair_policy = repair_policy
-        self._backend = backend
         self._cwm_context = CwmEvaluationContext(
-            self.cwg,
-            platform,
-            route_table=self.route_table,
-            vectorize=vectorize,
-            backend=backend,
+            self.cwg, platform, route_table=self.route_table
         )
         self._cdcm_context = CdcmEvaluationContext(
             self.cdcg,
@@ -171,7 +145,6 @@ class FRWFramework:
             route_table=self.route_table,
             repair=repair,
             repair_policy=repair_policy,
-            backend=backend,
         )
         self._cdcm_evaluator = self._cdcm_context.evaluator
         self._cwm_evaluator = CwmEvaluator(platform, route_table=self.route_table)
@@ -213,11 +186,7 @@ class FRWFramework:
         """
         if model == "cwm":
             context = CwmEvaluationContext(
-                self.cwg,
-                self.platform,
-                route_table=self.route_table,
-                vectorize=self._vectorize,
-                backend=self._backend,
+                self.cwg, self.platform, route_table=self.route_table
             )
             if weights is not None:
                 return ScalarisedObjective(context, weights)
@@ -229,7 +198,6 @@ class FRWFramework:
                 route_table=self.route_table,
                 repair=self._repair,
                 repair_policy=self._repair_policy,
-                backend=self._backend,
             )
             if weights is not None:
                 return ScalarisedObjective(context, weights)

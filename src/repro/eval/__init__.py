@@ -33,12 +33,12 @@ Model-specific contexts:
   against a frozen background, exact at every resync point and
   drift-bounded in between.
 
-A third, parallel half (:mod:`repro.eval.parallel`) makes ``evaluate_batch``
-pluggable: a :class:`~repro.eval.parallel.BatchBackend` decides where the
-uncached candidates of a batch are priced —
-:class:`~repro.eval.parallel.SerialBackend` inline,
-:class:`~repro.eval.parallel.ProcessPoolBackend` across a process pool
-(contexts pickle light; workers rebuild route tables locally).  The same pool
+A third, parallel half (:mod:`repro.eval.parallel`) makes batch pricing
+pluggable.  Every batch takes one path, ``evaluate_metrics_batch``: memo
+lookup, in-batch dedup, then one chunk of misses, priced inline unless a
+:class:`~repro.eval.parallel.BatchBackend` is given —
+:class:`~repro.eval.parallel.ProcessPoolBackend` prices it across a process
+pool (contexts pickle light; workers rebuild route tables locally).  The same pool
 shards eager route-table construction by source row
 (:func:`~repro.eval.parallel.warm_route_table`) for >16x16 NoC sweeps.
 
@@ -47,8 +47,7 @@ NumPy: :class:`~repro.eval.vector.VectorizedCwmKernel` binds an application
 as flat edge arrays over the route table's dense matrices
 (:meth:`~repro.eval.route_table.RouteTable.as_arrays`) and prices a whole
 ``(pop, cores)`` population per call — bit-identical to the scalar
-accumulator, default-on for search and pinned off by the paper-reproduction
-comparison config.
+accumulator and default-on.
 
 A fifth, incremental half (:mod:`repro.eval.repair`) gives the CDCM model a
 swap delta after all: :class:`~repro.eval.repair.CdcmRepairEngine` keeps the
@@ -57,7 +56,7 @@ and prices a two-tile swap by replaying only the packets the swap can
 disturb, with a running drift estimate and periodic full-replay resyncs
 (:class:`~repro.eval.repair.RepairPolicy`) — default-on for search
 (:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned off by the
-paper-reproduction comparison config, like ``use_delta`` / ``vectorize``.
+paper-reproduction comparison config, like ``use_delta``.
 
 Search engines discover delta support through the objective's
 ``supports_delta`` attribute (see :func:`repro.search.base.delta_callable`),
@@ -82,7 +81,6 @@ from repro.eval.context import (
 from repro.eval.parallel import (
     BatchBackend,
     ProcessPoolBackend,
-    SerialBackend,
     warm_route_table,
 )
 from repro.eval.repair import (
@@ -95,7 +93,6 @@ from repro.eval.repair import (
 from repro.eval.vector import (
     DEFAULT_VECTORIZE,
     VectorizedCwmKernel,
-    array_to_mappings,
     population_to_array,
 )
 
@@ -110,13 +107,11 @@ __all__ = [
     "CwmEvaluationContext",
     "CdcmEvaluationContext",
     "BatchBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "warm_route_table",
     "DEFAULT_VECTORIZE",
     "VectorizedCwmKernel",
     "population_to_array",
-    "array_to_mappings",
     "DEFAULT_REPAIR",
     "CdcmRepairEngine",
     "RepairOutcome",

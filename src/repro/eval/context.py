@@ -19,13 +19,15 @@ an already-priced population for free.  The context exposes:
   edges incident to the moved cores only (O(degree) instead of O(edges));
   :meth:`EvaluationContext.metric_delta` is the per-component variant
   scalarisation views price swaps through;
-* :meth:`EvaluationContext.evaluate_batch` /
-  :meth:`EvaluationContext.evaluate_metrics_batch` — bulk pricing of many
+* :meth:`EvaluationContext.evaluate_metrics_batch` — bulk pricing of many
   candidates (population-based engines, sweep drivers), sharing the same
-  memo.  Where the uncached candidates of a batch are priced is pluggable:
-  pass a :class:`~repro.eval.parallel.BatchBackend` (``backend=...`` at
-  construction or per call) to fan them out over a process pool; the default
-  prices inline.
+  memo, and :meth:`EvaluationContext.evaluate_batch`, its scalar view.  Every
+  batch takes one path: memo lookup, in-batch dedup, then one chunk of
+  misses.  Where that chunk is priced is pluggable: pass a
+  :class:`~repro.eval.parallel.BatchBackend` (``backend=...`` at
+  construction or per call) to fan it out over a process pool or answer it
+  from a result store; the default prices it inline through
+  :meth:`EvaluationContext._compute_metrics_chunk`.
 
 Contexts are *picklable-light*: pickling keeps the application graph and the
 platform but drops the memo, the backend and the route table — the unpickling
@@ -54,7 +56,7 @@ Two concrete contexts mirror the paper's two models:
   background, with periodic full-replay resyncs bounding the drift.  The
   gate is default-on (:data:`~repro.eval.repair.DEFAULT_REPAIR`) and pinned
   off by :class:`~repro.analysis.comparison.ComparisonConfig`, mirroring
-  ``use_delta`` / ``vectorize``.
+  ``use_delta``.
 """
 
 from __future__ import annotations
@@ -145,13 +147,6 @@ class EvaluationContext(ABC):
     #: Whether :meth:`metric_delta` returns exact per-component deltas
     #: (the capability scalarisation views need to re-weight swap pricing).
     supports_metric_delta: bool = False
-
-    #: Whether inline (backend-free) batches should be deduplicated and
-    #: priced through :meth:`_compute_metrics_chunk` instead of per-candidate
-    #: :meth:`metrics` calls.  Contexts with an array pricing path (see
-    #: :mod:`repro.eval.vector`) set this when their ``vectorize`` gate is
-    #: on; the base default keeps the legacy per-candidate inline path.
-    _chunked_inline: bool = False
 
     #: Names of the components :meth:`metrics` produces, in scalarisation
     #: accumulation order.  Set by concrete subclasses.
@@ -278,13 +273,15 @@ class EvaluationContext(ABC):
     ) -> List[MetricVector]:
         """Component vectors of several candidates in one call (shares the memo).
 
-        Candidates already in the memo are answered from it; the misses are
-        deduplicated and priced as one chunk — by the backend when one is
-        active, else inline through :meth:`_compute_metrics_chunk` (which the
-        vectorised CWM context turns into a single array-kernel call) — then
-        written back to the memo.  Vectors are bit-identical to per-candidate
-        :meth:`metrics` calls regardless of the backend — only *where* the
-        arithmetic runs changes.
+        The one batch path of every context.  Candidates already in the memo
+        are answered from it; the misses are deduplicated and priced as one
+        chunk — by the backend when one is active, else inline through
+        :meth:`_compute_metrics_chunk` (which the vectorised CWM context
+        turns into a single array-kernel call) — then written back to the
+        memo.  A candidate repeated within the batch counts as one miss and
+        no hit.  Vectors are bit-identical to per-candidate :meth:`metrics`
+        calls regardless of the backend — only *where* the arithmetic runs
+        changes.
 
         Parameters
         ----------
@@ -301,9 +298,6 @@ class EvaluationContext(ABC):
             One component vector per candidate, in input order.
         """
         active = backend if backend is not None else self._backend
-        if active is None and not self._chunked_inline:
-            return [self.metrics(mapping) for mapping in mappings]
-
         items = list(mappings)
         memo = self._memo
         use_memo = self._cache_size > 0
@@ -373,17 +367,10 @@ class EvaluationContext(ABC):
         list of float
             One cost per candidate, in input order.
         """
-        active = backend if backend is not None else self._backend
-        if active is None:
-            return [self.cost(mapping) for mapping in mappings]
         return [
             self._scalarise(vector)
-            for vector in self.evaluate_metrics_batch(mappings, backend=active)
+            for vector in self.evaluate_metrics_batch(mappings, backend=backend)
         ]
-
-    def _compute_cost(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
-        """Uncached objective value of *mapping* (derived from the vector)."""
-        return self._scalarise(self._compute_metrics(mapping))
 
     @abstractmethod
     def _compute_metrics(
@@ -396,10 +383,11 @@ class EvaluationContext(ABC):
     ) -> List[MetricVector]:
         """Uncached vectors of a chunk of candidates, in order.
 
-        The unit of work of batch pricing: backends
-        (:class:`~repro.eval.parallel.SerialBackend` inline, each
-        :class:`~repro.eval.parallel.ProcessPoolBackend` worker per task) and
-        the inline dedup path all price misses through this method.  The base
+        The unit of work of batch pricing: the inline path of
+        :meth:`evaluate_metrics_batch`, each
+        :class:`~repro.eval.parallel.ProcessPoolBackend` worker task and the
+        misses of :class:`~repro.service.store.ServiceBackend` all price
+        through this method.  The base
         implementation loops per candidate; contexts with an array pricing
         path (:class:`CwmEvaluationContext` when ``vectorize`` is on)
         override it to price the whole chunk with one kernel call —
@@ -448,12 +436,11 @@ class CwmEvaluationContext(EvaluationContext):
         Whether batch misses are priced by the NumPy array kernel
         (:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of the
         per-candidate scalar loop.  ``None`` (the default) follows
-        :data:`~repro.eval.vector.DEFAULT_VECTORIZE` — on, the right choice
-        for search, since the kernel is bit-identical to the scalar path by
-        construction.  :class:`~repro.analysis.comparison.ComparisonConfig`
-        pins it off for the paper-reproduction rows, mirroring the
-        ``use_delta`` convention.  Per-candidate pricing (:meth:`cost`,
-        :meth:`metrics`, :meth:`delta`) always stays scalar.
+        :data:`~repro.eval.vector.DEFAULT_VECTORIZE` — on, since the kernel
+        is bit-identical to the scalar path by construction.  ``False``
+        keeps the scalar loop as a reference to check the kernel against.
+        Per-candidate pricing (:meth:`cost`, :meth:`metrics`, :meth:`delta`)
+        always stays scalar.
 
     Notes
     -----
@@ -494,7 +481,6 @@ class CwmEvaluationContext(EvaluationContext):
         self.vectorize = (
             DEFAULT_VECTORIZE if vectorize is None else bool(vectorize)
         )
-        self._chunked_inline = self.vectorize
         # The kernel binds lazily on the first chunk: building it densifies
         # lazy route tables, which sparse per-candidate use should not pay.
         self._kernel: Optional[VectorizedCwmKernel] = None
@@ -773,7 +759,7 @@ class CdcmEvaluationContext(EvaluationContext):
         drift-bounded between them).
         :class:`~repro.analysis.comparison.ComparisonConfig` pins it off so
         the paper-reproduction rows keep pure full-replay pricing,
-        mirroring the ``use_delta`` / ``vectorize`` conventions.  Full
+        mirroring the ``use_delta`` convention.  Full
         evaluations (:meth:`EvaluationContext.cost`,
         :meth:`EvaluationContext.metrics`, batches) always stay full-replay.
     repair_policy:
@@ -822,8 +808,7 @@ class CdcmEvaluationContext(EvaluationContext):
         self.repair = DEFAULT_REPAIR if repair is None else bool(repair)
         self.repair_policy = repair_policy
         # Instance-level capability flags shadow the class defaults so
-        # engines discover delta support per gate state, exactly like the
-        # CWM ``vectorize`` gate toggles its chunked pricing.
+        # engines discover delta support per gate state.
         self.supports_delta = self.repair
         self.supports_metric_delta = self.repair
         # The engine binds lazily on the first delta: building it replays

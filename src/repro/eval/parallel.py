@@ -1,24 +1,26 @@
 """Pluggable batch-pricing backends — the parallel half of the evaluation engine.
 
-:meth:`repro.eval.context.EvaluationContext.evaluate_batch` is the seam every
-population-based engine prices through (GA generations, exhaustive chunks,
-multi-restart annealing, weight sweeps).  This module makes that seam
-pluggable: a :class:`BatchBackend` decides *where* the uncached candidates of
-a batch are priced —
+:meth:`repro.eval.context.EvaluationContext.evaluate_metrics_batch` is the
+one seam every population-based engine prices through (GA generations,
+exhaustive chunks, NSGA-II/III and co-design populations, weight sweeps).
+It looks candidates up in the memo, dedups the batch and hands the misses
+over as one chunk.  With ``backend=None`` the context prices that chunk
+inline; a :class:`BatchBackend` decides *where* it is priced instead —
 
-* :class:`SerialBackend` prices them inline in the calling process (the
-  default, and the reference semantics);
-* :class:`ProcessPoolBackend` fans them out over a ``concurrent.futures``
+* :class:`ProcessPoolBackend` fans it out over a ``concurrent.futures``
   process pool.  Contexts are *picklable-light*: pickling drops the memo, the
   backend and the route table, and each worker rebuilds the table locally
   through the process-wide :func:`~repro.eval.route_table.get_route_table`
   cache — so tasks ship only the application graph and the candidate
-  mappings, never the O(n^2) route arrays.
+  mappings, never the O(n^2) route arrays;
+* :class:`~repro.service.store.ServiceBackend` answers it from a persistent
+  result store and prices only the store misses.
 
-Both backends are bit-identical by construction: they run the same
-``_compute_cost`` code on the same inputs, and the caller reassembles results
-in submission order, so a seeded search returns the same mapping and the same
-cost no matter which backend priced it (pinned by ``tests/test_parallel.py``).
+Every backend is bit-identical to inline pricing by construction: each
+prices through the same ``_compute_metrics_chunk`` code on the same inputs,
+and the caller reassembles results in submission order, so a seeded search
+returns the same mapping and the same cost no matter where it was priced
+(pinned by ``tests/test_parallel.py``).
 
 The same pool also shards eager route-table construction by source row
 (:func:`warm_route_table`), so >16x16 NoC sweeps do not pay the O(n^2)
@@ -88,18 +90,10 @@ def _worker_context(token: int, payload: bytes) -> "EvaluationContext":
     return context
 
 
-def _price_chunk(
-    token: int, payload: bytes, mappings: Sequence[Any]
-) -> List[float]:
-    """Worker task: price one chunk of candidates with a cached context."""
-    context = _worker_context(token, payload)
-    return [context._compute_cost(mapping) for mapping in mappings]
-
-
 def _price_metrics_chunk(
     token: int, payload: bytes, mappings: Sequence[Any]
 ) -> List[Any]:
-    """Worker task: metric vectors of one chunk (the vector-objective twin).
+    """Worker task: metric vectors of one chunk with a cached context.
 
     Prices through ``_compute_metrics_chunk`` so a vectorised context uses
     its array kernel per worker chunk instead of per-candidate loops.
@@ -142,71 +136,35 @@ class BatchBackend(ABC):
 
     A backend receives the context and the candidates that missed the memo
     (deduplication and memo bookkeeping stay in
-    :meth:`~repro.eval.context.EvaluationContext.evaluate_batch`) and must
-    return their costs in order.  Implementations must be *bit-identical* to
-    serial pricing: same ``_compute_cost`` code, same inputs, same order.
+    :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`)
+    and must return their metric vectors in order.  Implementations must be
+    *bit-identical* to inline pricing: same ``_compute_metrics_chunk`` code,
+    same inputs, same order.
     """
 
     #: Short identifier used in reports and benchmark tables.
     name: str = "backend"
 
     @abstractmethod
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* under *context* and return costs in order.
-
-        Parameters
-        ----------
-        context:
-            The evaluation context whose ``_compute_cost`` defines the price.
-        mappings:
-            Candidates to price (``Mapping`` objects or assignment dicts).
-
-        Returns
-        -------
-        list of float
-            ``[context._compute_cost(m) for m in mappings]``, possibly
-            computed elsewhere.
-        """
-
     def evaluate_metrics(
         self, context: "EvaluationContext", mappings: Sequence[Any]
     ) -> List[Any]:
         """Metric vectors of *mappings* under *context*, in order.
 
-        The vector-objective twin of :meth:`evaluate` — this is what
-        :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`
-        (and therefore every scalar batch too) prices misses through, so
-        memoised component vectors are shared by all scalarisation views.
-
-        The base class deliberately raises instead of pricing inline: a
-        backend written against the pre-vector protocol (overriding
-        :meth:`evaluate` only) would otherwise keep type-checking while its
-        fan-out silently stopped being used.  Subclasses must implement this
-        method — :class:`SerialBackend` prices inline,
-        :class:`ProcessPoolBackend` chunks across the pool.
-
         Parameters
         ----------
         context:
-            The evaluation context whose ``_compute_metrics`` defines the
-            components.
+            The evaluation context whose ``_compute_metrics_chunk`` defines
+            the components.
         mappings:
             Candidates to price (``Mapping`` objects or assignment dicts).
 
         Returns
         -------
         list of MetricVector
-            ``[context._compute_metrics(m) for m in mappings]``, possibly
-            computed elsewhere.
+            ``context._compute_metrics_chunk(mappings)``, possibly computed
+            elsewhere.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement evaluate_metrics(); "
-            f"since the vector-objective redesign batch misses price metric "
-            f"vectors, so backends must override evaluate_metrics (not just "
-            f"the legacy scalar evaluate())"
-        )
 
     def map(
         self,
@@ -246,34 +204,6 @@ class BatchBackend(ABC):
         return f"{type(self).__name__}()"
 
 
-class SerialBackend(BatchBackend):
-    """Price batches inline in the calling process.
-
-    The reference backend: :class:`ProcessPoolBackend` results are asserted
-    bit-identical against it.  Passing ``backend=None`` to a context is
-    equivalent but also skips batch-level dedup bookkeeping.
-    """
-
-    name = "serial"
-
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* by direct ``_compute_cost`` calls, in order."""
-        return [context._compute_cost(mapping) for mapping in mappings]
-
-    def evaluate_metrics(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[Any]:
-        """Metric vectors via ``_compute_metrics_chunk``, in order.
-
-        The chunk call keeps serial pricing bit-identical to pooled pricing
-        *and* lets a vectorised context price the whole batch with one array
-        gather instead of a per-candidate loop.
-        """
-        return list(context._compute_metrics_chunk(mappings))
-
-
 class ProcessPoolBackend(BatchBackend):
     """Fan batches out over a lazily created process pool.
 
@@ -305,7 +235,7 @@ class ProcessPoolBackend(BatchBackend):
     The pool is created on first use and survives across batches; call
     :meth:`close` (or use the backend as a context manager) to shut it down.
     Results are reassembled in submission order, so pricing is bit-identical
-    to :class:`SerialBackend` regardless of worker scheduling.  A worker that
+    to inline pricing regardless of worker scheduling.  A worker that
     dies mid-batch (an OOM kill, a crash) breaks the whole executor; the
     backend then rebuilds the pool and resubmits that batch once, and only a
     second break in the same batch propagates ``BrokenProcessPool``.
@@ -363,21 +293,6 @@ class ProcessPoolBackend(BatchBackend):
         return entry
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[float]:
-        """Price *mappings* across the pool, preserving submission order.
-
-        Batches below ``min_batch_size`` are priced inline (identical
-        arithmetic, no IPC).
-        """
-        return self._fan_out(
-            context,
-            mappings,
-            _price_chunk,
-            lambda items: [context._compute_cost(mapping) for mapping in items],
-        )
-
     def evaluate_metrics(
         self, context: "EvaluationContext", mappings: Sequence[Any]
     ) -> List[Any]:
@@ -386,30 +301,16 @@ class ProcessPoolBackend(BatchBackend):
         Batches below ``min_batch_size`` are priced inline (identical
         arithmetic, no IPC).
         """
-        return self._fan_out(
-            context,
-            mappings,
-            _price_metrics_chunk,
-            lambda items: list(context._compute_metrics_chunk(items)),
-        )
-
-    def _fan_out(
-        self,
-        context: "EvaluationContext",
-        mappings: Sequence[Any],
-        chunk_task,
-        inline_price,
-    ) -> List[Any]:
         items = list(mappings)
         if len(items) < self.min_batch_size:
-            return inline_price(items)
+            return list(context._compute_metrics_chunk(items))
         token, payload = self._context_payload(context)
         chunk = self.chunk_size or math.ceil(len(items) / self.n_workers)
         argslist = [
             (token, payload, items[i : i + chunk])
             for i in range(0, len(items), chunk)
         ]
-        chunks = self._submit_all(chunk_task, argslist)
+        chunks = self._submit_all(_price_metrics_chunk, argslist)
         return [result for chunk_results in chunks for result in chunk_results]
 
     def _submit_all(
@@ -496,7 +397,7 @@ def warm_route_table(
         An eager table identical to ``RouteTable.for_platform(platform,
         include_local, precompute=True)``.
     """
-    if backend is None or isinstance(backend, SerialBackend):
+    if backend is None:
         table = RouteTable.for_platform(
             platform, include_local=include_local, precompute=True
         )
@@ -536,7 +437,6 @@ def warm_route_table(
 
 __all__ = [
     "BatchBackend",
-    "SerialBackend",
     "ProcessPoolBackend",
     "warm_route_table",
 ]

@@ -13,35 +13,28 @@ instead of one Python loop per candidate:
   (``src_idx``, ``tgt_idx``, ``bits``) plus the dense route-table matrices
   (:meth:`~repro.eval.route_table.RouteTable.as_arrays`) and prices the whole
   array at once;
-* :func:`population_to_array` / :func:`array_to_mappings` interconvert
-  populations and :class:`~repro.core.mapping.Mapping` objects.
+* :func:`population_to_array` stacks :class:`~repro.core.mapping.Mapping`
+  objects (or assignment dicts) into such an array.
 
 **Bit-identity.**  The kernel is not merely approximately equal to the scalar
-path — it is bit-identical, the same way serial and pooled pricing are.  The
+path — it is bit-identical, the same way inline and pooled pricing are.  The
 scalar accumulator adds per-edge contributions left to right in CWG edge
 order; a matmul or ``np.sum`` would use pairwise summation and round
 differently, so the kernel reduces each row with ``np.add.accumulate`` (a
 strictly sequential cumulative sum) over the same edge order.  This is what
-lets the vector path be default-on for search without perturbing a single
+lets the vector path be default-on without perturbing a single
 accept/reject decision, and what the property tests in
 ``tests/test_vector.py`` pin.
 
-The CDCM volume/hop metric components are route-table gathers too: a kernel
-built with :meth:`VectorizedCwmKernel.from_cdcg` prices the per-packet
-dynamic energy of equation (4) and the bits-times-hops volume in the same
-way.  The contention and timing terms of CDCM stay on the scalar scheduler —
-they are global replay quantities, not gathers.
-
-Gating follows the ``use_delta`` precedent:
-:class:`~repro.eval.context.CwmEvaluationContext` vectorises by default
-(:data:`DEFAULT_VECTORIZE`), and
-:class:`~repro.analysis.comparison.ComparisonConfig` pins the flag off so the
-reproduced paper tables keep the exact seed arithmetic path.
+:class:`~repro.eval.context.CwmEvaluationContext` prices every batch chunk
+through the kernel by default (:data:`DEFAULT_VECTORIZE`); a context built
+with ``vectorize=False`` keeps the scalar loop as the reference the kernel
+is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -50,12 +43,9 @@ from repro.utils.errors import ConfigurationError, MappingError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
     from repro.eval.route_table import RouteTable
-    from repro.graphs.cdcg import CDCG
     from repro.graphs.cwg import CWG
 
-#: Default state of the ``vectorize`` gate on contexts that support it
-#: (mirrors the ``use_delta`` convention: on for search, pinned off by
-#: :class:`~repro.analysis.comparison.ComparisonConfig`).
+#: Default state of the ``vectorize`` gate on contexts that support it.
 DEFAULT_VECTORIZE = True
 
 #: Upper bound on the number of gathered elements a single pricing block may
@@ -116,41 +106,6 @@ def population_to_array(
     return out
 
 
-def array_to_mappings(
-    tiles: np.ndarray,
-    cores: Sequence[str],
-    num_tiles: Optional[int] = None,
-) -> List[Mapping]:
-    """Rebuild :class:`Mapping` objects from a ``(pop, cores)`` tile array.
-
-    The inverse of :func:`population_to_array`:
-    ``array_to_mappings(population_to_array(ms, order), order)`` equals
-    ``ms`` for any consistent *order*.  Each row goes through the validating
-    :meth:`Mapping.from_index_array` constructor (injectivity, range when
-    *num_tiles* is given).
-
-    Parameters
-    ----------
-    tiles:
-        ``(pop, len(cores))`` integer array of tile indices.
-    cores:
-        Column order the array was built with.
-    num_tiles:
-        Optional NoC size forwarded to each mapping.
-    """
-    array = np.asarray(tiles)
-    if array.ndim != 2 or array.shape[1] != len(cores):
-        raise MappingError(
-            f"expected a (pop, {len(cores)}) tile array, got shape "
-            f"{array.shape}"
-        )
-    order = list(cores)
-    return [
-        Mapping.from_index_array(order, row, num_tiles=num_tiles)
-        for row in array
-    ]
-
-
 class VectorizedCwmKernel:
     """One application bound as flat edge arrays over a dense route table.
 
@@ -164,9 +119,8 @@ class VectorizedCwmKernel:
     scalar accumulator of
     :meth:`~repro.eval.context.CwmEvaluationContext._compute_metrics`.
 
-    Build kernels with :meth:`from_cwg` (CWM, equation 3),
-    :meth:`from_cdcg` (the CDCM per-packet volume/energy gathers of
-    equation 4) or :meth:`from_edges` (an explicit edge snapshot).
+    Build kernels with :meth:`from_cwg` (CWM, equation 3) or
+    :meth:`from_edges` (an explicit edge snapshot).
 
     Parameters
     ----------
@@ -191,7 +145,6 @@ class VectorizedCwmKernel:
         "_src_idx",
         "_tgt_idx",
         "_bits",
-        "_bits_int",
         "_required",
         "_energy",
         "_hops",
@@ -229,9 +182,6 @@ class VectorizedCwmKernel:
         self._src_idx = src
         self._tgt_idx = tgt
         self._bits = bits
-        self._bits_int = np.array(
-            [volume for _, _, volume in edge_list], dtype=np.int64
-        )
         self._required = frozenset(
             core for source, target, _ in edge_list for core in (source, target)
         )
@@ -277,29 +227,6 @@ class VectorizedCwmKernel:
             for comm in cwg.communications()
         ]
         return cls(edges, route_table, order, name=f"cwm-kernel({cwg.name})")
-
-    @classmethod
-    def from_cdcg(
-        cls,
-        cdcg: "CDCG",
-        route_table: "RouteTable",
-        core_order: Optional[Sequence[str]] = None,
-    ) -> "VectorizedCwmKernel":
-        """Kernel over the per-packet gathers of a CDCG.
-
-        Each packet becomes one edge (``source, target, bits`` in
-        ``cdcg.packets()`` order), so :meth:`price` computes the CDCM dynamic
-        energy ``EDyNoC`` of equation (4) and :meth:`hop_volume` the
-        bits-times-hops volume — the two CDCM metric components that are pure
-        route-table gathers.  Contention and timing (and therefore static
-        energy) stay on the scalar scheduler replay.
-        """
-        order = sorted(cdcg.cores()) if core_order is None else core_order
-        edges = [
-            (packet.source, packet.target, packet.bits)
-            for packet in cdcg.packets
-        ]
-        return cls(edges, route_table, order, name=f"cdcm-kernel({cdcg.name})")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -376,39 +303,6 @@ class VectorizedCwmKernel:
             out[start : start + block] = contrib[:, -1]
         return out
 
-    def hop_volume(self, tiles: np.ndarray) -> np.ndarray:
-        """Bits-times-hops volume of every candidate row.
-
-        The hop-weighted traffic volume (an exact integer, so summation
-        order is irrelevant): for each candidate, the sum over edges of
-        ``bits x hop_count(source_tile, target_tile)``.
-
-        Parameters
-        ----------
-        tiles:
-            ``(pop, cores)`` integer array in :attr:`core_order` column
-            order.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(pop,)`` int64 volumes.
-        """
-        array = self._validate(tiles)
-        pop = array.shape[0]
-        out = np.empty(pop, dtype=np.int64)
-        if pop == 0:
-            return out
-        if self._src_idx.size == 0:
-            out.fill(0)
-            return out
-        block = max(1, _MAX_GATHER_ELEMENTS // self._src_idx.size)
-        for start in range(0, pop, block):
-            rows = array[start : start + block]
-            gathered = self._hops[rows[:, self._src_idx], rows[:, self._tgt_idx]]
-            out[start : start + block] = (self._bits_int * gathered).sum(axis=1)
-        return out
-
     def link_load_stats(self, tiles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Hottest-link load and total link load of every candidate row.
 
@@ -478,38 +372,6 @@ class VectorizedCwmKernel:
             totals[start : start + count] = loads[:, -1]
         return peaks, totals
 
-    def price_mappings(
-        self, mappings: Iterable[Union[Mapping, Dict[str, int]]]
-    ) -> np.ndarray:
-        """Convenience wrapper: convert candidates and :meth:`price` them.
-
-        Candidates are stacked with :func:`population_to_array` over this
-        kernel's :attr:`core_order`; cores not referenced by any edge may be
-        left unplaced (their column is filled with tile 0, which no gather
-        reads), matching the scalar path's tolerance for isolated cores.
-        """
-        items = list(mappings)
-        order = self.core_order
-        required = self._required
-        out = np.zeros((len(items), len(order)), dtype=np.int64)
-        for row, mapping in enumerate(items):
-            lookup = (
-                mapping.assignments() if isinstance(mapping, Mapping) else mapping
-            )
-            try:
-                out[row] = [lookup[core] for core in order]
-            except KeyError:
-                for column, core in enumerate(order):
-                    tile = lookup.get(core)
-                    if tile is None:
-                        if core in required:
-                            raise MappingError(
-                                f"mapping does not place core {core!r}"
-                            )
-                        continue
-                    out[row, column] = tile
-        return self.price(out)
-
     def __repr__(self) -> str:
         return (
             f"VectorizedCwmKernel({self.name}, {self.num_edges} edges, "
@@ -521,5 +383,4 @@ __all__ = [
     "DEFAULT_VECTORIZE",
     "VectorizedCwmKernel",
     "population_to_array",
-    "array_to_mappings",
 ]

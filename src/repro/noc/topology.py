@@ -497,6 +497,17 @@ def topology_cache_token(topology: Topology) -> Tuple:
     return (cls.__module__, cls.__qualname__, topology.num_tiles)
 
 
+def noc_label(topology: Topology) -> str:
+    """Table-style NoC size label, e.g. ``"3 x 2"``.
+
+    Falls back to ``str(topology)`` for topologies without grid dimensions,
+    such as :class:`IrregularTopology`.
+    """
+    if hasattr(topology, "width"):
+        return f"{topology.width} x {topology.height}"
+    return str(topology)
+
+
 def build_mesh_crg(width: int, height: int, name: Optional[str] = None) -> CRG:
     """Convenience wrapper: CRG of a ``width x height`` mesh."""
     return Mesh(width, height).to_crg(name)
@@ -574,6 +585,7 @@ __all__ = [
     "Torus",
     "IrregularTopology",
     "topology_cache_token",
+    "noc_label",
     "build_mesh_crg",
     "available_topologies",
     "register_topology",

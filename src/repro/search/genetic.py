@@ -21,9 +21,10 @@ generations out over a process pool.  Costs are bit-identical across
 backends, so a seeded run returns the same mapping regardless of
 ``n_workers``.
 
-The same batch call is also the vectorisation seam: under a CWM objective
-the context stacks each generation's misses into one ``(pop, cores)`` tile
-array and prices it with the NumPy array kernel
+The same batch call is also the vectorisation seam.  Every batch takes the
+context's one path, memo lookup, in-batch dedup and one chunk of misses, so
+under a CWM objective the context stacks each generation's misses into one
+``(pop, cores)`` tile array and prices it with the NumPy array kernel
 (:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of looping per
 child — bit-identical again, so the gate
 (:attr:`~repro.eval.context.CwmEvaluationContext` ``vectorize``, default on)

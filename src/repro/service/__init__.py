@@ -13,12 +13,12 @@ context; this package makes it persistent *across* them.
   ordinary ``backend=`` seam of every evaluation context: hits are answered
   from the store, misses are priced inline and written back.
 
-Everything is bit-identical to :class:`~repro.eval.parallel.SerialBackend`
-by construction: store entries round-trip floats exactly, misses are priced
-by the same chunk arithmetic, and results are reassembled in submission
-order.  :class:`~repro.analysis.comparison.ComparisonConfig` keeps its
-``backend`` knob at ``None``, so the reproduced paper tables never touch the
-service.  See ``docs/service.md`` for the full tour.
+Everything is bit-identical to inline pricing by construction: store
+entries round-trip floats exactly, misses are priced by the same chunk
+arithmetic, and results are reassembled in submission order.
+:func:`~repro.analysis.comparison.compare_models` takes no backend, so the
+reproduced paper tables never touch the service.  See ``docs/service.md``
+for the full tour.
 """
 
 from repro.service.store import (

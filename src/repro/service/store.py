@@ -555,9 +555,9 @@ class ServiceBackend(BatchBackend):
         """Metric vectors of *mappings*: store hits + freshly priced misses.
 
         Store lookups and pricing both preserve submission order, and misses
-        run the same chunk pricer as
-        :class:`~repro.eval.parallel.SerialBackend`, so the returned vectors
-        are bit-identical to a recompute regardless of the hit pattern.
+        run the context's own chunk pricer, the one inline batches use, so
+        the returned vectors are bit-identical to a recompute regardless of
+        the hit pattern.
         """
         items = list(mappings)
         if not items:
@@ -582,15 +582,6 @@ class ServiceBackend(BatchBackend):
             for position, vector in zip(miss_positions, priced):
                 cached[position] = vector
         return cached
-
-    def evaluate(self, context: Any, mappings: Sequence[Any]) -> List[float]:
-        """Scalar costs via :meth:`evaluate_metrics` + the context's weights.
-
-        Scalarisation happens after the store lookup, so one stored component
-        vector serves every weight view of the same candidate.
-        """
-        vectors = self.evaluate_metrics(context, mappings)
-        return [context._scalarise(vector) for vector in vectors]
 
     def __repr__(self) -> str:
         return (

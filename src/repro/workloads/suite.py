@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.scenario.events import ScenarioScript
 
 from repro.graphs.cdcg import CDCG
-from repro.noc.topology import Mesh
+from repro.noc.topology import Mesh, noc_label
 from repro.utils.errors import ConfigurationError
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
 
@@ -63,14 +63,8 @@ class SuiteEntry:
 
     @property
     def noc_label(self) -> str:
-        """Table-style NoC size label, e.g. ``"3 x 2"``.
-
-        Falls back to ``str(topology)`` for custom entries whose topology
-        has no grid dimensions.
-        """
-        if hasattr(self.mesh, "width"):
-            return f"{self.mesh.width} x {self.mesh.height}"
-        return str(self.mesh)
+        """Table-style NoC size label, e.g. ``"3 x 2"`` (see :func:`noc_label`)."""
+        return noc_label(self.mesh)
 
     def content_hash(self) -> str:
         """Stable digest of everything that determines this entry's benchmark.

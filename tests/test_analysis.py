@@ -34,6 +34,8 @@ from repro.analysis.tables import (
 )
 from repro.energy.technology import TECH_0_07UM, TECH_0_35UM
 from repro.noc.platform import Platform
+from repro.noc.routing import TableRouting
+from repro.noc.topology import IrregularTopology, Mesh
 from repro.search.annealing import AnnealingSchedule
 from repro.utils.errors import ConfigurationError
 from repro.workloads.suite import suite_entry_by_name, table1_suite
@@ -122,6 +124,15 @@ class TestCompareModels:
         # so its execution time cannot exceed the CWM mapping's.
         assert comparison.cdcm_mapping_time <= comparison.cwm_mapping_time + 1e-9
         assert comparison.method == "exhaustive"
+
+    def test_irregular_fabric_is_labelled_by_name(self, small_entry):
+        # No grid dimensions: the label falls back to str(topology), as
+        # SuiteEntry.noc_label does.
+        fabric = IrregularTopology.from_crg(Mesh(3, 3).to_crg())
+        platform = Platform(mesh=fabric, routing=TableRouting())
+        comparison = compare_models(small_entry.build(), platform, FAST_CONFIG, seed=5)
+        assert comparison.noc_label == str(fabric)
+        assert str(fabric) in comparison.summary()
 
 
 class TestTable1:

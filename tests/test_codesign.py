@@ -49,7 +49,7 @@ from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
 from repro.core.metrics import CDCM_METRIC_NAMES, MetricVector, scalarisation_weights
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.eval.route_table import RouteTable
 from repro.graphs.convert import cdcg_to_cwg
 from repro.graphs.cwg import cwg_from_edges
@@ -534,7 +534,7 @@ class TestCodesignEngine:
         ]
 
     def test_serial_and_pooled_runs_bit_identical(self, encoder_workload):
-        serial = _codesign_search(encoder_workload, backend=SerialBackend())
+        serial = _codesign_search(encoder_workload, backend=None)
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             pooled = _codesign_search(encoder_workload, backend=pool)
         assert serial.best_cost == pooled.best_cost

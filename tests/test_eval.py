@@ -287,6 +287,21 @@ class TestCdcmEvaluationContext:
         assert first == second == pytest.approx(399.0)
         assert context.cache_info().hits == 1
 
+    def test_batch_duplicate_is_one_miss_and_no_hit(
+        self, example_cdcg, example_platform, example_mappings
+    ):
+        # One batch path for every context: a cold [A, B, A, dict] batch
+        # prices A once, and the dict candidate on its own.
+        a, b = example_mappings["c"], example_mappings["d"]
+        batch = [a, b, a, a.assignments()]
+        context = CdcmEvaluationContext(example_cdcg, example_platform)
+        reference = CdcmEvaluationContext(example_cdcg, example_platform)
+        assert context.evaluate_metrics_batch(batch) == [
+            reference.metrics(mapping) for mapping in batch
+        ]
+        info = context.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 2)
+
     def test_report_passthrough(self, example_cdcg, example_platform, example_mappings):
         context = CdcmEvaluationContext(example_cdcg, example_platform)
         report = context.evaluate(example_mappings["c"])

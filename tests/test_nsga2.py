@@ -4,9 +4,8 @@ Covers the acceptance properties of the population-front redesign:
 
 * the returned front is mutually non-dominated (and sorted/deduplicated like
   every :func:`repro.analysis.pareto.non_dominated` front);
-* seeded runs are deterministic, and bit-identical between
-  :class:`~repro.eval.parallel.SerialBackend` and
-  :class:`~repro.eval.parallel.ProcessPoolBackend`;
+* seeded runs are deterministic, and bit-identical between inline pricing
+  (``backend=None``) and :class:`~repro.eval.parallel.ProcessPoolBackend`;
 * on the paper's worked example the NSGA-II front matches the exhaustive
   front exactly, and on the image-encoder workload it is at least as good as
   a budget-matched :func:`~repro.analysis.pareto.weight_sweep_front`
@@ -34,7 +33,7 @@ from repro.analysis.pareto import (
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
 from repro.search import available_searchers, get_searcher
@@ -194,7 +193,7 @@ class TestDeterminism:
         assert [p.mapping for p in first.front] == [p.mapping for p in second.front]
 
     def test_serial_and_pooled_runs_bit_identical(self, encoder_workload):
-        serial = _encoder_search(encoder_workload, backend=SerialBackend())
+        serial = _encoder_search(encoder_workload, backend=None)
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             pooled = _encoder_search(encoder_workload, backend=pool)
         assert serial.best_cost == pooled.best_cost

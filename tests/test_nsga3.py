@@ -5,10 +5,9 @@ Covers the many-objective acceptance properties of the co-design PR:
 * the Das–Dennis lattice has the closed-form size, sums to one and comes in
   a deterministic order;
 * association and niching are fully deterministic (index tie-breaks), so
-  seeded runs are bit-identical — including between
-  :class:`~repro.eval.parallel.SerialBackend` and
-  :class:`~repro.eval.parallel.ProcessPoolBackend`, extending the PR 4
-  determinism matrix to the new engine;
+  seeded runs are bit-identical — including between inline pricing
+  (``backend=None``) and :class:`~repro.eval.parallel.ProcessPoolBackend`,
+  extending the determinism matrix to the new engine;
 * the returned front is mutually non-dominated under three keys (the
   energy × time × congestion trade-off introduced by this PR);
 * registry and parameter plumbing behave like every other engine.
@@ -28,7 +27,7 @@ import pytest
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
 from repro.noc.topology import Mesh
@@ -222,7 +221,7 @@ class TestDeterminism:
         assert [p.mapping for p in first.front] == [p.mapping for p in second.front]
 
     def test_serial_and_pooled_runs_bit_identical(self, encoder_workload):
-        serial = _encoder_search(encoder_workload, backend=SerialBackend())
+        serial = _encoder_search(encoder_workload, backend=None)
         with ProcessPoolBackend(n_workers=N_WORKERS, min_batch_size=2) as pool:
             pooled = _encoder_search(encoder_workload, backend=pool)
         assert serial.best_cost == pooled.best_cost

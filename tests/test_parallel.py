@@ -28,7 +28,6 @@ from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 from repro.eval.parallel import (
     BatchBackend,
     ProcessPoolBackend,
-    SerialBackend,
     _price_metrics_chunk,
     warm_route_table,
 )
@@ -74,6 +73,22 @@ def _random_mappings(cwg, num_tiles, count, offset=0):
     ]
 
 
+def _inline_costs(context, mappings):
+    """Uncached per-candidate costs: the reference every batch must match."""
+    return [context._scalarise(context._compute_metrics(m)) for m in mappings]
+
+
+class CountingBackend(BatchBackend):
+    """Prices chunks inline and counts the candidates it is handed."""
+
+    def __init__(self):
+        self.computed = 0
+
+    def evaluate_metrics(self, context, mappings):
+        self.computed += len(mappings)
+        return context._compute_metrics_chunk(mappings)
+
+
 def _first_call_dies(marker):
     """True in the one process that creates *marker*; that process must die."""
     try:
@@ -105,54 +120,47 @@ class TestBackendEquivalence:
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform)
         mappings = _random_mappings(cwg, 16, 16)
-        inline = [context._compute_cost(m) for m in mappings]
-        assert context.evaluate_batch(mappings, backend=SerialBackend()) == inline
+        inline = _inline_costs(context, mappings)
+        assert context.evaluate_batch(mappings, backend=None) == inline
 
     def test_pooled_cwm_costs_bit_identical(self, workload, pool):
         _, cwg, platform = workload
         context = CwmEvaluationContext(cwg, platform, cache_size=0)
         mappings = _random_mappings(cwg, 16, 24)
-        inline = [context._compute_cost(m) for m in mappings]
+        inline = _inline_costs(context, mappings)
         assert context.evaluate_batch(mappings, backend=pool) == inline
 
     def test_pooled_cdcm_costs_bit_identical(self, workload, pool):
         cdcg, _, platform = workload
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
         mappings = _random_mappings(cdcg_to_cwg(cdcg), 16, 6)
-        inline = [context._compute_cost(m) for m in mappings]
+        inline = _inline_costs(context, mappings)
         assert context.evaluate_batch(mappings, backend=pool) == inline
 
     def test_batch_dedupes_and_fills_memo(self, workload):
         _, cwg, platform = workload
-
-        class CountingBackend(SerialBackend):
-            computed = 0
-
-            def evaluate_metrics(self, context, mappings):
-                # Batch misses are priced through the vector seam; the memo
-                # stores MetricVectors and scalar costs are derived views.
-                CountingBackend.computed += len(list(mappings))
-                return super().evaluate_metrics(context, mappings)
-
+        # Batch misses are priced through the vector seam; the memo stores
+        # MetricVectors and scalar costs are derived views.
+        backend = CountingBackend()
         context = CwmEvaluationContext(cwg, platform)
         base = _random_mappings(cwg, 16, 4)
         batch = base + [base[0], base[2]]  # duplicates collapse to one compute
-        costs = context.evaluate_batch(batch, backend=CountingBackend())
-        assert CountingBackend.computed == 4
+        costs = context.evaluate_batch(batch, backend=backend)
+        assert backend.computed == 4
         assert costs[4] == costs[0] and costs[5] == costs[2]
         # Second batch is answered entirely from the memo.
-        context.evaluate_batch(base, backend=CountingBackend())
-        assert CountingBackend.computed == 4
+        context.evaluate_batch(base, backend=backend)
+        assert backend.computed == 4
         assert context.cache_info().hits == len(base)
 
     def test_default_backend_at_construction(self, workload):
         _, cwg, platform = workload
-        context = CwmEvaluationContext(cwg, platform, backend=SerialBackend())
+        backend = CountingBackend()
+        context = CwmEvaluationContext(cwg, platform, backend=backend)
         mappings = _random_mappings(cwg, 16, 5)
-        assert context.backend is not None
-        assert context.evaluate_batch(mappings) == [
-            context._compute_cost(m) for m in mappings
-        ]
+        assert context.backend is backend
+        assert context.evaluate_batch(mappings) == _inline_costs(context, mappings)
+        assert backend.computed == len(mappings)
 
     def test_backend_validation(self):
         with pytest.raises(ConfigurationError):
@@ -166,9 +174,9 @@ class TestBackendEquivalence:
         context = CwmEvaluationContext(cwg, platform)
         mappings = _random_mappings(cwg, 16, 3)
         # Below min_batch_size no pool is ever created.
-        assert context.evaluate_batch(mappings, backend=backend) == [
-            context._compute_cost(m) for m in mappings
-        ]
+        assert context.evaluate_batch(mappings, backend=backend) == _inline_costs(
+            context, mappings
+        )
         assert backend._pool is None
         backend.close()
 
@@ -176,11 +184,11 @@ class TestBackendEquivalence:
 class TestContextPickling:
     def test_cwm_round_trip_prices_identically(self, workload):
         _, cwg, platform = workload
-        context = CwmEvaluationContext(cwg, platform, backend=SerialBackend())
+        context = CwmEvaluationContext(cwg, platform, backend=CountingBackend())
         mappings = _random_mappings(cwg, 16, 8)
-        expected = [context._compute_cost(m) for m in mappings]
+        expected = _inline_costs(context, mappings)
         clone = pickle.loads(pickle.dumps(context))
-        assert [clone._compute_cost(m) for m in mappings] == expected
+        assert _inline_costs(clone, mappings) == expected
 
     def test_cdcm_round_trip_prices_identically(self, workload):
         cdcg, cwg, platform = workload
@@ -188,9 +196,9 @@ class TestContextPickling:
             cdcg, platform, metric="weighted", energy_weight=0.7, time_weight=0.3
         )
         mappings = _random_mappings(cwg, 16, 4)
-        expected = [context._compute_cost(m) for m in mappings]
+        expected = _inline_costs(context, mappings)
         clone = pickle.loads(pickle.dumps(context))
-        assert [clone._compute_cost(m) for m in mappings] == expected
+        assert _inline_costs(clone, mappings) == expected
         assert clone.evaluator.metric == "weighted"
         assert clone.evaluator.time_weight == 0.3
 
@@ -213,7 +221,7 @@ class TestContextPickling:
 
     def test_pickle_is_light(self, workload):
         _, cwg, platform = workload
-        context = CwmEvaluationContext(cwg, platform, backend=SerialBackend())
+        context = CwmEvaluationContext(cwg, platform, backend=CountingBackend())
         context.cost(_random_mappings(cwg, 16, 1)[0])  # warm the memo
         clone = pickle.loads(pickle.dumps(context))
         # Memo, backend and delta support state are rebuilt, not shipped.
@@ -367,7 +375,7 @@ class TestComparisonNeverPools:
             raise AssertionError("ComparisonConfig engaged ProcessPoolBackend")
 
         monkeypatch.setattr(ProcessPoolBackend, "__init__", forbidden)
-        monkeypatch.setattr(ProcessPoolBackend, "evaluate", forbidden)
+        monkeypatch.setattr(ProcessPoolBackend, "evaluate_metrics", forbidden)
         monkeypatch.setattr(ProcessPoolBackend, "map", forbidden)
         config = ComparisonConfig(method="exhaustive")
         comparison = compare_models(example_cdcg, example_platform, config, seed=3)
@@ -384,10 +392,15 @@ class TestComparisonNeverPools:
 class TestBackendProtocol:
     def test_backend_map_default_is_serial(self):
         class Echo(BatchBackend):
-            def evaluate(self, context, mappings):  # pragma: no cover - unused
+            def evaluate_metrics(self, context, mappings):  # pragma: no cover
                 return []
 
         assert Echo().map(pow, [(2, 3), (3, 2)]) == [8, 9]
+
+    def test_evaluate_metrics_is_the_one_abstract_method(self):
+        assert BatchBackend.__abstractmethods__ == frozenset({"evaluate_metrics"})
+        with pytest.raises(TypeError):
+            BatchBackend()
 
     def test_pool_map_matches_serial_map(self, pool):
         args = [(2, 5), (3, 3), (5, 2)]
@@ -399,7 +412,7 @@ class TestBackendProtocol:
         mappings = _random_mappings(cwg, 16, 8)
         baseline = {p.pid for p in multiprocessing.active_children()}
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as backend:
-            backend.evaluate(context, mappings)
+            backend.evaluate_metrics(context, mappings)
             assert backend._pool is not None
         assert backend._pool is None
         leaked = [
@@ -421,15 +434,14 @@ class TestDeadWorker:
         first = _random_mappings(cwg, 16, 8)
         second = _random_mappings(cwg, 16, 8, offset=100)
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        serial = SerialBackend()
         with ProcessPoolBackend(
             n_workers=N_WORKERS, min_batch_size=2, start_method="fork"
         ) as backend:
             got = backend.evaluate_metrics(context, first)
             assert marker.exists(), "no worker was killed"
-            assert got == serial.evaluate_metrics(context, first)
+            assert got == context._compute_metrics_chunk(first)
             again = backend.evaluate_metrics(context, second)
-            assert again == serial.evaluate_metrics(context, second)
+            assert again == context._compute_metrics_chunk(second)
 
     def test_map_survives_a_dead_worker(self, tmp_path):
         marker = str(tmp_path / "worker-died")

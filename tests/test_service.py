@@ -5,10 +5,10 @@ Five contracts are pinned here:
 * **Content identity** — ``content_hash()`` digests depend on graph content
   only (edge order, insertion order and display names are invisible; any
   edit to bits/edges/cores is not).
-* **Bit-identity** — service-priced vectors and costs equal
-  :class:`~repro.eval.parallel.SerialBackend` results exactly, on mesh,
-  torus and irregular fabrics, for both models, whatever mix of store hits
-  and misses produced them.
+* **Bit-identity** — service-priced vectors and costs equal inline pricing
+  (the context's own ``_compute_metrics_chunk``) exactly, on mesh, torus and
+  irregular fabrics, for both models, whatever mix of store hits and misses
+  produced them.
 * **Durability** — corrupted, truncated or version-mismatched store files
   are warnings and cache misses, never exceptions; a failed write is a
   warning that leaves no temp file; concurrent writers never torn-write;
@@ -16,9 +16,9 @@ Five contracts are pinned here:
 * **Lifecycle** — a pool backend used as a context manager leaves no
   worker processes behind.
 * **Isolation** — the paper-reproduction pipeline
-  (:class:`~repro.analysis.comparison.ComparisonConfig`) never touches the
-  service unless a backend is passed explicitly, and passing one changes no
-  published number.
+  (:class:`~repro.analysis.comparison.ComparisonConfig`) takes no backend and
+  never touches the service, and a search priced through the service returns
+  the same numbers as one priced inline.
 """
 
 from __future__ import annotations
@@ -27,16 +27,19 @@ import errno
 import json
 import multiprocessing
 import os
+import dataclasses
+import inspect
 import threading
 import warnings
 
 import pytest
 
 from repro.analysis.comparison import ComparisonConfig, compare_models
+from repro.core.framework import FRWFramework
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.graphs.cdcg import CDCG
 from repro.graphs.convert import cdcg_to_cwg
 from repro.graphs.cwg import CWG, cwg_from_edges
@@ -364,7 +367,7 @@ class TestServiceBackend:
         else:
             make = lambda: CdcmEvaluationContext(cdcg, platform, cache_size=0)
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 12)
-        serial = SerialBackend().evaluate_metrics(make(), mappings)
+        serial = make()._compute_metrics_chunk(mappings)
         service = ServiceBackend(ResultStore(tmp_path / model / platform.mesh.name
                                              if hasattr(platform.mesh, "name")
                                              else tmp_path / model))
@@ -378,12 +381,13 @@ class TestServiceBackend:
     def test_scalar_evaluate_matches_serial(self, tmp_path, workload):
         cdcg, _, platform = workload
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 6)
-        reference = SerialBackend().evaluate(
-            CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
-        )
+        reference = CdcmEvaluationContext(
+            cdcg, platform, cache_size=0
+        ).evaluate_batch(mappings)
         service = ServiceBackend(ResultStore(tmp_path))
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        assert service.evaluate(context, mappings) == reference
+        assert context.evaluate_batch(mappings, backend=service) == reference
+        assert service.priced == len(mappings)
 
     def test_warm_weight_sweep_prices_nothing(self, tmp_path, workload):
         """The acceptance criterion: an identical weight-sweep job against a
@@ -476,7 +480,7 @@ class TestStoreWriteFailures:
         cdcg, _, platform = workload
         mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 6)
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        reference = SerialBackend().evaluate_metrics(context, mappings)
+        reference = context._compute_metrics_chunk(mappings)
         store = ResultStore(tmp_path)
         service = ServiceBackend(store)
         fake = _open_failing_writes(code) if target == "open" else _raise_oserror(code)
@@ -568,18 +572,18 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 class TestComparisonPin:
     def test_default_backend_is_none(self):
-        assert ComparisonConfig().backend is None
+        # The comparison and its framework take no backend at all.
+        fields = {field.name for field in dataclasses.fields(ComparisonConfig)}
+        assert "backend" not in fields
+        assert "backend" not in inspect.signature(FRWFramework).parameters
 
     def test_reproduction_never_touches_the_service(self, workload, monkeypatch):
         from repro.search.annealing import FAST_SCHEDULE
 
         def explode(*args, **kwargs):  # pragma: no cover - would be the bug
-            raise AssertionError(
-                "ComparisonConfig engaged a backend by default"
-            )
+            raise AssertionError("compare_models engaged the service")
 
         monkeypatch.setattr(ServiceBackend, "evaluate_metrics", explode)
-        monkeypatch.setattr(ServiceBackend, "evaluate", explode)
         cdcg, _, platform = workload
         config = ComparisonConfig(annealing_schedule=FAST_SCHEDULE)
         comparison = compare_models(cdcg, platform, config, seed=3)
@@ -588,29 +592,21 @@ class TestComparisonPin:
     def test_service_backend_changes_no_published_number(
         self, tmp_path, workload
     ):
-        from repro.search.annealing import FAST_SCHEDULE
+        from repro.search.genetic import GeneticParameters, GeneticSearch
 
         cdcg, _, platform = workload
-        baseline = compare_models(
-            cdcg,
-            platform,
-            ComparisonConfig(annealing_schedule=FAST_SCHEDULE),
-            seed=11,
+        framework = FRWFramework(cdcg, platform)
+        initial = framework.initial_mapping(5)
+        params = GeneticParameters(population_size=8, generations=3)
+        baseline = GeneticSearch(params).search(
+            framework.objective("cdcm"), initial, rng=11
         )
         service = ServiceBackend(ResultStore(tmp_path))
-        with_service = compare_models(
-            cdcg,
-            platform,
-            ComparisonConfig(
-                annealing_schedule=FAST_SCHEDULE, backend=service
-            ),
-            seed=11,
+        with_service = GeneticSearch(params, backend=service).search(
+            framework.objective("cdcm"), initial, rng=11
         )
-        assert with_service.cwm_outcome.mapping == baseline.cwm_outcome.mapping
-        assert with_service.cdcm_outcome.mapping == baseline.cdcm_outcome.mapping
-        assert with_service.cwm_outcome.cost == baseline.cwm_outcome.cost
-        assert with_service.cdcm_outcome.cost == baseline.cdcm_outcome.cost
-        assert (
-            with_service.cwm_mapping_time == baseline.cwm_mapping_time
-            and with_service.cdcm_mapping_time == baseline.cdcm_mapping_time
-        )
+        assert service.priced > 0
+        assert with_service.best_mapping == baseline.best_mapping
+        assert with_service.best_cost == baseline.best_cost
+        assert with_service.history == baseline.history
+        assert with_service.evaluations == baseline.evaluations

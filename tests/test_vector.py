@@ -4,34 +4,36 @@ The contract under test is **bit-identity**: the vectorised batch path must
 return the exact floats the scalar accumulator returns — same gathers, same
 left-to-right edge-order reduction — across topologies, table modes (eager
 and lazy), duplicate candidates and empty populations.  This mirrors how the
-serial==pooled contract is pinned in ``tests/test_parallel.py``, including a
-regression that the paper-reproduction pipeline (``ComparisonConfig``) never
-engages the kernel.
+inline==pooled contract is pinned in ``tests/test_parallel.py``.  Every batch
+takes one path, so GA, exhaustive search and the paper-reproduction pipeline
+(``ComparisonConfig``) all price through the kernel, and must return what
+the scalar loop returns.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.analysis.comparison import ComparisonConfig, compare_models
+from repro.core.framework import FRWFramework
 from repro.core.mapping import Mapping
 from repro.core.objective import cwm_objective
 from repro.eval.context import CwmEvaluationContext
-from repro.eval.parallel import ProcessPoolBackend, SerialBackend
+from repro.eval.parallel import ProcessPoolBackend
 from repro.eval.route_table import RouteTable
-from repro.eval.vector import (
-    VectorizedCwmKernel,
-    array_to_mappings,
-    population_to_array,
-)
+from repro.eval.vector import VectorizedCwmKernel, population_to_array
 from repro.graphs.cwg import CWG, cwg_from_edges
 from repro.noc.platform import Platform
 from repro.noc.routing import TableRouting, XYRouting
 from repro.noc.topology import IrregularTopology, Mesh, Torus
+from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticParameters, GeneticSearch
 from repro.utils.errors import ConfigurationError, MappingError
-from repro.workloads.paper_example import paper_example_cdcg
+from repro.utils.rng import derive_rng
 
 
 def _random_cwg(rng: np.random.Generator, num_cores: int) -> CWG:
@@ -68,6 +70,20 @@ _PLATFORMS = [
 def _population(cwg: CWG, num_tiles: int, seed: int, size: int):
     rng = np.random.default_rng(seed)
     return [Mapping.random(cwg.cores, num_tiles, rng=rng) for _ in range(size)]
+
+
+@pytest.fixture
+def price_calls(monkeypatch):
+    """Counts :meth:`VectorizedCwmKernel.price` calls while the test runs."""
+    calls = []
+    price = VectorizedCwmKernel.price
+
+    def counted(kernel, tiles):
+        calls.append(len(tiles))
+        return price(kernel, tiles)
+
+    monkeypatch.setattr(VectorizedCwmKernel, "price", counted)
+    return calls
 
 
 class TestMappingArrayRoundTrip:
@@ -110,7 +126,9 @@ class TestMappingArrayRoundTrip:
         order = sorted(cwg.cores)
         array = population_to_array(mappings, order, num_tiles=9)
         assert array.shape == (12, 6)
-        assert array_to_mappings(array, order, num_tiles=9) == mappings
+        assert [
+            Mapping.from_index_array(order, row, num_tiles=9) for row in array
+        ] == mappings
         # Dict candidates stack too.
         dicts = [m.assignments() for m in mappings]
         assert np.array_equal(population_to_array(dicts, order), array)
@@ -120,8 +138,6 @@ class TestMappingArrayRoundTrip:
             population_to_array([{"a": 0}], ["a", "b"])
         with pytest.raises(MappingError):
             population_to_array([{"a": 7}], ["a"], num_tiles=4)
-        with pytest.raises(MappingError):
-            array_to_mappings(np.zeros((2, 3), dtype=np.int64), ["a", "b"])
 
 
 class TestRouteTableDense:
@@ -285,14 +301,12 @@ class TestVectorScalarBitIdentity:
         cwg = _random_cwg(np.random.default_rng(21), 8)
         population = _population(cwg, 9, 31, 24)
         vector = CwmEvaluationContext(cwg, platform, vectorize=True)
-        expected = vector.evaluate_metrics_batch(
-            population, backend=SerialBackend()
-        )
+        expected = vector.evaluate_metrics_batch(population, backend=None)
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as pool:
             fresh = CwmEvaluationContext(cwg, platform, vectorize=True)
             assert fresh.evaluate_metrics_batch(population, backend=pool) == expected
 
-    def test_seeded_ga_identical_across_gate(self):
+    def test_seeded_ga_identical_across_gate(self, price_calls):
         platform = Platform(mesh=Mesh(3, 3))
         cwg = _random_cwg(np.random.default_rng(5), 7)
         params = GeneticParameters(population_size=10, generations=4)
@@ -305,9 +319,32 @@ class TestVectorScalarBitIdentity:
                 context=CwmEvaluationContext(cwg, platform, vectorize=vectorize),
             )
             results.append(GeneticSearch(params).search(objective, initial, rng=42))
+            # Only the vectorised run prices its generations on the kernel.
+            assert bool(price_calls) == vectorize
         off, on = results
         assert on.best_cost == off.best_cost
         assert on.best_mapping == off.best_mapping
+        assert on.history == off.history
+
+    def test_seeded_exhaustive_identical_across_gate(self, price_calls):
+        platform = Platform(mesh=Mesh(2, 3))
+        cwg = _random_cwg(np.random.default_rng(8), 4)
+        initial = Mapping.random(sorted(cwg.cores), 6, rng=2)
+        results = []
+        for vectorize in (False, True):
+            objective = cwm_objective(
+                cwg,
+                platform,
+                context=CwmEvaluationContext(cwg, platform, vectorize=vectorize),
+            )
+            results.append(
+                ExhaustiveSearch(batch_size=50).search(objective, initial)
+            )
+            assert bool(price_calls) == vectorize
+        off, on = results
+        assert on.best_mapping == off.best_mapping
+        assert on.best_cost == off.best_cost
+        assert on.evaluations == off.evaluations
         assert on.history == off.history
 
 
@@ -325,49 +362,6 @@ class TestKernel:
         assert priced.tolist() == [
             scalar.metrics(m)["dynamic_energy"] for m in population
         ]
-        assert np.array_equal(kernel.price_mappings(population), priced)
-
-    def test_hop_volume_matches_manual_sum(self):
-        platform = Platform(mesh=Torus(3, 3))
-        cwg = _random_cwg(np.random.default_rng(4), 5)
-        table = RouteTable.for_platform(platform)
-        kernel = VectorizedCwmKernel.from_cwg(cwg, table)
-        population = _population(cwg, 9, 19, 6)
-        tiles = population_to_array(population, kernel.core_order)
-        volumes = kernel.hop_volume(tiles)
-        for row, mapping in enumerate(population):
-            expected = sum(
-                comm.bits * table.hop_count(
-                    mapping.tile_of(comm.source), mapping.tile_of(comm.target)
-                )
-                for comm in cwg.communications()
-            )
-            assert volumes[row] == expected
-
-    def test_from_cdcg_prices_equation_4_components(self):
-        cdcg = paper_example_cdcg()
-        from repro.workloads.paper_example import paper_example_platform
-
-        platform = paper_example_platform()
-        table = RouteTable.for_platform(platform)
-        kernel = VectorizedCwmKernel.from_cdcg(cdcg, table)
-        assert kernel.num_edges == len(cdcg.packets)
-        mapping = Mapping({"A": 0, "B": 1, "E": 2, "F": 3}, num_tiles=4)
-        tiles = population_to_array([mapping], kernel.core_order)
-        expected = sum(
-            packet.bits * table.bit_energy(
-                mapping.tile_of(packet.source), mapping.tile_of(packet.target)
-            )
-            for packet in cdcg.packets
-        )
-        assert kernel.price(tiles)[0] == pytest.approx(expected, rel=1e-12)
-        expected_hops = sum(
-            packet.bits * table.hop_count(
-                mapping.tile_of(packet.source), mapping.tile_of(packet.target)
-            )
-            for packet in cdcg.packets
-        )
-        assert kernel.hop_volume(tiles)[0] == expected_hops
 
     def test_kernel_validates_input(self):
         platform = Platform(mesh=Mesh(2, 2))
@@ -394,29 +388,47 @@ class TestKernel:
 
 
 class TestComparisonNeverVectorises:
-    def test_comparison_config_paths_stay_scalar(
-        self, monkeypatch, example_cdcg, example_platform
+    """The comparison rows never depend on the ``vectorize`` gate.
+
+    ``ComparisonConfig`` has no such knob: its exhaustive batches price on
+    the kernel like every other batch, and must return what an exhaustive
+    search over a scalar (``vectorize=False``) context returns.
+    """
+
+    def test_es_comparison_matches_scalar_exhaustive_search(
+        self, price_calls, example_cdcg, example_platform
     ):
-        """The Table 1/2 reproduction pipeline must never engage the kernel.
-
-        ``ComparisonConfig`` pins ``vectorize=False`` for the same
-        bit-stable-rows rationale as ``use_delta``; poisoning the kernel
-        proves no comparison code path constructs or prices through one
-        (mirrors ``TestComparisonNeverPools``).
-        """
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("ComparisonConfig engaged VectorizedCwmKernel")
-
-        monkeypatch.setattr(VectorizedCwmKernel, "__init__", forbidden)
-        monkeypatch.setattr(VectorizedCwmKernel, "price", forbidden)
         config = ComparisonConfig(method="exhaustive")
         comparison = compare_models(example_cdcg, example_platform, config, seed=3)
-        assert comparison.cwm_outcome.cost > 0
+        assert price_calls, "the comparison's exhaustive batches skipped the kernel"
+        # compare_models starts restart 0 from derive_rng(seed, 0).
+        framework = FRWFramework(example_cdcg, example_platform)
+        initial = framework.initial_mapping(derive_rng(3, 0))
+        scalar = CwmEvaluationContext(framework.cwg, example_platform, vectorize=False)
+        reference = ExhaustiveSearch().search(
+            cwm_objective(framework.cwg, example_platform, context=scalar), initial
+        )
+        assert comparison.cwm_outcome.mapping == reference.best_mapping
+        assert comparison.cwm_outcome.cost == reference.best_cost
 
     def test_comparison_config_defaults_pin_gate_off(self):
-        assert ComparisonConfig().vectorize is False
+        assert [field.name for field in dataclasses.fields(ComparisonConfig)] == [
+            "method",
+            "technologies",
+            "annealing_schedule",
+            "restarts",
+            "use_delta",
+            "repair",
+        ]
         assert ComparisonConfig().use_delta is False
+        assert ComparisonConfig().repair is False
+        assert list(inspect.signature(FRWFramework).parameters) == [
+            "cdcg",
+            "platform",
+            "cwg",
+            "repair",
+            "repair_policy",
+        ]
 
     def test_context_gate_defaults_on(self, example_cdcg, example_platform):
         from repro.graphs.convert import cdcg_to_cwg

@@ -239,7 +239,7 @@ GUIDES: Tuple[Guide, ...] = (
     ),
     Guide(
         "api.md",
-        symbols=("`repair`", "`ComparisonConfig.backend`"),
+        symbols=("`repair`", "`BatchBackend.evaluate_metrics`"),
         names=_api_names,
     ),
     Guide(
