@@ -9,15 +9,21 @@ paths:
 * **certification throughput** — tables certified per second through the
   deadlock gate (:meth:`~repro.codesign.synthesis.TableSynthesizer.certify`,
   repair policy) over a batch of random minimal tables;
+* **closed-form gate** — on the 6x6 fabric of the ``codesign-nsga3``
+  perfbench workload and on 8x8, ``validate_deadlock_free`` built from the
+  next-hop trees against the per-pair route walk (a wrapper that forwards
+  only ``route()``): the same graph and witness for every table, and at
+  least 3x the checks per second on 8x8;
 * **front quality** — under a shared reference, the co-design NSGA-III
   front's n-dimensional hypervolume (energy × time × congestion) is at
   least that of a budget-matched fixed-XY mapping-only NSGA-II front — the
   reason the routing belongs in the genome.
 
-The hypervolume bar is a perf-style bar: waive it on constrained or
-instrumented interpreters with ``REPRO_BENCH_NO_PERF_BARS=1``.  The
-identity assertions (every front routing certifies deadlock-free, front
-points reprice bit-identically, gate counters add up) always run.
+The hypervolume and closed-form speed-up bars are perf-style bars: waive
+them on constrained or instrumented interpreters with
+``REPRO_BENCH_NO_PERF_BARS=1``.  The identity assertions (every front
+routing certifies deadlock-free, front points reprice bit-identically, gate
+counters add up, the closed form equals the route walk) always run.
 
 Set ``REPRO_BENCH_RECORD=1`` to append the measured rates to
 ``BENCH_codesign.json`` in the working directory — the file the CI
@@ -33,11 +39,21 @@ import pytest
 
 from conftest import BENCH_SEED, emit, record_sample
 from repro.analysis.pareto import hypervolume
-from repro.codesign import CodesignParameters, CodesignSearch, TableSynthesizer
+from repro.codesign import (
+    CodesignParameters,
+    CodesignSearch,
+    SynthesizedRouting,
+    TableSynthesizer,
+)
 from repro.core.mapping import Mapping
 from repro.eval.context import CdcmEvaluationContext
-from repro.noc.deadlock import validate_deadlock_free
+from repro.noc.deadlock import (
+    channel_dependency_graph,
+    find_cycle,
+    validate_deadlock_free,
+)
 from repro.noc.platform import Platform
+from repro.noc.routing import RoutingAlgorithm
 from repro.noc.topology import Mesh
 from repro.search.nsga2 import NSGA2Search, Nsga2Parameters
 from repro.workloads.embedded import hub_gather_scatter
@@ -51,6 +67,24 @@ _SKIP_PERF_BARS = os.environ.get("REPRO_BENCH_NO_PERF_BARS", "0") not in (
 FRONT_KEYS = ("energy", "time", "max_link_utilisation")
 CODESIGN_PARAMS = CodesignParameters(population_size=16, generations=10)
 NUM_TABLES = 64
+
+#: Random and mutated tables per fabric in the closed-form gate case.
+GATE_TABLES = 16
+#: Timed passes over the tables per path; the fastest pass counts.
+GATE_ROUNDS = 3
+#: Required closed-form speed-up over the route walk on 8x8.
+GATE_SPEEDUP_BAR = 3.0
+
+
+class RouteWalk(RoutingAlgorithm):
+    """Forwards only ``route()``, so the gate walks every tile pair."""
+
+    def __init__(self, inner: RoutingAlgorithm) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def route(self, topology, source, target):
+        return self.inner.route(topology, source, target)
 
 
 @pytest.mark.benchmark(group="codesign-gate")
@@ -90,6 +124,85 @@ def test_certification_throughput(benchmark):
             "tables": len(results),
             "repaired": repaired,
         },
+    )
+
+
+@pytest.mark.benchmark(group="codesign-gate")
+@pytest.mark.parametrize("size", [6, 8])
+def test_closed_form_gate_against_route_walk(benchmark, size):
+    mesh = Mesh(size, size)
+    synthesizer = TableSynthesizer(mesh)
+    seeds = list(synthesizer.seed_tables().values())
+    tables = list(seeds)
+    for i in range(GATE_TABLES // 2):
+        tables.append(synthesizer.random_table(rng=BENCH_SEED + i))
+        tables.append(
+            synthesizer.mutate(
+                seeds[i % len(seeds)], rng=BENCH_SEED + i, mutations=12
+            )
+        )
+    routings = [SynthesizedRouting(table) for table in tables]
+    walks = [RouteWalk(routing) for routing in routings]
+
+    # Identity (never waived): the same graph and the same witness.
+    cyclic = 0
+    for routing, walk in zip(routings, walks):
+        graph = channel_dependency_graph(mesh, routing)
+        walk_graph = channel_dependency_graph(mesh, walk)
+        assert graph == walk_graph
+        witness = find_cycle(graph)
+        assert witness == find_cycle(walk_graph)
+        cyclic += bool(witness)
+
+    def check_all(candidates):
+        start = time.perf_counter()
+        for routing in candidates:
+            validate_deadlock_free(mesh, routing, raise_on_cycle=False)
+        return time.perf_counter() - start
+
+    def run():
+        walk_s = closed_s = float("inf")
+        for _ in range(GATE_ROUNDS):
+            walk_s = min(walk_s, check_all(walks))
+            closed_s = min(closed_s, check_all(routings))
+        return walk_s, closed_s
+
+    walk_s, closed_s = benchmark.pedantic(run, rounds=1, iterations=1)
+    walk_rate = len(tables) / walk_s
+    closed_rate = len(tables) / closed_s
+    speedup = walk_s / closed_s
+
+    emit(
+        f"co-design - deadlock gate, closed form vs route walk ({size}x{size})",
+        f"{len(tables)} tables ({cyclic} cyclic): route walk "
+        f"{walk_rate:,.1f} checks/s, closed form {closed_rate:,.1f} checks/s "
+        f"({speedup:.1f}x)",
+    )
+    record_sample(
+        "BENCH_codesign.json",
+        {
+            "bench": "codesign_gate_closed_form",
+            "fabric": f"{size}x{size}",
+            "route_walk_checks_per_s": walk_rate,
+            "closed_form_checks_per_s": closed_rate,
+            "speedup": speedup,
+            "tables": len(tables),
+            "cyclic": cyclic,
+        },
+    )
+
+    if size != 8:
+        return
+    if _SKIP_PERF_BARS:
+        emit(
+            "co-design - perf bar status",
+            "closed-form gate bar waived via REPRO_BENCH_NO_PERF_BARS "
+            "(graph and witness identity checks ran)",
+        )
+        return
+    assert speedup >= GATE_SPEEDUP_BAR, (
+        f"closed-form gate ran {speedup:.2f}x the route walk on 8x8, "
+        f"below the {GATE_SPEEDUP_BAR}x bar"
     )
 
 

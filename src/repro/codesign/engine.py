@@ -43,6 +43,7 @@ from repro.codesign.synthesis import (
 from repro.eval.context import CdcmEvaluationContext, EvaluationContext
 from repro.noc.deadlock import Channel
 from repro.noc.platform import Platform
+from repro.noc.topology import topology_cache_token
 from repro.search.base import SearchResult
 from repro.search.nsga2 import _Run, fast_non_dominated_sort
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
@@ -183,8 +184,9 @@ class CodesignSearch(NSGA3Search):
         component set when fewer than two match.
     synthesizer:
         Optional pre-built :class:`~repro.codesign.synthesis.TableSynthesizer`
-        (must cover ``platform.mesh``); built from the platform's topology
-        by default.
+        for ``platform.mesh`` or a topology with the same ``cache_token``
+        (anything else raises :class:`ConfigurationError`); built from the
+        platform's topology by default.
     certification_policy:
         ``"repair"`` (default) or ``"reject"`` — forwarded to
         :meth:`~repro.codesign.synthesis.TableSynthesizer.certify` for every
@@ -233,12 +235,12 @@ class CodesignSearch(NSGA3Search):
             )
         self.context_factory = context_factory
         self.synthesizer = synthesizer or TableSynthesizer(platform.mesh)
-        if self.synthesizer.topology is not platform.mesh:
-            if self.synthesizer.topology.num_tiles != platform.num_tiles:
-                raise ConfigurationError(
-                    f"synthesizer covers {self.synthesizer.topology} but the "
-                    f"platform fabric is {platform.mesh}"
-                )
+        covered = self.synthesizer.topology
+        if topology_cache_token(covered) != topology_cache_token(platform.mesh):
+            raise ConfigurationError(
+                f"synthesizer covers {covered} but the platform fabric is "
+                f"{platform.mesh}"
+            )
 
     # ------------------------------------------------------------------
     def search(

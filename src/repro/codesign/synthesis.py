@@ -39,6 +39,8 @@ from repro.noc.routing import (
     RoutingAlgorithm,
     available_routings,
     get_routing,
+    link_adjacency,
+    minimal_next_hops,
     register_routing,
 )
 from repro.noc.topology import Topology
@@ -132,13 +134,14 @@ class SynthesizedRouting(RoutingAlgorithm):
         """Content-addressed identity: equal tables share route caches."""
         return (type(self).__module__, type(self).__qualname__, self._digest)
 
+    def next_hop_table(self, topology: Topology) -> NextHopTable:
+        """The table itself, once *topology* has as many tiles as it covers."""
+        self._require_size(topology)
+        return self._next_hops
+
     def route(self, topology: Topology, source: int, target: int) -> List[int]:
         """The table route from *source* to *target*, endpoints included."""
-        if topology.num_tiles != len(self._next_hops):
-            raise ConfigurationError(
-                f"next-hop table covers {len(self._next_hops)} tiles but "
-                f"{topology} has {topology.num_tiles}"
-            )
+        self._require_size(topology)
         for tile in (source, target):
             if not topology.contains(tile):
                 raise ConfigurationError(f"tile {tile} outside {topology}")
@@ -163,6 +166,13 @@ class SynthesizedRouting(RoutingAlgorithm):
                     f"the synthesized table {self._digest}"
                 )
         return path
+
+    def _require_size(self, topology: Topology) -> None:
+        if topology.num_tiles != len(self._next_hops):
+            raise ConfigurationError(
+                f"next-hop table covers {len(self._next_hops)} tiles but "
+                f"{topology} has {topology.num_tiles}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SynthesizedRouting):
@@ -249,40 +259,13 @@ class TableSynthesizer:
     ) -> None:
         self.topology = topology
         n = topology.num_tiles
-        out = [list(topology.neighbours(index)) for index in topology.tiles()]
-        incoming: List[List[int]] = [[] for _ in range(n)]
-        for index, neighbours in enumerate(out):
-            for neighbour in neighbours:
-                incoming[neighbour].append(index)
-        # distance[target][tile] and the per-(target, tile) minimal next-hop
-        # choices, in the topology's neighbour order (the tie-break contract
-        # that makes choice 0 reproduce BFS TableRouting).
-        self._choices: List[List[Tuple[int, ...]]] = []
-        for target in range(n):
-            distance = [-1] * n
-            distance[target] = 0
-            frontier = [target]
-            while frontier:
-                next_frontier: List[int] = []
-                for tile in frontier:
-                    for predecessor in incoming[tile]:
-                        if distance[predecessor] < 0:
-                            distance[predecessor] = distance[tile] + 1
-                            next_frontier.append(predecessor)
-                frontier = next_frontier
-            rows: List[Tuple[int, ...]] = []
-            for tile in range(n):
-                if tile == target or distance[tile] < 0:
-                    rows.append(())
-                    continue
-                rows.append(
-                    tuple(
-                        neighbour
-                        for neighbour in out[tile]
-                        if distance[neighbour] == distance[tile] - 1
-                    )
-                )
-            self._choices.append(rows)
+        out, incoming = link_adjacency(topology)
+        # The per-(target, tile) minimal next-hop choices, in the topology's
+        # neighbour order (the tie-break contract that makes choice 0
+        # reproduce BFS TableRouting).
+        self._choices: List[List[Tuple[int, ...]]] = [
+            minimal_next_hops(out, incoming, target) for target in range(n)
+        ]
         self._mutable: Tuple[Tuple[int, int], ...] = tuple(
             (target, tile)
             for target in range(n)

@@ -24,6 +24,11 @@ For very large NoCs (more than ``_EAGER_PAIR_LIMIT`` pairs) the table turns
 into a lazy per-pair memo instead of an eager precomputation, so sweeps over
 huge meshes never pay an O(n**2) warm-up for pairs they might not touch.
 
+An eager table over a routing with a next-hop table
+(:func:`~repro.noc.routing.next_hop_trees`) extends each tile's route from
+its next hop's route along the target's tree; other routings, and lazy
+tables, walk each pair's route.
+
 The numeric halves of an eager table (``hops`` and ``energy``) are stored as
 dense NumPy arrays rather than Python lists: scalar lookups index the same
 allocation the vectorised pricing kernel (:mod:`repro.eval.vector`) gathers
@@ -36,11 +41,12 @@ already in the per-pair memo.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.energy.bit_energy import bit_energy_route
+from repro.noc.routing import next_hop_trees
 from repro.noc.topology import topology_cache_token
 from repro.utils.errors import ConfigurationError
 
@@ -61,6 +67,54 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     """Mark *array* read-only (dense halves are shared across evaluators)."""
     array.setflags(write=False)
     return array
+
+
+def _tree_routes(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[Tuple[int, int], ...]]]:
+    """Row-major paths and links of next-hop rows that are in-trees.
+
+    Along each target's tree the route from ``u`` is ``u`` followed by the
+    route from its next hop, so each tile extends its parent's path and
+    links by one step instead of walking to the target.
+    """
+    path_columns = []
+    link_columns = []
+    for target, row in enumerate(rows):
+        paths: List[Optional[Tuple[int, ...]]] = [None] * len(row)
+        links: List[Optional[Tuple[Tuple[int, int], ...]]] = [None] * len(row)
+        paths[target] = (target,)
+        links[target] = ()
+        for tile in range(len(row)):
+            walk = []
+            current = tile
+            while paths[current] is None:
+                walk.append(current)
+                current = row[current]
+            path, route_links = paths[current], links[current]
+            for visited in reversed(walk):
+                route_links = ((visited, path[0]),) + route_links
+                path = (visited,) + path
+                paths[visited] = path
+                links[visited] = route_links
+        path_columns.append(paths)
+        link_columns.append(links)
+    # Columns are per target; the table is row-major by source.
+    return (
+        list(chain.from_iterable(zip(*path_columns))),
+        list(chain.from_iterable(zip(*link_columns))),
+    )
+
+
+def _route_energies(
+    technology: "Technology", hops: np.ndarray, include_local: bool
+) -> np.ndarray:
+    """``EBit`` of every pair, one :func:`bit_energy_route` per hop count."""
+    present = np.bincount(hops)
+    by_count = np.zeros(present.size, dtype=np.float64)
+    for count in np.flatnonzero(present).tolist():
+        by_count[count] = bit_energy_route(technology, count, include_local)
+    return by_count[hops]
 
 
 class RouteTable:
@@ -122,25 +176,26 @@ class RouteTable:
         self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._link_keys: Optional[np.ndarray] = None
         if self._eager:
-            paths: List[Tuple[int, ...]] = []
-            links: List[Tuple[Tuple[int, int], ...]] = []
-            hops: List[int] = []
-            energy: List[float] = []
-            for source in range(self.num_tiles):
-                for target in range(self.num_tiles):
-                    path = tuple(routing.route(mesh, source, target))
-                    paths.append(path)
-                    links.append(tuple(zip(path, path[1:])))
-                    hops.append(len(path))
-                    energy.append(
-                        bit_energy_route(technology, len(path), include_local)
-                    )
+            rows = next_hop_trees(mesh, routing)
+            if rows is None:
+                tiles = range(self.num_tiles)
+                paths = [
+                    tuple(routing.route(mesh, source, target))
+                    for source in tiles
+                    for target in tiles
+                ]
+                links = [tuple(zip(path, path[1:])) for path in paths]
+            else:
+                paths, links = _tree_routes(rows)
             self._paths = paths
             self._links = links
             # Eager numeric halves live in one dense allocation shared by
             # scalar lookups and the vectorised kernel (see as_arrays()).
-            self._hops = _freeze(np.array(hops, dtype=np.int64))
-            self._energy = _freeze(np.array(energy, dtype=np.float64))
+            hops = np.fromiter(map(len, paths), dtype=np.int64, count=pairs)
+            self._hops = _freeze(hops)
+            self._energy = _freeze(
+                _route_energies(technology, hops, include_local)
+            )
         else:
             self._paths: Dict[int, Tuple[int, ...]] = {}
             self._links: Dict[int, Tuple[Tuple[int, int], ...]] = {}

@@ -10,6 +10,8 @@ packets can each hold a link the next one needs — none can advance.
 :func:`validate_deadlock_free` builds the CDG induced by a routing function
 over a topology (all source/target pairs of the deterministic route set) and
 rejects cycles, returning the offending link sequence as a counter-example.
+A routing with a next-hop table gets the CDG in closed form from its
+per-target trees; any other routing walks every pair's route.
 This is the gate irregular and table-backed routings pass **before** any
 contention model prices mappings on them:
 
@@ -28,9 +30,9 @@ contention model prices mappings on them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.noc.routing import RoutingAlgorithm
+from repro.noc.routing import RoutingAlgorithm, next_hop_trees
 from repro.noc.topology import Topology
 from repro.utils.errors import ConfigurationError
 
@@ -83,12 +85,22 @@ def channel_dependency_graph(
     Every ``(source, target)`` tile pair's route contributes its links as
     vertices and each consecutive link pair as a dependency edge.
 
+    A routing with a next-hop table (:func:`~repro.noc.routing.next_hop_trees`)
+    gets the closed form instead of a route walk per pair: with ``n_t(u)``
+    the next hop from tile ``u`` towards target ``t``, the vertices are the
+    links ``(u, n_t(u))`` for ``u != t`` and the edges run ``(u, n_t(u)) ->
+    (n_t(u), n_t(n_t(u)))`` whenever ``n_t(u) != t`` — the same graph, from
+    one lookup per table entry.
+
     Returns
     -------
     dict
         ``{link: set of links acquired immediately after it}`` — vertices
         with no outgoing dependency map to an empty set.
     """
+    rows = next_hop_trees(topology, routing)
+    if rows is not None:
+        return _tree_dependency_graph(rows)
     graph: Dict[Channel, Set[Channel]] = {}
     for source in topology.tiles():
         for target in topology.tiles():
@@ -100,6 +112,25 @@ def channel_dependency_graph(
                 graph.setdefault(link, set())
             for held, wanted in zip(hops, hops[1:]):
                 graph[held].add(wanted)
+    return graph
+
+
+def _tree_dependency_graph(
+    rows: Sequence[Sequence[int]],
+) -> Dict[Channel, Set[Channel]]:
+    """The CDG of next-hop rows that are in-trees rooted at their targets."""
+    graph: Dict[Channel, Set[Channel]] = {}
+    for target, row in enumerate(rows):
+        links = list(enumerate(row))  # links[u] is the link (u, n_t(u))
+        for link in links:
+            tile, hop = link
+            if tile == target:
+                continue
+            wanted = graph.get(link)
+            if wanted is None:
+                wanted = graph[link] = set()
+            if hop != target:
+                wanted.add(links[hop])
     return graph
 
 

@@ -17,6 +17,11 @@ Beyond the dimension-ordered pair, the module provides:
 * :class:`WestFirstRouting` / :class:`NegativeFirstRouting` — deterministic
   minimal turn-model routings, the classic deadlock-free alternatives the
   :mod:`repro.noc.deadlock` validator certifies;
+* :func:`next_hop_trees` — the checked per-target next-hop rows of a
+  routing that routes by one next hop per target
+  (:meth:`RoutingAlgorithm.next_hop_table`), from which the channel
+  dependency graph and eager route tables are built without walking every
+  tile pair's route;
 * a routing **registry** (:func:`register_routing` / :func:`get_routing`)
   resolving spec strings — ``"xy"``, ``"yx"``, ``"table"``,
   ``"west-first"``, ``"negative-first"`` — so platforms are configurable by
@@ -31,7 +36,7 @@ list).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.topology import Topology, topology_cache_token
 from repro.utils.errors import ConfigurationError
@@ -72,6 +77,17 @@ class RoutingAlgorithm(ABC):
         """The inter-router links of the route, as ``(from_tile, to_tile)`` pairs."""
         path = self.route(topology, source, target)
         return list(zip(path, path[1:]))
+
+    def next_hop_table(self, topology: Topology) -> Optional[Sequence[Sequence[int]]]:
+        """The per-target next-hop rows ``table[target][tile]``, or ``None``.
+
+        A routing that routes by one next hop per target returns its rows
+        (read-only), so consumers can build from the trees instead of
+        walking :meth:`route` for every tile pair (see
+        :func:`next_hop_trees`).  The default, ``None``, keeps them on the
+        route walk.
+        """
+        return None
 
     @property
     def cache_token(self) -> Tuple:
@@ -268,6 +284,10 @@ class TableRouting(RoutingAlgorithm):
         # cache_token -> (out-adjacency, in-adjacency, {target: next_hop row})
         self._memo: Dict[Tuple, Tuple[List[List[int]], List[List[int]], Dict[int, List[int]]]] = {}
 
+    def next_hop_table(self, topology: Topology) -> List[List[int]]:
+        """The BFS next-hop row of every target (``-1`` where none exists)."""
+        return [self._next_hops(topology, target) for target in topology.tiles()]
+
     def route(self, topology: Topology, source: int, target: int) -> List[int]:
         """The table route from *source* to *target*, endpoints included."""
         _validate_endpoints(topology, source, target)
@@ -301,12 +321,7 @@ class TableRouting(RoutingAlgorithm):
         token = topology_cache_token(topology)
         entry = self._memo.get(token)
         if entry is None:
-            out = [list(topology.neighbours(index)) for index in topology.tiles()]
-            incoming: List[List[int]] = [[] for _ in range(topology.num_tiles)]
-            for index, neighbours in enumerate(out):
-                for neighbour in neighbours:
-                    incoming[neighbour].append(index)
-            entry = (out, incoming, {})
+            entry = (*link_adjacency(topology), {})
             while len(self._memo) >= _TABLE_MEMO_LIMIT:
                 self._memo.pop(next(iter(self._memo)))
             self._memo[token] = entry
@@ -316,26 +331,10 @@ class TableRouting(RoutingAlgorithm):
         out, incoming, tables = self._adjacency(topology)
         table = tables.get(target)
         if table is None:
-            n = len(out)
-            distance = [-1] * n
-            distance[target] = 0
-            frontier = [target]
-            while frontier:
-                next_frontier: List[int] = []
-                for tile in frontier:
-                    for predecessor in incoming[tile]:
-                        if distance[predecessor] < 0:
-                            distance[predecessor] = distance[tile] + 1
-                            next_frontier.append(predecessor)
-                frontier = next_frontier
-            table = [-1] * n
-            for tile in range(n):
-                if tile == target or distance[tile] < 0:
-                    continue
-                for neighbour in out[tile]:
-                    if distance[neighbour] == distance[tile] - 1:
-                        table[tile] = neighbour
-                        break
+            table = [
+                choices[0] if choices else -1
+                for choices in minimal_next_hops(out, incoming, target)
+            ]
             tables[target] = table
         return table
 
@@ -348,6 +347,108 @@ class TableRouting(RoutingAlgorithm):
     def __setstate__(self, state: dict) -> None:
         del state
         self.__init__()  # type: ignore[misc]  # rebuild = fresh empty memo
+
+
+def link_adjacency(topology: Topology) -> Tuple[List[List[int]], List[List[int]]]:
+    """Every tile's out-neighbours (in ``neighbours()`` order) and in-neighbours."""
+    out = [list(topology.neighbours(index)) for index in topology.tiles()]
+    incoming: List[List[int]] = [[] for _ in range(topology.num_tiles)]
+    for index, neighbours in enumerate(out):
+        for neighbour in neighbours:
+            incoming[neighbour].append(index)
+    return out, incoming
+
+
+def minimal_next_hops(
+    out: Sequence[Sequence[int]],
+    incoming: Sequence[Sequence[int]],
+    target: int,
+) -> List[Tuple[int, ...]]:
+    """Per tile, the out-neighbours one shortest-path step closer to *target*.
+
+    A reverse BFS from *target* over the directed links (*incoming*, as
+    :func:`link_adjacency` returns it) gives every tile's distance to the
+    target; a tile's minimal next hops are its *out* neighbours one step
+    closer, in *out* order.  The target itself and tiles that cannot reach
+    it get ``()``.  :class:`TableRouting` takes the first choice, the
+    co-design table synthesizer draws among all of them.
+    """
+    n = len(out)
+    distance = [-1] * n
+    distance[target] = 0
+    frontier = [target]
+    while frontier:
+        next_frontier: List[int] = []
+        for tile in frontier:
+            for predecessor in incoming[tile]:
+                if distance[predecessor] < 0:
+                    distance[predecessor] = distance[tile] + 1
+                    next_frontier.append(predecessor)
+        frontier = next_frontier
+    return [
+        ()
+        if tile == target or distance[tile] < 0
+        else tuple(
+            neighbour
+            for neighbour in out[tile]
+            if distance[neighbour] == distance[tile] - 1
+        )
+        for tile in range(n)
+    ]
+
+
+def next_hop_trees(
+    topology: Topology, routing: RoutingAlgorithm
+) -> Optional[Sequence[Sequence[int]]]:
+    """*routing*'s next-hop rows, checked to be in-trees rooted at their targets.
+
+    Returns ``None`` when the routing has no next-hop table
+    (:meth:`RoutingAlgorithm.next_hop_table`); callers then walk
+    :meth:`~RoutingAlgorithm.route` per pair.  Otherwise every tile's walk
+    along row ``t`` must reach ``t``, which makes the route from ``u`` to
+    ``t`` exactly ``u`` followed by the route from ``n_t(u)``.  When a walk
+    dead-ends or loops, the first such ``(source, target)`` pair in
+    source-major order is routed through ``routing.route``, so the caller
+    gets the route walk's own :class:`ConfigurationError`.
+    """
+    rows = routing.next_hop_table(topology)
+    if rows is None:
+        return None
+    first: Optional[Tuple[int, int]] = None
+    for target, row in enumerate(rows):
+        source = _first_stray(row, target)
+        if source is not None and (first is None or (source, target) < first):
+            first = (source, target)
+    if first is not None:
+        source, target = first
+        routing.route(topology, source, target)
+        raise ConfigurationError(
+            f"{routing!r} routes tile {source} to tile {target}, but its "
+            f"next-hop table does not"
+        )
+    return rows
+
+
+def _first_stray(row: Sequence[int], target: int) -> Optional[int]:
+    """The lowest tile whose walk along *row* never reaches *target*."""
+    limit = len(row)
+    reaches = [False] * limit
+    reaches[target] = True
+    for tile in range(limit):
+        if reaches[tile]:
+            continue
+        walk = [tile]
+        current = row[tile]
+        while current >= 0 and not reaches[current]:
+            if len(walk) == limit:  # more steps than tiles: a loop
+                return tile
+            walk.append(current)
+            current = row[current]
+        if current < 0:  # a dead end
+            return tile
+        for visited in walk:
+            reaches[visited] = True
+    return None
 
 
 def _validate_endpoints(topology: Topology, source: int, target: int) -> None:
@@ -430,6 +531,9 @@ __all__ = [
     "WestFirstRouting",
     "NegativeFirstRouting",
     "TableRouting",
+    "link_adjacency",
+    "minimal_next_hops",
+    "next_hop_trees",
     "available_routings",
     "register_routing",
     "get_routing",

@@ -596,6 +596,24 @@ class TestCodesignEngine:
                 initial=Mapping.random(cdcg.cores(), platform.num_tiles, rng=0),
             )
 
+    def test_synthesizer_for_another_fabric_rejected(self):
+        cdcg = image_encoder()
+        platform = Platform(mesh=Mesh(4, 4))
+        # Same tile count, different links: tables certified on these
+        # fabrics would route over links the platform does not have.
+        for fabric in (Mesh(2, 8), Torus(4, 4)):
+            synthesizer = TableSynthesizer(fabric)
+            with pytest.raises(ConfigurationError, match="synthesizer covers"):
+                CodesignSearch(cdcg, platform, synthesizer=synthesizer)
+        equal = TableSynthesizer(Mesh(4, 4))
+        assert equal.topology is not platform.mesh
+        engine = CodesignSearch(
+            cdcg, platform, CodesignParameters(population_size=4, generations=1),
+            synthesizer=equal,
+        )
+        initial = Mapping.random(cdcg.cores(), platform.num_tiles, rng=3)
+        assert engine.search(initial=initial, rng=SEED).tables_certified >= 1
+
 
 class TestCertifyBeforePrice:
     def test_every_priced_table_passed_the_gate(

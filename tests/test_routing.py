@@ -1,9 +1,38 @@
-"""Deterministic routing (repro.noc.routing)."""
+"""Deterministic routing (repro.noc.routing).
 
+The last section pins the next-hop-tree builds to the route walk: for a
+routing with a next-hop table, the channel dependency graph
+(:func:`~repro.noc.deadlock.channel_dependency_graph`) and the eager
+:class:`~repro.eval.route_table.RouteTable` are built from the trees, and
+:class:`RouteWalk` — a wrapper that forwards only ``route()`` — forces the
+per-pair route walk they must equal, error messages included.
+"""
+
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from repro.noc.routing import XYRouting, YXRouting, get_routing
-from repro.noc.topology import Mesh, Torus
+from repro.codesign import SynthesizedRouting, TableSynthesizer
+from repro.codesign.synthesis import DEFAULT_SEED_SPECS
+from repro.energy.technology import TECH_0_07UM, TECH_0_35UM
+from repro.eval.route_table import RouteTable
+from repro.noc.deadlock import (
+    channel_dependency_graph,
+    find_cycle,
+    validate_deadlock_free,
+)
+from repro.noc.routing import (
+    RoutingAlgorithm,
+    TableRouting,
+    XYRouting,
+    YXRouting,
+    get_routing,
+    link_adjacency,
+    minimal_next_hops,
+    next_hop_trees,
+)
+from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.utils.errors import ConfigurationError
 
 
@@ -100,3 +129,303 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             get_routing("adaptive")
+
+
+# ---------------------------------------------------------------------------
+# Next-hop trees against the route walk
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class RouteWalk(RoutingAlgorithm):
+    """Forwards only ``route()``: consumers cannot see a next-hop table."""
+
+    def __init__(self, inner: RoutingAlgorithm) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def route(self, topology, source, target):
+        return self.inner.route(topology, source, target)
+
+
+class UnvalidatedTopology(IrregularTopology):
+    """An irregular fabric that may leave tile pairs unreachable."""
+
+    def _validate_connected(self) -> None:
+        pass
+
+
+@st.composite
+def irregular_fabrics(draw):
+    """A random spanning tree plus extra links, both directions each."""
+    size = draw(st.integers(min_value=3, max_value=9))
+    edges = [
+        (tile, draw(st.integers(min_value=0, max_value=tile - 1)))
+        for tile in range(1, size)
+    ]
+    extra = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=size - 1),
+                st.integers(min_value=0, max_value=size - 1),
+            ).filter(lambda pair: pair[0] != pair[1]),
+            max_size=size,
+        )
+    )
+    return IrregularTopology(edges + extra, name=f"irregular-{size}")
+
+
+fabrics = st.one_of(
+    st.builds(
+        Mesh,
+        width=st.integers(min_value=2, max_value=5),
+        height=st.integers(min_value=1, max_value=4),
+    ),
+    st.builds(
+        Torus,
+        width=st.integers(min_value=3, max_value=4),
+        height=st.integers(min_value=3, max_value=4),
+    ),
+    irregular_fabrics(),
+)
+
+
+def _materialise(topology, routing):
+    """The next-hop table of *routing* over *topology*, from route walks."""
+    tiles = range(topology.num_tiles)
+    return tuple(
+        tuple(
+            -1 if tile == target else routing.route(topology, tile, target)[1]
+            for tile in tiles
+        )
+        for target in tiles
+    )
+
+
+def _tables(topology, seed):
+    """Seed, random and mutated minimal tables over *topology*."""
+    generator = np.random.default_rng(seed)
+
+    def pick(hops):
+        return hops[int(generator.integers(len(hops)))]
+
+    out, incoming = link_adjacency(topology)
+    # choices[target][tile]: the minimal next hops from tile towards target.
+    choices = [minimal_next_hops(out, incoming, target) for target in topology.tiles()]
+    tables = []
+    for spec in DEFAULT_SEED_SPECS:
+        try:
+            tables.append(_materialise(topology, get_routing(spec)))
+        except ConfigurationError:
+            continue  # e.g. a grid routing on an irregular fabric
+    tables.append(
+        tuple(
+            tuple(pick(hops) if hops else -1 for hops in per_tile)
+            for per_tile in choices
+        )
+    )
+    mutable = [
+        (target, tile)
+        for target, per_tile in enumerate(choices)
+        for tile, hops in enumerate(per_tile)
+        if len(hops) > 1
+    ]
+    mutated = [list(row) for row in tables[0]]
+    for _ in range(8 if mutable else 0):
+        target, tile = pick(mutable)
+        mutated[target][tile] = pick(choices[target][tile])
+    tables.append(tuple(tuple(row) for row in mutated))
+    return tables
+
+
+def _route_table_state(table):
+    """Everything an eager route table serves, as comparable values."""
+    n = table.num_tiles
+    pairs = [(source, target) for source in range(n) for target in range(n)]
+    energy, hops = table.as_arrays()
+    indptr, indices = table.link_csr()
+    return (
+        [table.path(*pair) for pair in pairs],
+        [table.links(*pair) for pair in pairs],
+        hops.tobytes(),
+        energy.tobytes(),
+        indptr.tobytes(),
+        indices.tobytes(),
+    )
+
+
+def _outcome(build):
+    """``("value", result)`` or ``("error", message)`` of *build*."""
+    try:
+        return "value", build()
+    except ConfigurationError as error:
+        return "error", str(error)
+
+
+def _assert_trees_match_walk(topology, routing):
+    walk = RouteWalk(routing)
+    assert next_hop_trees(topology, walk) is None
+    graph = channel_dependency_graph(topology, routing)
+    walk_graph = channel_dependency_graph(topology, walk)
+    assert graph == walk_graph
+    assert find_cycle(graph) == find_cycle(walk_graph)
+    assert validate_deadlock_free(
+        topology, routing, raise_on_cycle=False
+    ) == validate_deadlock_free(topology, walk, raise_on_cycle=False)
+    for technology, include_local in ((TECH_0_07UM, True), (TECH_0_35UM, False)):
+        fast = RouteTable(topology, routing, technology, include_local, precompute=True)
+        slow = RouteTable(topology, walk, technology, include_local, precompute=True)
+        assert _route_table_state(fast) == _route_table_state(slow)
+
+
+class TestNextHopTreesMatchRouteWalk:
+    @SETTINGS
+    @given(topology=fabrics, seed=st.integers(min_value=0, max_value=2**31))
+    def test_synthesized_tables(self, topology, seed):
+        for table in _tables(topology, seed):
+            _assert_trees_match_walk(topology, SynthesizedRouting(table))
+
+    @SETTINGS
+    @given(topology=fabrics)
+    def test_bfs_tables(self, topology):
+        _assert_trees_match_walk(topology, TableRouting())
+
+    def test_cyclic_tables_share_the_witness(self):
+        mesh = Mesh(4, 4)
+        synthesizer = TableSynthesizer(mesh)
+        cyclic = 0
+        for seed in range(16):
+            routing = SynthesizedRouting(synthesizer.random_table(rng=seed))
+            report = validate_deadlock_free(mesh, routing, raise_on_cycle=False)
+            assert report == validate_deadlock_free(
+                mesh, RouteWalk(routing), raise_on_cycle=False
+            )
+            cyclic += not report.deadlock_free
+        assert cyclic > 0, "no cyclic table among 16 random 4x4 tables"
+
+    def test_valid_tables_never_walk_routes(self):
+        mesh = Mesh(4, 4)
+
+        class Unwalkable(SynthesizedRouting):
+            def route(self, topology, source, target):
+                raise AssertionError("the route walk ran")
+
+        routing = Unwalkable(TableSynthesizer(mesh).random_table(rng=3))
+        channel_dependency_graph(mesh, routing)
+        RouteTable(mesh, routing, TECH_0_07UM, precompute=True)
+
+    def test_lazy_tables_match_tree_built_tables(self):
+        mesh = Mesh(3, 3)
+        routing = SynthesizedRouting(TableSynthesizer(mesh).random_table(rng=5))
+        lazy = RouteTable(mesh, routing, TECH_0_07UM, precompute=False)
+        eager = RouteTable(mesh, routing, TECH_0_07UM, precompute=True)
+        assert not lazy.is_precomputed
+        for source in mesh.tiles():
+            for target in mesh.tiles():
+                assert lazy.path(source, target) == eager.path(source, target)
+
+
+def _corrupt(table, rng, corruptions):
+    """*table* with some entries turned into dead ends, loops or foreign hops."""
+    rows = [list(row) for row in table]
+    n = len(rows)
+    for kind in corruptions:
+        target = int(rng.integers(n))
+        tile = int(rng.integers(n))  # the diagonal too: routes never read it
+        if kind == "dead-end":
+            rows[target][tile] = -1
+        elif kind == "negative":
+            rows[target][tile] = -int(rng.integers(2, 2 * n + 2))
+        elif kind == "loop":
+            hop = rows[target][tile]
+            if 0 <= hop != target:
+                rows[target][hop] = tile
+        else:  # a hop to any tile, linked or not
+            rows[target][tile] = int(rng.integers(n))
+    return tuple(tuple(row) for row in rows)
+
+
+class TestCorruptTablesRaiseAsTheRouteWalk:
+    BUILDS = {
+        "cdg": channel_dependency_graph,
+        "report": lambda topology, routing: validate_deadlock_free(
+            topology, routing, raise_on_cycle=False
+        ),
+        "route table": lambda topology, routing: _route_table_state(
+            RouteTable(topology, routing, TECH_0_07UM, precompute=True)
+        ),
+    }
+
+    def _assert_same_outcome(self, topology, routing):
+        for name, build in self.BUILDS.items():
+            fast = _outcome(lambda: build(topology, routing))
+            slow = _outcome(lambda: build(topology, RouteWalk(routing)))
+            assert fast == slow, name
+
+    @SETTINGS
+    @given(
+        topology=fabrics,
+        seed=st.integers(min_value=0, max_value=2**31),
+        corruptions=st.lists(
+            st.sampled_from(["dead-end", "negative", "loop", "foreign"]),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_corrupted_tables(self, topology, seed, corruptions):
+        rng = np.random.default_rng(seed)
+        for table in _tables(topology, seed):
+            routing = SynthesizedRouting(_corrupt(table, rng, corruptions))
+            self._assert_same_outcome(topology, routing)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("dead-end", "no route from tile 1 to tile 0"),
+            ("negative", "no route from tile 1 to tile 0"),
+            ("loop", "routing loop from tile 1 to tile 0"),
+        ],
+    )
+    def test_each_corruption_raises(self, kind, message):
+        mesh = Mesh(3, 3)
+        rows = [list(row) for row in _materialise(mesh, XYRouting())]
+        if kind == "loop":  # 1 -> 2 -> 1 -> ... towards target 0
+            rows[0][1] = 2
+        else:
+            rows[0][1] = -1 if kind == "dead-end" else -7
+        routing = SynthesizedRouting(rows)
+        for build in self.BUILDS.values():
+            with pytest.raises(ConfigurationError, match=message):
+                build(mesh, routing)
+        self._assert_same_outcome(mesh, routing)
+
+    def test_row_count_mismatch(self):
+        routing = SynthesizedRouting(_materialise(Mesh(3, 3), XYRouting()))
+        mesh = Mesh(4, 4)
+        with pytest.raises(ConfigurationError, match="covers 9 tiles"):
+            routing.next_hop_table(mesh)
+        for build in self.BUILDS.values():
+            with pytest.raises(ConfigurationError, match="covers 9 tiles"):
+                build(mesh, routing)
+        self._assert_same_outcome(mesh, routing)
+
+    def test_unreachable_bfs_targets(self):
+        one_way = UnvalidatedTopology([(0, 1), (1, 2), (2, 1)], bidirectional=False)
+        routing = TableRouting()
+        assert routing.next_hop_table(one_way)[0] == [-1, -1, -1]
+        with pytest.raises(ConfigurationError, match="no route from tile 1 to tile 0"):
+            channel_dependency_graph(one_way, routing)
+        self._assert_same_outcome(one_way, routing)
+
+    def test_table_that_disagrees_with_its_routes(self):
+        class Inconsistent(XYRouting):
+            def next_hop_table(self, topology):
+                return [[-1] * topology.num_tiles for _ in topology.tiles()]
+
+        with pytest.raises(ConfigurationError, match="next-hop table does not"):
+            channel_dependency_graph(Mesh(2, 2), Inconsistent())
