@@ -31,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graphs.cdcg import CDCG
 from repro.core.mapping import Mapping
-from repro.core.metrics import MetricVector
+from repro.core.metrics import MetricVector, weighted_columns
 from repro.codesign.synthesis import (
     DEFAULT_POLICY,
     NextHopTable,
@@ -44,7 +46,15 @@ from repro.eval.context import CdcmEvaluationContext, EvaluationContext
 from repro.noc.deadlock import Channel
 from repro.noc.platform import Platform
 from repro.noc.topology import topology_cache_token
-from repro.search.base import SearchResult
+from repro.search.base import (
+    Row,
+    SearchResult,
+    check_noc_size,
+    initial_row,
+    price_rows,
+    random_row,
+    row_mapping,
+)
 from repro.search.nsga2 import _Run, fast_non_dominated_sort
 from repro.search.nsga3 import NSGA3Search, Nsga3Parameters
 from repro.utils.errors import ConfigurationError
@@ -113,10 +123,11 @@ class CodesignParameters(Nsga3Parameters):
 
 
 class _Individual(NamedTuple):
-    """One genome: a certified routing and a mapping priced under it."""
+    """One genome: a certified routing and a mapping, as a tile row, priced
+    under it."""
 
     routing: SynthesizedRouting
-    mapping: Mapping
+    row: Row
 
 
 @dataclass
@@ -290,7 +301,8 @@ class CodesignSearch(NSGA3Search):
         synthesizer = self.synthesizer
         generator = ensure_rng(rng)
         num_tiles = self._num_tiles(initial)
-        cores = initial.cores
+        check_noc_size(self, initial)
+        cores = tuple(initial.cores)
         backend = self._resolve_backend(params.n_workers)
         contexts: Dict[str, EvaluationContext] = {}
         gate = {"certified": 0, "rejected": 0, "repaired": 0}
@@ -318,20 +330,22 @@ class CodesignSearch(NSGA3Search):
                 contexts[routing.digest] = context
             return context
 
-        def price(individuals: List[_Individual]) -> List[MetricVector]:
+        def price(individuals: List[_Individual]) -> np.ndarray:
             # Batch-price grouped by routing, in first-seen order.
             groups: Dict[str, List[int]] = {}
             for index, individual in enumerate(individuals):
                 groups.setdefault(individual.routing.digest, []).append(index)
-            vectors: List[Optional[MetricVector]] = [None] * len(individuals)
+            values = np.empty((len(individuals), len(names)), dtype=np.float64)
             for indices in groups.values():
                 context = context_for(individuals[indices[0]].routing)
-                priced = context.evaluate_metrics_batch(
-                    [individuals[i].mapping for i in indices], backend=backend
+                values[indices] = price_rows(
+                    context,
+                    [individuals[i].row for i in indices],
+                    cores,
+                    num_tiles,
+                    backend,
                 )
-                for position, vector in zip(indices, priced):
-                    vectors[position] = vector
-            return vectors  # type: ignore[return-value]
+            return values
 
         # Seed population: every certified registry seed paired with the
         # initial mapping, then random (table, mapping) genomes — random
@@ -339,29 +353,34 @@ class CodesignSearch(NSGA3Search):
         # policy falls back to the first seed).
         seeds = list(synthesizer.seed_tables().values())
         population: List[_Individual] = []
+        first_row = initial_row(initial, cores)
         for table in seeds[: params.population_size]:
             routing = certify(table)
             assert routing is not None  # seeds certified at construction
-            population.append(_Individual(routing, initial))
+            population.append(_Individual(routing, first_row))
         fallback_routing = population[0].routing
         while len(population) < params.population_size:
             routing = certify(synthesizer.random_table(generator))
             if routing is None:
                 routing = fallback_routing
-            mapping = Mapping.random(cores, num_tiles, generator)
-            population.append(_Individual(routing, mapping))
+            row = random_row(len(cores), num_tiles, generator)
+            population.append(_Individual(routing, row))
 
         first_context = context_for(population[0].routing)
         keys = self._resolve_keys(first_context)
+        names = tuple(first_context.metric_names)
         weights = dict(getattr(first_context, "weights", None) or {})
+        key_column = names.index(keys[0])
 
-        def score(individual: _Individual, vector: MetricVector) -> float:
+        def score(individuals: List[_Individual], values: np.ndarray) -> List[float]:
             if weights:
-                return vector.weighted_sum(weights, strict=False)
-            return vector[keys[0]]
+                return weighted_columns(values, names, weights).tolist()
+            return values[:, key_column].tolist()
 
+        columns = tuple(names.index(key) for key in keys)
         run = _CodesignRun(
-            keys, cores, num_tiles, price, score, certify=certify, contexts=contexts
+            keys, cores, num_tiles, price, score, columns=columns,
+            certify=certify, contexts=contexts,
         )
         outcome = self._evolve(population, run, generator)
 
@@ -370,19 +389,25 @@ class CodesignSearch(NSGA3Search):
         # repro.analysis.pareto.non_dominated, which would lose the
         # mapping->routing pairing).
         unique: Dict[tuple, int] = {}
-        for index in fast_non_dominated_sort(outcome.vectors, keys)[0]:
+        matrix = outcome.values[:, list(columns)]
+        for index in fast_non_dominated_sort(matrix, keys)[0]:
             individual = outcome.population[index]
-            assignments = tuple(sorted(individual.mapping.assignments().items()))
-            unique.setdefault((individual.routing.digest, assignments), index)
-        front = [(outcome.population[i], outcome.vectors[i]) for i in unique.values()]
+            unique.setdefault((individual.routing.digest, individual.row), index)
+        front = [
+            (outcome.population[i], MetricVector(names, outcome.values[i].tolist()))
+            for i in unique.values()
+        ]
         return CodesignResult(
-            best_mapping=outcome.best.mapping,
+            best_mapping=row_mapping(cores, outcome.best.row, num_tiles),
             best_cost=outcome.best_cost,
             evaluations=outcome.evaluations,
             history=outcome.history,
             accepted_moves=outcome.moves,
-            best_metrics=outcome.best_vector,
-            front=[ParetoPoint(mapping=g.mapping, metrics=v) for g, v in front],
+            best_metrics=MetricVector(names, outcome.best_values.tolist()),
+            front=[
+                ParetoPoint(mapping=row_mapping(cores, g.row, num_tiles), metrics=v)
+                for g, v in front
+            ],
             best_routing=outcome.best.routing,
             front_routings=[genome.routing for genome, _ in front],
             tables_certified=gate["certified"],
@@ -400,9 +425,7 @@ class CodesignSearch(NSGA3Search):
         certified routing, so nothing uncertified ever reaches pricing.
         """
         params = self.parameters
-        mapping, moves = super()._breed(
-            parent_a.mapping, parent_b.mapping, run, rng
-        )
+        row, moves = super()._breed(parent_a.row, parent_b.row, run, rng)
         routing = parent_a.routing
         if rng.random() < params.table_mutation_rate:
             mutated = self.synthesizer.mutate(
@@ -412,7 +435,7 @@ class CodesignSearch(NSGA3Search):
             if candidate is not None:
                 routing = candidate
                 moves += 1
-        return _Individual(routing, mapping), moves
+        return _Individual(routing, row), moves
 
     def _selected(self, population, best, run):
         """Drop the contexts of extinct routings; survivors keep theirs warm.

@@ -30,7 +30,7 @@ bit-identical — the same append-only contract that lets
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -155,26 +155,17 @@ class LoadAwareCwmContext(CwmEvaluationContext):
         peak, spread = self._load_components(self._tile_assignments(mapping))
         return MetricVector(LOAD_METRIC_NAMES, (energy, peak, spread))
 
-    def _compute_metrics_chunk(
-        self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
-    ) -> List[MetricVector]:
+    def _price_kernel_rows(self, tiles: np.ndarray) -> np.ndarray:
         """Chunk pricing: the energy kernel and the link-load gather read the
         same ``(pop, cores)`` rows, both bit-identical to the scalar path."""
-        items = list(mappings)
-        if not self.vectorize or not items:
-            return [self._compute_metrics(mapping) for mapping in items]
         kernel = self.vector_kernel()
-        rows = self._tile_rows(items)
-        energies = kernel.price(rows)
-        peaks, totals = kernel.link_load_stats(rows)
+        energies = kernel.price(tiles)
+        peaks, totals = kernel.link_load_stats(tiles)
         if self._num_links > 0:
             spreads = peaks - totals / self._num_links
         else:
             spreads = np.zeros_like(peaks)
-        return [
-            MetricVector(LOAD_METRIC_NAMES, values)
-            for values in zip(energies.tolist(), peaks.tolist(), spreads.tolist())
-        ]
+        return np.column_stack((energies, peaks, spreads))
 
     def metric_delta(
         self, mapping: Mapping, tile_a: int, tile_b: int

@@ -111,8 +111,21 @@ class SynthesizedRouting(RoutingAlgorithm):
                         f"{target} is outside the {size}-tile table"
                     )
         self._next_hops = table
-        digest = hashlib.sha256(repr(table).encode("ascii")).hexdigest()
-        self._digest = digest[:16]
+        self._digest: Optional[str] = None
+
+    @classmethod
+    def _from_rows(cls, table: NextHopTable) -> "SynthesizedRouting":
+        """A routing over rows already validated as a table's (no checks).
+
+        For the repair rounds of :meth:`TableSynthesizer.certify`, whose
+        candidates only mix entries of two validated tables of one size:
+        *table* must be a tuple of int tuples, one per target, each with one
+        entry per tile, none past the table.
+        """
+        routing = object.__new__(cls)
+        routing._next_hops = table
+        routing._digest = None
+        return routing
 
     @property
     def next_hops(self) -> NextHopTable:
@@ -126,13 +139,21 @@ class SynthesizedRouting(RoutingAlgorithm):
 
     @property
     def digest(self) -> str:
-        """Content digest identifying the table (hex, 16 chars)."""
+        """Content digest identifying the table (hex, 16 chars).
+
+        The SHA-256 of the table's ``repr``, computed on first use: the
+        repair rounds of :meth:`TableSynthesizer.certify` build routings
+        that are never priced.
+        """
+        if self._digest is None:
+            digest = hashlib.sha256(repr(self._next_hops).encode("ascii"))
+            self._digest = digest.hexdigest()[:16]
         return self._digest
 
     @property
     def cache_token(self) -> Tuple:
         """Content-addressed identity: equal tables share route caches."""
-        return (type(self).__module__, type(self).__qualname__, self._digest)
+        return (type(self).__module__, type(self).__qualname__, self.digest)
 
     def next_hop_table(self, topology: Topology) -> NextHopTable:
         """The table itself, once *topology* has as many tiles as it covers."""
@@ -156,14 +177,14 @@ class SynthesizedRouting(RoutingAlgorithm):
             if step < 0:
                 raise ConfigurationError(
                     f"no route from tile {source} to tile {target} in the "
-                    f"synthesized table {self._digest}"
+                    f"synthesized table {self.digest}"
                 )
             path.append(step)
             current = step
             if len(path) > limit:
                 raise ConfigurationError(
                     f"routing loop from tile {source} to tile {target} in "
-                    f"the synthesized table {self._digest}"
+                    f"the synthesized table {self.digest}"
                 )
         return path
 
@@ -183,7 +204,7 @@ class SynthesizedRouting(RoutingAlgorithm):
         return hash(self._next_hops)
 
     def __repr__(self) -> str:
-        return f"SynthesizedRouting(digest={self._digest!r})"
+        return f"SynthesizedRouting(digest={self.digest!r})"
 
 
 def register_synthesized(
@@ -286,7 +307,8 @@ class TableSynthesizer:
                 continue
             self._seed_tables[spec] = table
             if self._fallback is None:
-                self._fallback = table
+                # The validated rows, so repair rounds need no re-validation.
+                self._fallback = result.routing.next_hops
         if self._fallback is None:
             raise ConfigurationError(
                 f"no seed routing of {tuple(seed_specs)} certifies "
@@ -424,7 +446,9 @@ class TableSynthesizer:
             )
         fallback = self._fallback
         assert fallback is not None  # constructor guarantees a fallback
-        rows = [list(row) for row in table]
+        # Repair rounds only mix entries of two validated tables: the
+        # submitted one as its routing normalised it, and the fallback.
+        rows = [list(row) for row in routing.next_hops]
         for round_index in range(_MAX_REPAIR_ROUNDS):
             cycle_links = set(report.cycle)
             reverted = False
@@ -441,7 +465,7 @@ class TableSynthesizer:
                 # full fallback (certified at construction) can clear it.
                 rows = [list(row) for row in fallback]
             candidate = tuple(tuple(row) for row in rows)
-            routing = SynthesizedRouting(candidate)
+            routing = SynthesizedRouting._from_rows(candidate)
             report = validate_deadlock_free(
                 self.topology, routing, raise_on_cycle=False
             )
@@ -457,7 +481,7 @@ class TableSynthesizer:
         # the fallback) but a large mesh can surface more distinct cycles
         # than there are rounds; when the budget runs out, revert wholesale
         # to the fallback, which is certified by construction.
-        routing = SynthesizedRouting(fallback)
+        routing = SynthesizedRouting._from_rows(fallback)
         report = validate_deadlock_free(
             self.topology, routing, raise_on_cycle=False
         )

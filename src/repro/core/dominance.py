@@ -9,7 +9,8 @@ NSGA engines rank populations with
 name lookup per key per pair; this module asks it once per key for all pairs:
 
 * :func:`key_matrix` — the ``(n, k)`` float64 matrix of the dominance keys,
-  with NaN rejected;
+  with NaN rejected (taken from metric vectors, or checked as given when the
+  caller already holds the key columns as an array);
 * :func:`pareto_fronts` — Deb et al. (2002)'s fronts, in the order Deb's
   counting loop releases them;
 * :func:`non_dominated_mask` — the rows no other row dominates, first
@@ -25,7 +26,7 @@ drop such rows silently.  :func:`key_matrix` raises instead.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,19 +34,34 @@ from repro.core.metrics import MetricVector
 from repro.utils.errors import ConfigurationError
 
 
-def key_matrix(vectors: Sequence[MetricVector], keys: Sequence[str]) -> np.ndarray:
+def key_matrix(
+    vectors: Union[Sequence[MetricVector], np.ndarray], keys: Sequence[str]
+) -> np.ndarray:
     """The ``(len(vectors), len(keys))`` float64 matrix of *keys* over *vectors*.
+
+    *vectors* is a sequence of metric vectors, or the key matrix itself: an
+    ``(n, len(keys))`` array whose columns are *keys* in order, which is
+    checked and returned as float64.
 
     Raises
     ------
     ConfigurationError
         When a component is NaN, naming the first vector (by index) that
-        holds one and its first NaN key.
+        holds one and its first NaN key, or when a key matrix does not have
+        one column per key.
     """
     keys = tuple(keys)
-    matrix = np.array(
-        [[vector[key] for key in keys] for vector in vectors], dtype=np.float64
-    ).reshape(len(vectors), len(keys))
+    if isinstance(vectors, np.ndarray):
+        matrix = np.asarray(vectors, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != len(keys):
+            raise ConfigurationError(
+                f"expected an (n, {len(keys)}) key matrix for keys {keys}, got "
+                f"shape {vectors.shape}"
+            )
+    else:
+        matrix = np.array(
+            [[vector[key] for key in keys] for vector in vectors], dtype=np.float64
+        ).reshape(len(vectors), len(keys))
     nan = np.isnan(matrix)
     if nan.any():
         row, column = np.argwhere(nan)[0]

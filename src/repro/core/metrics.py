@@ -12,7 +12,8 @@ keeps both truths compatible:
   pass.
 * :func:`MetricVector.weighted_sum` — the scalarisation: a weight vector
   applied over the components, accumulated in component order so legacy
-  single-metric objectives stay bit-identical (``1.0 * E == E`` exactly).
+  single-metric objectives stay bit-identical (``1.0 * E == E`` exactly);
+  :func:`weighted_columns` is its twin over a ``(pop, k)`` array of vectors.
 * :func:`scalarisation_weights` — translates the legacy CDCM ``metric`` /
   ``energy_weight`` / ``time_weight`` knobs into an equivalent weight dict,
   the single place that mapping lives (it used to be duplicated between the
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, Iterator, Mapping as MappingType, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.utils.errors import ConfigurationError
 
@@ -232,6 +235,35 @@ class MetricVector:
         return strictly_better
 
 
+def weighted_columns(
+    values: np.ndarray,
+    names: Sequence[str],
+    weights: MappingType[str, float],
+) -> np.ndarray:
+    """:meth:`MetricVector.weighted_sum` of every row of a ``(pop, k)`` array.
+
+    Column *c* of *values* holds component ``names[c]``.  Terms are skipped
+    and accumulated exactly as the per-vector method does (non-strict), one
+    elementwise IEEE operation per term, so each entry is bit-identical to
+    ``MetricVector(names, row).weighted_sum(weights, strict=False)``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(pop,)`` float64 costs; zeros when every weight is zero.
+    """
+    total = None
+    for column, name in enumerate(names):
+        weight = weights.get(name, 0.0)
+        if weight == 0.0:
+            continue
+        term = weight * values[:, column]
+        total = term if total is None else total + term
+    if total is None:
+        return np.zeros(len(values), dtype=np.float64)
+    return total
+
+
 def validate_weights(
     weights: MappingType[str, float], metric_names: Sequence[str]
 ) -> Dict[str, float]:
@@ -317,6 +349,7 @@ __all__ = [
     "CWM_METRIC_NAMES",
     "CDCM_METRIC_NAMES",
     "MetricVector",
+    "weighted_columns",
     "validate_weights",
     "scalarisation_weights",
 ]

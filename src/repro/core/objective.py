@@ -41,13 +41,14 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     Union,
     runtime_checkable,
 )
 
 from repro.core.mapping import Mapping
-from repro.core.metrics import MetricVector, validate_weights
+from repro.core.metrics import MetricVector, validate_weights, weighted_columns
 from repro.eval.context import (
     CacheInfo,
     CdcmEvaluationContext,
@@ -208,6 +209,11 @@ class CountingObjective:
         """True when :meth:`evaluate_batch` routes through a shared context."""
         return self._context is not None
 
+    @property
+    def supports_rows(self) -> bool:
+        """True when the batch methods take tile arrays (a bound context)."""
+        return self._context is not None
+
     def metrics(self, mapping: Union[Mapping, Dict[str, int]]) -> MetricVector:
         """Named component vector of *mapping* through the bound context.
 
@@ -221,14 +227,18 @@ class CountingObjective:
         self,
         mappings: Iterable[Union[Mapping, Dict[str, int]]],
         backend=None,
+        cores: Optional[Sequence[str]] = None,
     ) -> List[MetricVector]:
         """Component vectors of several candidates through the bound context.
 
-        Uncounted passthrough, like :meth:`metrics`.
+        Uncounted passthrough, like :meth:`metrics`; a tile array with its
+        *cores* returns a ``(pop, k)`` array (see
+        :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`).
         """
-        return self._require_context(
-            "price metric vectors"
-        ).evaluate_metrics_batch(mappings, backend=backend)
+        context = self._require_context("price metric vectors")
+        if cores is None:
+            return context.evaluate_metrics_batch(mappings, backend=backend)
+        return context.evaluate_metrics_batch(mappings, backend=backend, cores=cores)
 
     def scalarised(
         self, weights: Dict[str, float], name: Optional[str] = None
@@ -244,17 +254,21 @@ class CountingObjective:
         self,
         mappings: Iterable[Union[Mapping, Dict[str, int]]],
         backend=None,
+        cores: Optional[Sequence[str]] = None,
     ) -> List[float]:
         """Price several candidates through the bound context in one call.
 
         Parameters
         ----------
         mappings:
-            Candidates to price, in order.
+            Candidates to price, in order, or a ``(pop, len(cores))`` tile
+            array.
         backend:
             Optional :class:`~repro.eval.parallel.BatchBackend` override
             forwarded to
             :meth:`~repro.eval.context.EvaluationContext.evaluate_batch`.
+        cores:
+            The column order of a tile array.
 
         Returns
         -------
@@ -262,10 +276,12 @@ class CountingObjective:
             One cost per candidate, bit-identical to per-candidate calls.
         """
         context = self._require_context("price batches")
-        items = list(mappings)
+        items = mappings if cores is not None else list(mappings)
         start = time.perf_counter()
         try:
-            return context.evaluate_batch(items, backend=backend)
+            if cores is None:
+                return context.evaluate_batch(items, backend=backend)
+            return context.evaluate_batch(items, backend=backend, cores=cores)
         finally:
             self.elapsed += time.perf_counter() - start
             self.evaluations += len(items)
@@ -394,29 +410,44 @@ class ScalarisedObjective:
         """Always True — batches route through the shared context."""
         return True
 
+    @property
+    def supports_rows(self) -> bool:
+        """Whether the shared context takes tile arrays."""
+        return bool(getattr(self._context, "supports_rows", False))
+
     def evaluate_batch(
         self,
         mappings: Iterable[Union[Mapping, Dict[str, int]]],
         backend=None,
+        cores: Optional[Sequence[str]] = None,
     ) -> List[float]:
         """Scalarise a batch of candidates off the shared vector memo.
 
         Parameters
         ----------
         mappings:
-            Candidates to price, in order.
+            Candidates to price, in order, or a ``(pop, len(cores))`` tile
+            array.
         backend:
             Optional :class:`~repro.eval.parallel.BatchBackend` override for
             the misses.
+        cores:
+            The column order of a tile array.
 
         Returns
         -------
         list of float
             One weighted cost per candidate, in input order.
         """
-        items = list(mappings)
+        items = mappings if cores is not None else list(mappings)
         start = time.perf_counter()
         try:
+            if cores is not None:
+                values = self._context.evaluate_metrics_batch(
+                    items, backend=backend, cores=cores
+                )
+                names = self._context.metric_names
+                return weighted_columns(values, names, self.weights).tolist()
             vectors = self._context.evaluate_metrics_batch(
                 items, backend=backend
             )
@@ -450,9 +481,14 @@ class ScalarisedObjective:
         self,
         mappings: Iterable[Union[Mapping, Dict[str, int]]],
         backend=None,
+        cores: Optional[Sequence[str]] = None,
     ) -> List[MetricVector]:
         """Component vectors of several candidates (shared-memo passthrough)."""
-        return self._context.evaluate_metrics_batch(mappings, backend=backend)
+        if cores is None:
+            return self._context.evaluate_metrics_batch(mappings, backend=backend)
+        return self._context.evaluate_metrics_batch(
+            mappings, backend=backend, cores=cores
+        )
 
     def with_weights(
         self, weights: Dict[str, float], name: Optional[str] = None

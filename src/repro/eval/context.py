@@ -27,7 +27,11 @@ an already-priced population for free.  The context exposes:
   :class:`~repro.eval.parallel.BatchBackend` (``backend=...`` at
   construction or per call) to fan it out over a process pool or answer it
   from a result store; the default prices it inline through
-  :meth:`EvaluationContext._compute_metrics_chunk`.
+  :meth:`EvaluationContext._compute_metrics_chunk`.  The same call takes a
+  ``(pop, cores)`` tile array with ``cores=`` and returns a ``(pop, k)``
+  float64 array, keying memo and dedup on row bytes in the context's
+  :attr:`EvaluationContext.core_order` — the form the population engines
+  price their broods through.
 
 Contexts are *picklable-light*: pickling keeps the application graph and the
 platform but drops the memo, the backend and the route table — the unpickling
@@ -85,6 +89,7 @@ from repro.core.metrics import (
     CWM_METRIC_NAMES,
     MetricVector,
     scalarisation_weights,
+    weighted_columns,
 )
 from repro.energy.technology import Technology
 from repro.eval.route_table import (
@@ -113,6 +118,36 @@ class CacheInfo(NamedTuple):
     misses: int
     currsize: int
     maxsize: int
+
+
+def _tile_row_array(tiles, cores: Tuple[str, ...]) -> np.ndarray:
+    """*tiles* as a C-contiguous ``(pop, len(cores))`` int64 array."""
+    if len(set(cores)) != len(cores):
+        raise MappingError(f"cores lists a core twice: {cores!r}")
+    rows = np.asarray(tiles)
+    if rows.ndim != 2 or rows.shape[1] != len(cores):
+        raise MappingError(
+            f"expected a (pop, {len(cores)}) tile array for {len(cores)} cores, "
+            f"got shape {rows.shape}"
+        )
+    if rows.size and rows.dtype.kind not in "iu":
+        raise MappingError(f"tile indices must be integers, got {rows.dtype}")
+    return np.ascontiguousarray(rows, dtype=np.int64)
+
+
+def _row_bytes(keys: np.ndarray) -> List[bytes]:
+    """The bytes of each row of a C-contiguous int64 array, in order."""
+    width = keys.shape[1] * keys.itemsize
+    if width == 0:
+        return [b""] * len(keys)
+    return keys.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def _value_array(vectors: Sequence[MetricVector], width: int) -> np.ndarray:
+    """The ``(len(vectors), width)`` float64 array of vector values."""
+    return np.array(
+        [vector.values for vector in vectors], dtype=np.float64
+    ).reshape(len(vectors), width)
 
 
 class EvaluationContext(ABC):
@@ -156,6 +191,17 @@ class EvaluationContext(ABC):
     #: concrete subclasses; treat as read-only.
     weights: Dict[str, float] = {}
 
+    #: Whether :meth:`evaluate_metrics_batch` takes tile arrays (the probe
+    #: :func:`repro.search.base.price_rows` reads).
+    supports_rows: bool = True
+
+    #: The application's cores in the column order the memo keys tile rows
+    #: on — the sorted core names, the pinned
+    #: :meth:`~repro.core.mapping.Mapping.to_index_array` order.  ``None``
+    #: for a context that knows no application: it prices a tile array
+    #: through the list form.
+    core_order: Optional[Tuple[str, ...]] = None
+
     def __init__(
         self,
         cache_size: int = DEFAULT_CACHE_SIZE,
@@ -167,9 +213,14 @@ class EvaluationContext(ABC):
             )
         self._cache_size = cache_size
         self._backend = backend
-        self._memo: "OrderedDict[Mapping, MetricVector]" = OrderedDict()
+        # Mapping keys hold MetricVectors; row-byte keys (the array form of
+        # evaluate_metrics_batch) hold value tuples.
+        self._memo: "OrderedDict[Union[Mapping, bytes], Any]" = OrderedDict()
         self._hits = 0
         self._misses = 0
+        #: The last caller core order of a tile array, its key columns, and
+        #: whether they are the caller's columns unchanged.
+        self._row_columns: Optional[Tuple[Tuple[str, ...], Tuple[int, ...], bool]] = None
 
     @property
     def backend(self) -> Optional["BatchBackend"]:
@@ -217,6 +268,10 @@ class EvaluationContext(ABC):
 
     def _scalarise(self, vector: MetricVector) -> float:
         """Apply the context's weight view to a component vector."""
+        self._require_weights()
+        return vector.weighted_sum(self.weights, strict=False)
+
+    def _require_weights(self) -> None:
         if not self.weights:
             # An empty view would silently price every mapping at 0.0 — a
             # subclass forgot to set self.weights in its constructor.
@@ -225,7 +280,6 @@ class EvaluationContext(ABC):
                 f"set self.weights (a non-empty {{metric_name: weight}} "
                 f"dict over metric_names) in the constructor"
             )
-        return vector.weighted_sum(self.weights, strict=False)
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
         """Exact cost change of ``mapping.swap_tiles(tile_a, tile_b)``.
@@ -268,9 +322,10 @@ class EvaluationContext(ABC):
 
     def evaluate_metrics_batch(
         self,
-        mappings: Iterable[Union[Mapping, Dict[str, int]]],
+        mappings: Union[Iterable[Union[Mapping, Dict[str, int]]], np.ndarray],
         backend: Optional["BatchBackend"] = None,
-    ) -> List[MetricVector]:
+        cores: Optional[Sequence[str]] = None,
+    ) -> Union[List[MetricVector], np.ndarray]:
         """Component vectors of several candidates in one call (shares the memo).
 
         The one batch path of every context.  Candidates already in the memo
@@ -283,22 +338,55 @@ class EvaluationContext(ABC):
         calls regardless of the backend — only *where* the arithmetic runs
         changes.
 
+        **Array form.**  Pass a ``(pop, len(cores))`` integer tile array
+        and its column order as *cores* (entry ``[r, c]`` is the tile of
+        ``cores[c]`` in candidate *r*) to get a ``(pop, k)`` float64 array
+        back, columns in :attr:`metric_names` order, every value
+        bit-identical to the list form.  Memo and in-batch dedup key on the
+        bytes of each row taken in the context's own :attr:`core_order`, so
+        two callers with different column orders share entries and never
+        collide; columns of cores outside the application do not enter the
+        key.  The CWM contexts price the misses straight from the rows;
+        other contexts, and every backend, get one
+        :class:`~repro.core.mapping.Mapping` per miss.
+
         Parameters
         ----------
         mappings:
             Candidates to price (:class:`~repro.core.mapping.Mapping`
-            objects or plain assignment dicts).
+            objects or plain assignment dicts), or a tile array.
         backend:
             Override of the context's default backend for this call; with
             both ``None`` the batch is priced inline.
+        cores:
+            The column order of a tile array; required with one, and only
+            with one.
 
         Returns
         -------
-        list of MetricVector
-            One component vector per candidate, in input order.
+        list of MetricVector, or numpy.ndarray
+            One component vector per candidate, in input order; a
+            ``(pop, k)`` array for a tile array.
+
+        Raises
+        ------
+        MappingError
+            For a tile array whose width is not ``len(cores)``, and for a
+            candidate the context cannot price (as in the list form).
         """
         active = backend if backend is not None else self._backend
-        items = list(mappings)
+        if cores is not None:
+            return self._evaluate_rows(mappings, cores, active)
+        if isinstance(mappings, np.ndarray):
+            raise ConfigurationError(
+                "a tile array needs its column order: pass cores= with it"
+            )
+        return self._evaluate_mappings(list(mappings), active)
+
+    def _evaluate_mappings(
+        self, items: List[Union[Mapping, Dict[str, int]]], active
+    ) -> List[MetricVector]:
+        """The list form of :meth:`evaluate_metrics_batch`."""
         memo = self._memo
         use_memo = self._cache_size > 0
         vectors: List[Optional[MetricVector]] = [None] * len(items)
@@ -340,10 +428,94 @@ class EvaluationContext(ABC):
                         memo.popitem(last=False)
         return vectors  # type: ignore[return-value]  # every slot is filled
 
+    def _evaluate_rows(self, tiles, cores: Sequence[str], active) -> np.ndarray:
+        """The array form of :meth:`evaluate_metrics_batch`."""
+        cores = tuple(cores)
+        rows = _tile_row_array(tiles, cores)
+        width = len(self.metric_names)
+        if self.core_order is None:
+            # No application to key on: price through the list form.
+            mappings = [Mapping.from_index_array(cores, row) for row in rows.tolist()]
+            return _value_array(self._evaluate_mappings(mappings, active), width)
+        keys, columns = self._row_keys(rows, cores)
+        memo = self._memo
+        use_memo = self._cache_size > 0
+        out = np.empty((len(rows), width), dtype=np.float64)
+        hit_rows: List[int] = []
+        hit_values: List[Tuple[float, ...]] = []
+        seen: Dict[bytes, int] = {}
+        first: List[int] = []
+        repeat_rows: List[int] = []
+        repeat_slots: List[int] = []
+        for index, key in enumerate(_row_bytes(keys)):
+            if use_memo:
+                cached = memo.get(key)
+                if cached is not None:
+                    self._hits += 1
+                    memo.move_to_end(key)
+                    hit_rows.append(index)
+                    hit_values.append(cached)
+                    continue
+            slot = seen.get(key)
+            if slot is not None:
+                repeat_rows.append(index)
+                repeat_slots.append(slot)
+                continue
+            seen[key] = len(first)
+            first.append(index)
+        if hit_rows:
+            out[hit_rows] = hit_values
+        if first:
+            if len(first) < len(rows):
+                keys, rows = keys[first], rows[first]
+            if active is None:
+                computed = self._compute_rows_chunk(keys, rows, cores, columns)
+            else:
+                computed = _value_array(
+                    active.evaluate_metrics(
+                        self,
+                        [Mapping.from_index_array(cores, row) for row in rows.tolist()],
+                    ),
+                    width,
+                )
+            self._misses += len(first)
+            out[first] = computed
+            if repeat_rows:
+                out[repeat_rows] = computed[repeat_slots]
+            if use_memo:
+                for key, values in zip(seen, computed.tolist()):
+                    memo[key] = tuple(values)
+                    if len(memo) > self._cache_size:
+                        memo.popitem(last=False)
+        return out
+
+    def _row_keys(
+        self, rows: np.ndarray, cores: Tuple[str, ...]
+    ) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """Tile rows in :attr:`core_order`, and where each column came from.
+
+        ``columns[j]`` is the caller column holding ``core_order[j]``, or -1
+        when the caller does not place that core; such key entries are -1.
+        """
+        cached = self._row_columns
+        if cached is None or cached[0] != cores:
+            position = {core: column for column, core in enumerate(cores)}
+            columns = tuple(position.get(core, -1) for core in self.core_order)
+            cached = (cores, columns, columns == tuple(range(len(cores))))
+            self._row_columns = cached
+        _, columns, aligned = cached
+        if aligned:
+            return rows, columns
+        keys = np.full((len(rows), len(columns)), -1, dtype=np.int64)
+        present = [index for index, column in enumerate(columns) if column >= 0]
+        keys[:, present] = rows[:, [columns[index] for index in present]]
+        return keys, columns
+
     def evaluate_batch(
         self,
-        mappings: Iterable[Union[Mapping, Dict[str, int]]],
+        mappings: Union[Iterable[Union[Mapping, Dict[str, int]]], np.ndarray],
         backend: Optional["BatchBackend"] = None,
+        cores: Optional[Sequence[str]] = None,
     ) -> List[float]:
         """Price several candidates in one call (shares the memo).
 
@@ -357,16 +529,24 @@ class EvaluationContext(ABC):
         ----------
         mappings:
             Candidates to price (:class:`~repro.core.mapping.Mapping`
-            objects or plain assignment dicts).
+            objects or plain assignment dicts), or a ``(pop, len(cores))``
+            tile array.
         backend:
             Override of the context's default backend for this call; with
             both ``None`` the batch is priced inline.
+        cores:
+            The column order of a tile array (see
+            :meth:`evaluate_metrics_batch`).
 
         Returns
         -------
         list of float
             One cost per candidate, in input order.
         """
+        if cores is not None:
+            values = self.evaluate_metrics_batch(mappings, backend=backend, cores=cores)
+            self._require_weights()
+            return weighted_columns(values, self.metric_names, self.weights).tolist()
         return [
             self._scalarise(vector)
             for vector in self.evaluate_metrics_batch(mappings, backend=backend)
@@ -395,6 +575,25 @@ class EvaluationContext(ABC):
         changes a value.
         """
         return [self._compute_metrics(mapping) for mapping in mappings]
+
+    def _compute_rows_chunk(
+        self,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        cores: Tuple[str, ...],
+        columns: Tuple[int, ...],
+    ) -> np.ndarray:
+        """Uncached ``(m, k)`` vectors of the missed tile rows, in order.
+
+        *rows* are the caller's rows and *cores* their column order; *keys*
+        are the same rows in :attr:`core_order` (see :meth:`_row_keys`).  The
+        base implementation prices one rebuilt
+        :class:`~repro.core.mapping.Mapping` per row through
+        :meth:`_compute_metrics_chunk`; the CWM contexts override it to price
+        the rows directly.
+        """
+        mappings = [Mapping.from_index_array(cores, row) for row in rows.tolist()]
+        return _value_array(self._compute_metrics_chunk(mappings), len(self.metric_names))
 
     # ------------------------------------------------------------------
     # Memo bookkeeping
@@ -478,6 +677,7 @@ class CwmEvaluationContext(EvaluationContext):
         )
         self.name = f"cwm({cwg.name})"
         self.weights = {"dynamic_energy": 1.0}
+        self.core_order = tuple(sorted(cwg.cores))
         self.vectorize = (
             DEFAULT_VECTORIZE if vectorize is None else bool(vectorize)
         )
@@ -586,7 +786,7 @@ class CwmEvaluationContext(EvaluationContext):
             kernel = VectorizedCwmKernel.from_edges(
                 self._edges,
                 self.route_table,
-                sorted(self.cwg.cores),
+                self.core_order,
                 name=f"cwm-kernel({self.cwg.name})",
             )
             self._kernel = kernel
@@ -598,16 +798,57 @@ class CwmEvaluationContext(EvaluationContext):
         """Chunk pricing: one kernel gather per chunk when vectorised.
 
         Candidates are stacked by :meth:`_tile_rows` and priced by
-        :meth:`vector_kernel` in one call.  With ``vectorize`` off, falls
-        back to the base per-candidate loop.
+        :meth:`_price_kernel_rows` in one call.  With ``vectorize`` off,
+        falls back to the base per-candidate loop.
         """
         items = list(mappings)
         if not self.vectorize or not items:
             return [self._compute_metrics(mapping) for mapping in items]
-        totals = self.vector_kernel().price(self._tile_rows(items))
+        names = self.metric_names
         return [
-            MetricVector(CWM_METRIC_NAMES, (total,)) for total in totals.tolist()
+            MetricVector(names, values)
+            for values in self._price_kernel_rows(self._tile_rows(items)).tolist()
         ]
+
+    def _compute_rows_chunk(self, keys, rows, cores, columns):
+        """Tile-row pricing: the kernel reads the key rows when vectorised.
+
+        The rows are validated as :meth:`_tile_rows` validates candidates:
+        the same :class:`~repro.utils.errors.MappingError` for a tile outside
+        the NoC (any column, first row first) and for a missing required
+        core; columns of non-application cores are otherwise ignored.  With
+        ``vectorize`` off, prices rebuilt mappings through the scalar loop.
+        """
+        if not self.vectorize:
+            return super()._compute_rows_chunk(keys, rows, cores, columns)
+        kernel = self.vector_kernel()
+        required = kernel.required_cores
+        missing = [
+            core
+            for core, column in zip(self.core_order, columns)
+            if column < 0 and core in required
+        ]
+        n = self.route_table.num_tiles
+        checked = rows[:1] if missing else rows
+        if checked.size and (checked.min() < 0 or checked.max() >= n):
+            row, column = np.argwhere((checked < 0) | (checked >= n))[0]
+            raise MappingError(
+                f"core {cores[column]!r} mapped to tile {checked[row, column]}, "
+                f"outside the {n}-tile {self.platform.mesh}"
+            )
+        if missing:
+            raise MappingError(
+                f"mapping does not place core {missing[0]!r} of application "
+                f"{self.cwg.name!r}"
+            )
+        if -1 in columns:
+            # Unplaced isolated cores: the kernel never gathers them.
+            keys = np.where(keys < 0, 0, keys)
+        return self._price_kernel_rows(keys)
+
+    def _price_kernel_rows(self, tiles: np.ndarray) -> np.ndarray:
+        """``(m, k)`` vectors of validated ``(m, cores)`` rows in kernel order."""
+        return self.vector_kernel().price(tiles)[:, None]
 
     def _tile_rows(
         self, items: Sequence[Union[Mapping, Dict[str, int]]]
@@ -805,6 +1046,7 @@ class CdcmEvaluationContext(EvaluationContext):
         )
         self.name = f"cdcm({cdcg.name},{metric})"
         self.weights = scalarisation_weights(metric, energy_weight, time_weight)
+        self.core_order = tuple(sorted(cdcg.cores()))
         self.repair = DEFAULT_REPAIR if repair is None else bool(repair)
         self.repair_policy = repair_policy
         # Instance-level capability flags shadow the class defaults so

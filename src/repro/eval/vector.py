@@ -29,7 +29,10 @@ accept/reject decision, and what the property tests in
 :class:`~repro.eval.context.CwmEvaluationContext` prices every batch chunk
 through the kernel by default (:data:`DEFAULT_VECTORIZE`); a context built
 with ``vectorize=False`` keeps the scalar loop as the reference the kernel
-is checked against.
+is checked against.  The population engines never build the array from
+mappings: they breed tile rows and hand the context a ``(pop, cores)``
+array (``evaluate_metrics_batch(tiles, cores=...)``), whose misses reach
+:meth:`VectorizedCwmKernel.price` with no per-candidate objects on the way.
 """
 
 from __future__ import annotations

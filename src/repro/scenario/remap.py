@@ -28,14 +28,16 @@ translation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
 from repro.eval.context import EvaluationContext
 from repro.scenario.fabric import FabricView
 from repro.search.base import Searcher
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, MappingError
 
 
 def affected_cores(
@@ -116,6 +118,7 @@ class RegionObjective:
     #: Capability flags probed by the search engines.
     supports_delta = False
     supports_batch = True
+    supports_rows = True
 
     def __init__(
         self,
@@ -198,8 +201,51 @@ class RegionObjective:
         """Full-mapping cost of a virtual candidate (the engine contract)."""
         return self._context.cost(self.translate(virtual))
 
-    def evaluate_batch(self, virtuals, backend=None) -> List[float]:
-        """Bulk pricing of virtual candidates through the context's batch seam."""
+    def translate_rows(
+        self, virtuals, cores: Sequence[str]
+    ) -> Tuple[np.ndarray, Tuple[str, ...]]:
+        """Complete virtual tile rows into local rows, and their core order.
+
+        *virtuals* is a ``(pop, len(cores))`` array of virtual tiles, column
+        *c* holding core ``cores[c]``; the local rows list the pinned cores
+        first, then the movable ones, each movable core on
+        ``allowed_tiles[virtual tile]`` — :meth:`translate`, row by row.
+
+        Raises
+        ------
+        MappingError
+            When a movable core has no column, or a virtual tile is outside
+            the region.
+        """
+        rows = np.asarray(virtuals)
+        if rows.ndim != 2 or rows.shape[1] != len(cores):
+            raise MappingError(
+                f"expected a (pop, {len(cores)}) tile array for {len(cores)} "
+                f"cores, got shape {rows.shape}"
+            )
+        position = {core: column for column, core in enumerate(cores)}
+        missing = [core for core in self._movable if core not in position]
+        if missing:
+            raise MappingError(f"core {missing[0]!r} is not mapped")
+        moved = rows[:, [position[core] for core in self._movable]]
+        if moved.size and (moved.min() < 0 or moved.max() >= len(self._allowed)):
+            raise MappingError(
+                f"virtual tile outside the {len(self._allowed)}-tile region"
+            )
+        local = np.empty((len(rows), len(self._pinned) + len(self._movable)), np.int64)
+        local[:, : len(self._pinned)] = list(self._pinned.values())
+        local[:, len(self._pinned) :] = np.asarray(self._allowed, np.int64)[moved]
+        return local, tuple(self._pinned) + self._movable
+
+    def evaluate_batch(self, virtuals, backend=None, cores=None) -> List[float]:
+        """Bulk pricing of virtual candidates through the context's batch seam.
+
+        Takes :class:`~repro.core.mapping.Mapping` objects, or a virtual
+        tile array with its *cores* (see :meth:`translate_rows`).
+        """
+        if cores is not None:
+            local, order = self.translate_rows(virtuals, cores)
+            return self._context.evaluate_batch(local, backend=backend, cores=order)
         return self._context.evaluate_batch(
             [self.translate(virtual) for virtual in virtuals], backend=backend
         )
@@ -208,8 +254,19 @@ class RegionObjective:
         """Full-mapping component vector of a virtual candidate."""
         return self._context.metrics(self.translate(virtual))
 
-    def evaluate_metrics_batch(self, virtuals, backend=None) -> List[MetricVector]:
-        """Bulk component vectors of virtual candidates (vector engines)."""
+    def evaluate_metrics_batch(
+        self, virtuals, backend=None, cores=None
+    ) -> Union[List[MetricVector], np.ndarray]:
+        """Bulk component vectors of virtual candidates (vector engines).
+
+        A virtual tile array with its *cores* returns a ``(pop, k)`` array
+        (see :meth:`translate_rows`).
+        """
+        if cores is not None:
+            local, order = self.translate_rows(virtuals, cores)
+            return self._context.evaluate_metrics_batch(
+                local, backend=backend, cores=order
+            )
         return self._context.evaluate_metrics_batch(
             [self.translate(virtual) for virtual in virtuals], backend=backend
         )

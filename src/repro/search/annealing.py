@@ -45,6 +45,7 @@ from repro.search.base import (
     SearchResult,
     Searcher,
     as_objective,
+    check_noc_size,
     delta_callable,
     objective_metrics,
 )
@@ -287,6 +288,7 @@ class SimulatedAnnealing(PoolOwnerMixin, Searcher):
             global-best improvements in restart order).
         """
         objective = as_objective(objective)
+        check_noc_size(objective, initial)
         if self.restarts > 1:
             return self._search_restarts(objective, initial, rng)
         return self._search_once(objective, initial, rng)

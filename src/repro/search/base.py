@@ -9,6 +9,15 @@ also accepts **objective specs** — an
 into the callable contract, and every :class:`SearchResult` carries the
 best mapping's named per-metric breakdown when the objective can provide
 one (:func:`objective_metrics`).
+
+The population engines breed and price **tile rows**: a row is a tuple of
+tile indices aligned with a core order, entry *i* being the tile of core
+*i* (:meth:`~repro.core.mapping.Mapping.to_index_array` order).  The row
+helpers here convert at the boundary (:func:`initial_row`,
+:func:`random_row`, :func:`row_mapping`, :func:`tile_array`) and price rows
+through any vector source (:func:`price_rows`), so
+:class:`~repro.core.mapping.Mapping` objects are built only for results.
+:func:`check_noc_size` is the guard every engine runs before searching.
 """
 
 from __future__ import annotations
@@ -17,9 +26,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.rng import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
@@ -34,8 +45,14 @@ DeltaFunction = Callable[[Mapping, int, int], float]
 
 #: Signature of a bulk objective: costs of several candidates in input order.
 #: Implementations must accept an optional ``backend`` keyword naming a
-#: :class:`~repro.eval.parallel.BatchBackend` override.
+#: :class:`~repro.eval.parallel.BatchBackend` override; objectives with a
+#: truthy ``supports_rows`` also take a ``(pop, cores)`` tile array with a
+#: ``cores=`` keyword.
 BatchFunction = Callable[..., List[float]]
+
+#: A candidate as the population engines breed it: the tile of each core,
+#: in the run's core order.
+Row = Tuple[int, ...]
 
 
 def delta_callable(objective: Objective) -> Optional[DeltaFunction]:
@@ -166,6 +183,90 @@ def objective_metrics(
         return probe(mapping)
     except NotImplementedError:
         return None
+
+
+def check_noc_size(objective, initial: Mapping) -> None:
+    """Refuse an initial mapping placed on another NoC than the objective's.
+
+    Engines take the NoC size from the initial mapping.  When the objective,
+    or the context bound to it, exposes a platform with a different tile
+    count, a search would silently explore the wrong space (a 9-tile
+    mapping on a 16-tile platform only ever uses tiles 0-8).  Objectives
+    without a platform (plain callables, region sub-problems) pass.
+
+    Raises
+    ------
+    ConfigurationError
+        Naming both sizes when they differ.
+    """
+    platform = getattr(objective, "platform", None)
+    if platform is None:
+        platform = getattr(getattr(objective, "context", None), "platform", None)
+    expected = getattr(platform, "num_tiles", None)
+    if expected is None or initial.num_tiles is None:
+        return
+    if expected != initial.num_tiles:
+        raise ConfigurationError(
+            f"initial mapping targets a {initial.num_tiles}-tile NoC but the "
+            f"objective's platform has {expected} tiles"
+        )
+
+
+def initial_row(initial: Mapping, cores: Sequence[str]) -> Row:
+    """The tile row of *initial* in *cores* order."""
+    return tuple(initial.to_index_array(cores).tolist())
+
+
+def random_row(num_cores: int, num_tiles: int, rng) -> Row:
+    """A uniformly random injective tile row.
+
+    Draws exactly what :meth:`Mapping.random <repro.core.mapping.Mapping.random>`
+    draws for the same cores: one permutation of the tiles.
+    """
+    if num_cores > num_tiles:
+        raise MappingError(f"{num_cores} cores cannot be placed on {num_tiles} tiles")
+    return tuple(rng.permutation(num_tiles)[:num_cores].tolist())
+
+
+def row_mapping(cores: Sequence[str], row: Sequence[int], num_tiles: Optional[int]) -> Mapping:
+    """The :class:`~repro.core.mapping.Mapping` of a bred tile row.
+
+    Rows bred by the operators of :mod:`repro.search.genetic` are injective
+    and inside the NoC by construction, so the constructor's validation is
+    skipped.
+    """
+    return Mapping._from_trusted(dict(zip(cores, row)), dict(zip(row, cores)), num_tiles)
+
+
+def tile_array(rows: Sequence[Sequence[int]], cores: Sequence[str]) -> np.ndarray:
+    """Stack tile rows into the ``(pop, len(cores))`` int64 array pricing takes."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cores))
+
+
+def price_rows(
+    source,
+    rows: Sequence[Sequence[int]],
+    cores: Sequence[str],
+    num_tiles: Optional[int],
+    backend=None,
+) -> np.ndarray:
+    """The ``(pop, k)`` metric array of tile rows priced through *source*.
+
+    Columns follow ``source.metric_names``.  Sources with a truthy
+    ``supports_rows`` (evaluation contexts and the objectives bound to
+    them) take the tile array directly; any other vector source is handed
+    one :class:`~repro.core.mapping.Mapping` per row.
+    """
+    if getattr(source, "supports_rows", False):
+        return source.evaluate_metrics_batch(
+            tile_array(rows, cores), backend=backend, cores=cores
+        )
+    vectors = source.evaluate_metrics_batch(
+        [row_mapping(cores, row, num_tiles) for row in rows], backend=backend
+    )
+    return np.array(
+        [vector.values for vector in vectors], dtype=np.float64
+    ).reshape(len(rows), len(source.metric_names))
 
 
 class PoolOwnerMixin:
@@ -330,6 +431,13 @@ __all__ = [
     "batch_callable",
     "as_objective",
     "objective_metrics",
+    "Row",
+    "check_noc_size",
+    "initial_row",
+    "random_row",
+    "row_mapping",
+    "tile_array",
+    "price_rows",
     "PoolOwnerMixin",
     "SearchResult",
     "Searcher",

@@ -31,6 +31,7 @@ from repro.search.base import (
     SearchResult,
     Searcher,
     as_objective,
+    check_noc_size,
     batch_callable,
     objective_metrics,
 )
@@ -132,6 +133,7 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
             raise ConfigurationError(
                 "exhaustive search requires the initial mapping to know the NoC size"
             )
+        check_noc_size(objective, initial)
         space = self.search_space_size(len(cores), num_tiles)
         if self.max_candidates is not None and space > self.max_candidates:
             raise ConfigurationError(

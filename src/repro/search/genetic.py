@@ -5,7 +5,9 @@ permutation GA is included as an extension and as an ablation reference —
 it explores the same move space (injective core-to-tile assignments) with a
 population-based strategy:
 
-* individuals are mappings;
+* individuals are tile rows: the tile of each core, in the initial
+  mapping's sorted core order (a :class:`~repro.core.mapping.Mapping` is
+  built for the result only);
 * selection is tournament selection on the objective;
 * crossover is a position-preserving uniform crossover repaired to keep the
   assignment injective;
@@ -21,56 +23,64 @@ generations out over a process pool.  Costs are bit-identical across
 backends, so a seeded run returns the same mapping regardless of
 ``n_workers``.
 
-The same batch call is also the vectorisation seam.  Every batch takes the
-context's one path, memo lookup, in-batch dedup and one chunk of misses, so
-under a CWM objective the context stacks each generation's misses into one
-``(pop, cores)`` tile array and prices it with the NumPy array kernel
-(:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of looping per
+The same batch call is also the vectorisation seam.  An objective that takes
+tile arrays (``supports_rows``: the contexts and the objectives bound to
+them) gets each generation as one ``(pop, cores)`` array; every batch takes
+the context's one path, memo lookup, in-batch dedup and one chunk of misses,
+and under a CWM objective the misses go straight into the NumPy array kernel
+(:class:`~repro.eval.vector.VectorizedCwmKernel`) instead of a loop per
 child — bit-identical again, so the gate
 (:attr:`~repro.eval.context.CwmEvaluationContext` ``vectorize``, default on)
-never changes which mapping a seeded run returns.
+never changes which mapping a seeded run returns.  Other objectives are
+handed one mapping per child.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.mapping import Mapping
 from repro.search.base import (
     Objective,
     PoolOwnerMixin,
+    Row,
     SearchResult,
     Searcher,
     as_objective,
     batch_callable,
+    check_noc_size,
+    initial_row,
     objective_metrics,
+    random_row,
+    row_mapping,
+    tile_array,
 )
 from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.rng import RandomSource, ensure_rng
 
 
 def uniform_assignment_crossover(
-    parent_a: Mapping,
-    parent_b: Mapping,
-    cores: List[str],
+    parent_a: Sequence[Optional[int]],
+    parent_b: Sequence[Optional[int]],
+    cores: Sequence[str],
     num_tiles: int,
     rng,
-) -> Mapping:
+) -> Row:
     """Position-preserving uniform crossover with injectivity repair.
 
-    For each core (in *cores* order) the child inherits one parent's tile,
+    Parents and child are tile rows aligned with *cores*: entry *i* is the
+    tile of ``cores[i]`` (``None`` where a parent does not place that core).
+    For each core, in *cores* order, the child inherits one parent's tile,
     preferring a uniformly chosen parent but falling back to the other when
     the preferred tile is already taken; cores whose tiles are both taken
     are placed on shuffled leftover tiles in a final repair pass.  The RNG
     is consumed as one coin vector ``rng.random(len(cores))`` — the same
     doubles as one scalar draw per core — plus one shuffle of the leftover
-    tiles, so seeded runs are reproducible.
-
-    The child is built once: placed cores in *cores* order, then the
-    repaired cores.  It is injective by construction, so it skips the
-    constructor's validation.
+    tiles, so seeded runs are reproducible.  The child is injective by
+    construction.
 
     Shared by :class:`GeneticSearch` and the population engines of
     :mod:`repro.search.nsga2` — the scalar GA and the front engines explore
@@ -79,70 +89,76 @@ def uniform_assignment_crossover(
     Raises
     ------
     MappingError
-        When a parent does not place one of *cores*, or when the child would
-        inherit a tile outside the ``num_tiles``-tile NoC.
+        When a parent row does not have one entry per core, when a parent
+        does not place one of *cores*, or when the child would inherit a
+        tile outside the ``num_tiles``-tile NoC.
     """
-    tiles_a = parent_a._core_to_tile
-    tiles_b = parent_b._core_to_tile
+    for parent in (parent_a, parent_b):
+        if len(parent) != len(cores):
+            raise MappingError(
+                f"{len(cores)} cores but {len(parent)} tile indices"
+            )
+    try:
+        # The cheapest full scan of both rows that fails on a None entry.
+        sum(parent_a) + sum(parent_b)
+    except TypeError:
+        for core, first, second in zip(cores, parent_a, parent_b):
+            if first is None or second is None:
+                raise MappingError(f"core {core!r} is not mapped") from None
+        raise
     flips = (rng.random(len(cores)) < 0.5).tolist()
     free = bytearray(b"\x01") * num_tiles
-    core_to_tile: dict[str, int] = {}
-    tile_to_core: dict[int, str] = {}
-    repaired: List[str] = []
+    child: List[int] = []
+    append = child.append
+    repaired: List[int] = []
     try:
-        for core, first, second, flip in zip(
-            cores,
-            map(tiles_a.__getitem__, cores),
-            map(tiles_b.__getitem__, cores),
-            flips,
-        ):
+        for first, second, flip in zip(parent_a, parent_b, flips):
             if flip:
                 first, second = second, first
             if free[first]:
-                tile = first
+                free[first] = 0
+                append(first)
             elif free[second]:
-                tile = second
+                free[second] = 0
+                append(second)
             else:
-                repaired.append(core)  # resolved in the repair pass below
-                continue
-            free[tile] = 0
-            core_to_tile[core] = tile
-            tile_to_core[tile] = core
-    except KeyError as exc:
-        raise MappingError(f"core {exc.args[0]!r} is not mapped") from None
+                repaired.append(len(child))  # resolved in the repair pass below
+                append(-1)
     except IndexError:
         # The free mask covers the NoC only: the first tile it could not
         # index is the one the child would have inherited.
         tile = first if first >= num_tiles else second
         raise MappingError(
-            f"core {core!r} mapped to tile {tile}, but the NoC only has "
-            f"{num_tiles} tiles"
+            f"core {cores[len(child)]!r} mapped to tile {tile}, but the NoC "
+            f"only has {num_tiles} tiles"
         ) from None
     leftover = list(compress(range(num_tiles), free))
     rng.shuffle(leftover)
-    for core in repaired:
-        tile = leftover.pop()
-        core_to_tile[core] = tile
-        tile_to_core[tile] = core
-    return Mapping._from_trusted(core_to_tile, tile_to_core, num_tiles)
+    for position in repaired:
+        child[position] = leftover.pop()
+    return tuple(child)
 
 
-def swap_mutation(mapping: Mapping, num_tiles: int, rng) -> Mapping:
-    """Swap the contents of two distinct uniformly drawn tiles.
+def swap_mutation(row: Sequence[int], num_tiles: int, rng) -> Row:
+    """Swap the contents of two distinct uniformly drawn tiles of a tile row.
 
     The same move simulated annealing proposes; either tile may be empty.
     Consumes exactly two RNG draws, or none on a NoC of fewer than two
-    tiles, where there is nothing to swap and *mapping* comes back
-    unchanged.  Shared by :class:`GeneticSearch` and the population engines
-    of :mod:`repro.search.nsga2`.
+    tiles, where there is nothing to swap and *row* comes back unchanged.
+    Shared by :class:`GeneticSearch` and the population engines of
+    :mod:`repro.search.nsga2`.
     """
     if num_tiles < 2:
-        return mapping
+        return row
     tile_a = int(rng.integers(num_tiles))
     tile_b = int(rng.integers(num_tiles - 1))
     if tile_b >= tile_a:
         tile_b += 1
-    return mapping.swap_tiles(tile_a, tile_b)
+    child = list(row)
+    for tile, other in ((tile_a, tile_b), (tile_b, tile_a)):
+        if tile in row:
+            child[row.index(tile)] = other
+    return tuple(child)
 
 
 @dataclass(frozen=True)
@@ -279,19 +295,24 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
             raise ConfigurationError(
                 "genetic search requires the initial mapping to know the NoC size"
             )
-        cores = initial.cores
+        check_noc_size(objective, initial)
+        cores = tuple(initial.cores)
 
         batch_fn = batch_callable(objective)
         backend = self._pricing_backend() if batch_fn is not None else None
+        prices_rows = batch_fn is not None and getattr(objective, "supports_rows", False)
 
-        def price(candidates: List[Mapping]) -> List[float]:
+        def price(candidates: List[Row]) -> List[float]:
+            if prices_rows:
+                return batch_fn(tile_array(candidates, cores), backend=backend, cores=cores)
+            mappings = [row_mapping(cores, row, num_tiles) for row in candidates]
             if batch_fn is not None:
-                return batch_fn(candidates, backend=backend)
-            return [objective(candidate) for candidate in candidates]
+                return batch_fn(mappings, backend=backend)
+            return [objective(mapping) for mapping in mappings]
 
-        population: List[Mapping] = [initial]
+        population: List[Row] = [initial_row(initial, cores)]
         while len(population) < params.population_size:
-            population.append(Mapping.random(cores, num_tiles, generator))
+            population.append(random_row(len(cores), num_tiles, generator))
         costs = price(population)
         evaluations = len(population)
         accepted = 0
@@ -308,7 +329,7 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
             # Generate the whole brood first (same RNG consumption order as
             # the old per-child loop), then price it as one batch — the
             # parallel seam.
-            children: List[Mapping] = []
+            children: List[Row] = []
             while len(next_population) + len(children) < params.population_size:
                 parent_a = self._tournament(population, costs, generator)
                 parent_b = self._tournament(population, costs, generator)
@@ -330,36 +351,48 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
                 best, best_cost = population[gen_best], costs[gen_best]
                 history.append((evaluations, best_cost))
 
+        best_mapping = row_mapping(cores, best, num_tiles)
         return SearchResult(
-            best_mapping=best,
+            best_mapping=best_mapping,
             best_cost=best_cost,
             evaluations=evaluations,
             history=history,
             accepted_moves=accepted,
-            best_metrics=objective_metrics(objective, best),
+            best_metrics=objective_metrics(objective, best_mapping),
         )
 
     # ------------------------------------------------------------------
-    def _tournament(self, population: List[Mapping], costs: List[float], rng) -> Mapping:
-        """Pick the cheapest of ``tournament_size`` uniformly drawn individuals."""
-        size = self.parameters.tournament_size
-        drawn = rng.integers(0, len(population), size=size)
-        return population[min(drawn.tolist(), key=costs.__getitem__)]
+    def _tournament(self, population: List[Row], costs: List[float], rng) -> Row:
+        """Pick the cheapest of ``tournament_size`` uniformly drawn individuals.
+
+        The entrants are drawn one scalar ``rng.integers(n)`` at a time,
+        which consumes the generator exactly as one
+        ``rng.integers(0, n, size=tournament_size)`` call; ties go to the
+        entrant drawn first.
+        """
+        draw = rng.integers
+        size = len(population)
+        winner = operator.index(draw(size))
+        for _ in range(self.parameters.tournament_size - 1):
+            drawn = operator.index(draw(size))
+            if costs[drawn] < costs[winner]:
+                winner = drawn
+        return population[winner]
 
     def _crossover(
         self,
-        parent_a: Mapping,
-        parent_b: Mapping,
-        cores: List[str],
+        parent_a: Row,
+        parent_b: Row,
+        cores: Sequence[str],
         num_tiles: int,
         rng,
-    ) -> Mapping:
+    ) -> Row:
         """Uniform assignment crossover with injectivity repair."""
         return uniform_assignment_crossover(parent_a, parent_b, cores, num_tiles, rng)
 
-    def _mutate(self, mapping: Mapping, num_tiles: int, rng) -> Mapping:
+    def _mutate(self, row: Row, num_tiles: int, rng) -> Row:
         """Swap the contents of two distinct tiles."""
-        return swap_mutation(mapping, num_tiles, rng)
+        return swap_mutation(row, num_tiles, rng)
 
 
 __all__ = [

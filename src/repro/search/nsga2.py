@@ -21,34 +21,46 @@ through ``evaluate_metrics_batch`` — the same seam every population engine
 uses — so the engine inherits the :class:`~repro.eval.parallel.BatchBackend`
 parallelism: set :attr:`Nsga2Parameters.n_workers` (or pass a backend) to fan
 pricing out over a process pool, with results bit-identical to serial runs
-under the same seed.  Under a CWM source the same seam vectorises too: the
-context converts each generation to a ``(pop, cores)`` tile array and prices
-it with the array kernel of :mod:`repro.eval.vector` — again bit-identical,
-so fronts do not depend on the gate.
+under the same seed.
 
 The generation loop itself lives in :class:`PopulationSearch`, which
 :class:`NSGA2Search`, :class:`~repro.search.nsga3.NSGA3Search` and
 :class:`~repro.codesign.engine.CodesignSearch` configure: each supplies only
 its selection (tournament tie-break, truncation of the spilling rank) and,
-for co-design, its genome.
+for co-design, its genome.  The loop breeds **tile rows** (the tile of each
+core, in the initial mapping's sorted core order), prices each brood as one
+``(pop, cores)`` tile array through the array form of
+``evaluate_metrics_batch`` (under a CWM source, straight into the array
+kernel of :mod:`repro.eval.vector`), and ranks on the key columns of the
+``(pop, k)`` metric array it gets back; :func:`fast_non_dominated_sort` and
+:func:`crowding_distances` take that key matrix as well as metric vectors.
+Mappings and metric vectors are built only for the returned result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import abstractmethod
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.dominance import key_matrix, pareto_fronts
 from repro.core.mapping import Mapping
-from repro.core.metrics import MetricVector
+from repro.core.metrics import MetricVector, weighted_columns
 from repro.search.base import (
     PoolOwnerMixin,
+    Row,
     SearchResult,
     Searcher,
     as_objective,
-    objective_metrics,
+    check_noc_size,
+    initial_row,
+    price_rows,
+    random_row,
+    row_mapping,
 )
 from repro.search.genetic import swap_mutation, uniform_assignment_crossover
 from repro.utils.errors import ConfigurationError
@@ -110,7 +122,7 @@ class Nsga2Parameters:
 
 
 def fast_non_dominated_sort(
-    vectors: Sequence[MetricVector], keys: Sequence[str]
+    vectors: Union[Sequence[MetricVector], np.ndarray], keys: Sequence[str]
 ) -> List[List[int]]:
     """Deb's fast non-dominated sort: indices grouped into Pareto ranks.
 
@@ -121,7 +133,8 @@ def fast_non_dominated_sort(
     Parameters
     ----------
     vectors:
-        Metric vectors of the population, in population order.
+        Metric vectors of the population, in population order, or their
+        ``(n, len(keys))`` key matrix (columns are *keys* in order).
     keys:
         Component names the dominance check ranges over (all minimised).
 
@@ -145,7 +158,7 @@ def fast_non_dominated_sort(
 
 def crowding_distances(
     front: Sequence[int],
-    vectors: Sequence[MetricVector],
+    vectors: Union[Sequence[MetricVector], np.ndarray],
     keys: Sequence[str],
 ) -> Dict[int, float]:
     """Crowding distance of each index of one Pareto rank.
@@ -161,7 +174,8 @@ def crowding_distances(
     front:
         Indices of one rank (as produced by :func:`fast_non_dominated_sort`).
     vectors:
-        Metric vectors the indices point into.
+        Metric vectors the indices point into, or the ``(n, len(keys))``
+        key matrix whose columns are *keys* in order.
     keys:
         Component names of the trade-off.
 
@@ -171,28 +185,38 @@ def crowding_distances(
         ``{index: distance}`` — larger means lonelier, preferred by the
         crowded tournament and by front truncation.
     """
+    front = list(front)
     distances: Dict[int, float] = {index: 0.0 for index in front}
     if len(front) <= 2:
         return {index: math.inf for index in front}
-    for key in keys:
-        order = sorted(front, key=lambda index: (vectors[index][key], index))
-        low = vectors[order[0]][key]
-        high = vectors[order[-1]][key]
-        distances[order[0]] = math.inf
-        distances[order[-1]] = math.inf
+    for column in _front_columns(front, vectors, keys):
+        # Ascending by value, ties by index.
+        ranked = sorted(zip(column, front))
+        low = ranked[0][0]
+        high = ranked[-1][0]
+        distances[ranked[0][1]] = math.inf
+        distances[ranked[-1][1]] = math.inf
         span = high - low
         if not 0.0 < span < math.inf:
             continue
-        for position in range(1, len(order) - 1):
-            index = order[position]
+        for position in range(1, len(ranked) - 1):
+            index = ranked[position][1]
             if distances[index] == math.inf:
                 continue
-            gap = (
-                vectors[order[position + 1]][key]
-                - vectors[order[position - 1]][key]
-            )
+            gap = ranked[position + 1][0] - ranked[position - 1][0]
             distances[index] += gap / span
     return distances
+
+
+def _front_columns(
+    front: List[int],
+    vectors: Union[Sequence[MetricVector], np.ndarray],
+    keys: Sequence[str],
+) -> List[List[float]]:
+    """Each key's values over *front*, in front order."""
+    if isinstance(vectors, np.ndarray):
+        return vectors[front].T.tolist()
+    return [[vectors[index][key] for index in front] for key in keys]
 
 
 def _tournament_positions(ranks: List[int], tiebreak: list) -> List[int]:
@@ -221,24 +245,29 @@ class _Run:
     """
 
     keys: Tuple[str, ...]
-    cores: List[str]
+    cores: Sequence[str]
     num_tiles: int
-    #: Prices a list of individuals, returning their vectors in order.
-    price: Callable[[list], List[MetricVector]]
-    #: ``(individual, vector) -> cost`` of the incumbent record.
-    score: Callable[[object, MetricVector], float]
+    #: Prices a list of individuals: their ``(pop, k)`` metric array.
+    price: Callable[[list], np.ndarray]
+    #: ``(individuals, values) -> costs`` of the incumbent record, one cost
+    #: per individual and its row of the metric array.
+    score: Callable[[list, np.ndarray], List[float]]
     #: NSGA-III's reference lattice; empty under crowding selection.
     references: Tuple[Tuple[float, ...], ...] = ()
+    #: Columns of the metric array holding :attr:`keys`, in order.
+    columns: Tuple[int, ...] = ()
 
 
 class _Outcome(NamedTuple):
     """The final population and the incumbent record of one run."""
 
     population: list
-    vectors: List[MetricVector]
+    #: The ``(pop, k)`` metric array of :attr:`population`.
+    values: np.ndarray
     best: object
     best_cost: float
-    best_vector: MetricVector
+    #: The incumbent's row of metric values.
+    best_values: np.ndarray
     history: List[Tuple[int, float]]
     evaluations: int
     moves: int
@@ -255,6 +284,13 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
     spills.  Each child draws from the one random stream in a fixed order:
     two tournaments, the crossover coin and crossover, the mutation coin and
     mutation, then whatever :meth:`_breed` adds.
+
+    Individuals are tile rows (:data:`~repro.search.base.Row`, in the
+    initial mapping's core order) and each generation's vectors one
+    ``(pop, k)`` float64 array; selection reads its key columns.
+    :class:`~repro.core.mapping.Mapping` and
+    :class:`~repro.core.metrics.MetricVector` objects are built only for
+    the returned result.
 
     Engines configure it: selection through :meth:`_tiebreak` and
     :meth:`_truncate`, the genome through :meth:`_breed` and ``search``.
@@ -304,22 +340,22 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
         return self.keys
 
     @staticmethod
-    def _scalar_view(objective, source):
-        """``(mapping, vector) -> float`` incumbent scorer for reporting.
+    def _scalar_view(objective, source, to_mapping):
+        """``(rows, values) -> costs`` incumbent scorer for reporting.
 
         Prefers the objective's (or its context's) weight view — an
-        uncounted dot product over the already-priced vectors, bit-identical
-        to the scalar engines' costs — and falls back to calling the
-        objective when no weights are exposed.
+        uncounted weighted sum over the already-priced metric array,
+        bit-identical to the scalar engines' costs — and falls back to
+        calling the objective on each row's mapping (*to_mapping*) when no
+        weights are exposed.
         """
         weights = getattr(objective, "weights", None)
         if not weights:
             weights = getattr(source, "weights", None)
         if weights:
-            return lambda mapping, vector: vector.weighted_sum(
-                weights, strict=False
-            )
-        return lambda mapping, vector: objective(mapping)
+            names = tuple(source.metric_names)
+            return lambda rows, values: weighted_columns(values, names, weights).tolist()
+        return lambda rows, values: [objective(to_mapping(row)) for row in rows]
 
     def _num_tiles(self, initial: Mapping) -> int:
         """The NoC size the seed individual was placed on."""
@@ -366,30 +402,39 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
         keys = self._resolve_keys(source)
         generator = ensure_rng(rng)
         num_tiles = self._num_tiles(initial)
-        cores = initial.cores
+        check_noc_size(scalar, initial)
+        cores = tuple(initial.cores)
         backend = self._resolve_backend(params.n_workers)
+        names = tuple(source.metric_names)
 
-        def price(candidates: List[Mapping]) -> List[MetricVector]:
-            return source.evaluate_metrics_batch(candidates, backend=backend)
+        def to_mapping(row: Row) -> Mapping:
+            return row_mapping(cores, row, num_tiles)
 
-        run = _Run(keys, cores, num_tiles, price, self._scalar_view(scalar, source))
+        def price(rows: List[Row]) -> np.ndarray:
+            return price_rows(source, rows, cores, num_tiles, backend)
 
-        population: List[Mapping] = [initial]
+        run = _Run(
+            keys, cores, num_tiles, price,
+            self._scalar_view(scalar, source, to_mapping),
+            columns=tuple(names.index(key) for key in keys),
+        )
+
+        population: List[Row] = [initial_row(initial, cores)]
         while len(population) < params.population_size:
-            population.append(Mapping.random(cores, num_tiles, generator))
+            population.append(random_row(len(cores), num_tiles, generator))
         outcome = self._evolve(population, run, generator)
 
         final_points = [
-            ParetoPoint(mapping=mapping, metrics=vector)
-            for mapping, vector in zip(outcome.population, outcome.vectors)
+            ParetoPoint(mapping=to_mapping(row), metrics=MetricVector(names, values))
+            for row, values in zip(outcome.population, outcome.values.tolist())
         ]
         return SearchResult(
-            best_mapping=outcome.best,
+            best_mapping=to_mapping(outcome.best),
             best_cost=outcome.best_cost,
             evaluations=outcome.evaluations,
             history=outcome.history,
             accepted_moves=outcome.moves,
-            best_metrics=objective_metrics(scalar, outcome.best),
+            best_metrics=MetricVector(names, outcome.best_values.tolist()),
             front=non_dominated(final_points, keys),
         )
 
@@ -397,24 +442,26 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
         """Price the seed *population*, then run every generation on it."""
         params = self.parameters
         size = params.population_size
-        vectors = run.price(population)
+        columns = list(run.columns)
+        values = run.price(population)
         evaluations = len(population)
         moves = 0
 
-        costs = [run.score(i, v) for i, v in zip(population, vectors)]
+        costs = run.score(population, values)
         best_idx = min(range(len(population)), key=costs.__getitem__)
         best, best_cost = population[best_idx], costs[best_idx]
-        best_vector = vectors[best_idx]
+        best_values = values[best_idx]
         history: List[Tuple[int, float]] = [(evaluations, best_cost)]
 
         for _ in range(params.generations):
-            fronts = fast_non_dominated_sort(vectors, run.keys)
+            matrix = values[:, columns]
+            fronts = fast_non_dominated_sort(matrix, run.keys)
             ranks = [0] * len(population)
             for rank, front in enumerate(fronts):
                 for index in front:
                     ranks[index] = rank
             position = _tournament_positions(
-                ranks, self._tiebreak(fronts, vectors, run)
+                ranks, self._tiebreak(fronts, matrix, run)
             )
 
             # The whole brood first (fixed RNG consumption order), then one
@@ -426,34 +473,36 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
                 child, applied = self._breed(parent_a, parent_b, run, rng)
                 moves += applied
                 children.append(child)
-            child_vectors = run.price(children)
+            child_values = run.price(children)
             evaluations += len(children)
 
-            for child, vector in zip(children, child_vectors):
-                cost = run.score(child, vector)
+            child_costs = run.score(children, child_values)
+            for index, cost in enumerate(child_costs):
                 if cost < best_cost:
-                    best, best_cost, best_vector = child, cost, vector
+                    best, best_cost = children[index], cost
+                    best_values = child_values[index]
                     history.append((evaluations, best_cost))
 
             combined = population + children
-            combined_vectors = vectors + child_vectors
+            combined_values = np.concatenate((values, child_values))
+            combined_matrix = combined_values[:, columns]
             survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_vectors, run.keys):
+            for front in fast_non_dominated_sort(combined_matrix, run.keys):
                 if len(survivors) + len(front) <= size:
                     survivors.extend(front)
                     if len(survivors) == size:
                         break
                     continue
                 slots = size - len(survivors)
-                chosen = self._truncate(survivors, front, combined_vectors, slots, run)
+                chosen = self._truncate(survivors, front, combined_matrix, slots, run)
                 survivors.extend(chosen)
                 break
             population = [combined[i] for i in survivors]
-            vectors = [combined_vectors[i] for i in survivors]
+            values = combined_values[survivors]
             self._selected(population, best, run)
 
         return _Outcome(
-            population, vectors, best, best_cost, best_vector, history,
+            population, values, best, best_cost, best_values, history,
             evaluations, moves,
         )
 
@@ -461,17 +510,29 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
         """Index of a tournament winner: the drawn index placed first.
 
         *position* is each index's place in the generation's tournament
-        order (lowest rank, then tie-break, then index).
+        order (lowest rank, then tie-break, then index).  The entrants are
+        drawn one scalar ``rng.integers(n)`` at a time, which consumes the
+        generator exactly as one ``rng.integers(0, n, size=tournament_size)``
+        call.
         """
-        drawn = rng.integers(0, len(position), size=self.parameters.tournament_size)
-        return min(drawn.tolist(), key=position.__getitem__)
+        draw = rng.integers
+        size = len(position)
+        winner = operator.index(draw(size))
+        for _ in range(self.parameters.tournament_size - 1):
+            drawn = operator.index(draw(size))
+            if position[drawn] < position[winner]:
+                winner = drawn
+        return winner
 
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
     @abstractmethod
     def _tiebreak(self, fronts, vectors, run: _Run) -> list:
-        """Per-index tournament tie-break of a ranked population (lower wins)."""
+        """Per-index tournament tie-break of a ranked population (lower wins).
+
+        *vectors* is the population's key matrix (or its metric vectors).
+        """
 
     @abstractmethod
     def _truncate(self, accepted, front, vectors, slots, run: _Run) -> List[int]:

@@ -36,7 +36,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.metrics import MetricVector
 from repro.search.nsga2 import Nsga2Parameters, PopulationSearch
@@ -132,7 +134,7 @@ def default_divisions(num_objectives: int, population_size: int) -> int:
 
 def _normalise(
     pool: Sequence[int],
-    vectors: Sequence[MetricVector],
+    vectors: Union[Sequence[MetricVector], np.ndarray],
     keys: Sequence[str],
 ) -> Dict[int, Tuple[float, ...]]:
     """Min/max normalisation of the pool's vectors onto ``[0, 1]`` per key.
@@ -141,13 +143,17 @@ def _normalise(
     the per-key maximum; degenerate keys — zero span, or a span that is not
     finite because a component is ±inf — normalise to 0.0 so they stop
     influencing the association geometry and no coordinate is NaN.
+    *vectors* are metric vectors or the ``(n, len(keys))`` key matrix.
     """
+    pool = list(pool)
+    if isinstance(vectors, np.ndarray):
+        rows = vectors[pool].tolist()
+    else:
+        rows = [[vectors[index][key] for key in keys] for index in pool]
     ideal = [math.inf] * len(keys)
     nadir = [-math.inf] * len(keys)
-    for index in pool:
-        vector = vectors[index]
-        for axis, key in enumerate(keys):
-            value = vector[key]
+    for row in rows:
+        for axis, value in enumerate(row):
             if value < ideal[axis]:
                 ideal[axis] = value
             if value > nadir[axis]:
@@ -157,11 +163,10 @@ def _normalise(
         for low, high in zip(ideal, nadir)
     ]
     normalised: Dict[int, Tuple[float, ...]] = {}
-    for index in pool:
-        vector = vectors[index]
+    for index, row in zip(pool, rows):
         normalised[index] = tuple(
-            ((vector[key] - ideal[axis]) / spans[axis]) if spans[axis] else 0.0
-            for axis, key in enumerate(keys)
+            ((value - ideal[axis]) / spans[axis]) if spans[axis] else 0.0
+            for axis, value in enumerate(row)
         )
     return normalised
 
@@ -206,7 +211,7 @@ def associate_to_references(
 def niche_select(
     accepted: Sequence[int],
     spill: Sequence[int],
-    vectors: Sequence[MetricVector],
+    vectors: Union[Sequence[MetricVector], np.ndarray],
     keys: Sequence[str],
     references: Sequence[Tuple[float, ...]],
     slots: int,
@@ -214,7 +219,8 @@ def niche_select(
     """NSGA-III niching: fill *slots* from *spill* preferring empty niches.
 
     The selection pool (*accepted* plus *spill*) is normalised and associated
-    with the reference lattice; niche counts start from the accepted members.
+    with the reference lattice (*vectors* are metric vectors or the
+    ``(n, len(keys))`` key matrix); niche counts start from the accepted members.
     Each round picks the least-crowded reference point (ties by index): an
     empty niche takes its closest spill candidate (perpendicular distance,
     ties by index), a represented niche its lowest-index candidate — the

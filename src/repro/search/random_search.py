@@ -15,6 +15,7 @@ from repro.search.base import (
     SearchResult,
     Searcher,
     as_objective,
+    check_noc_size,
     objective_metrics,
 )
 from repro.utils.errors import ConfigurationError
@@ -51,6 +52,7 @@ class RandomSearch(Searcher):
             raise ConfigurationError(
                 "random search requires the initial mapping to know the NoC size"
             )
+        check_noc_size(objective, initial)
         cores = initial.cores
 
         best = initial

@@ -7,11 +7,17 @@ both moved onto the array kernel of :mod:`repro.core.dominance`.  They test
 dominance pair by pair with :meth:`~repro.core.metrics.MetricVector.dominates`
 and share no code with the kernel, so ``tests/test_dominance.py`` can
 check the kernel against them: identical fronts, in identical order.
+
+:func:`crowding_distances` is the original of
+:func:`repro.search.nsga2.crowding_distances`, copied verbatim from before
+it read the key matrix of the population loop; ``tests/test_rows.py``
+checks both input forms of the library's version against it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Dict, List, Sequence
 
 from repro.core.metrics import MetricVector
 from repro.utils.errors import ConfigurationError
@@ -72,3 +78,33 @@ def non_dominated(points, keys: Sequence[str] = DEFAULT_FRONT_KEYS):
         survivors.append(candidate)
     survivors.sort(key=lambda point: tuple(point.metrics[key] for key in keys))
     return survivors
+
+
+def crowding_distances(
+    front: Sequence[int],
+    vectors: Sequence[MetricVector],
+    keys: Sequence[str],
+) -> Dict[int, float]:
+    """Crowding distance of each index of one Pareto rank."""
+    distances: Dict[int, float] = {index: 0.0 for index in front}
+    if len(front) <= 2:
+        return {index: math.inf for index in front}
+    for key in keys:
+        order = sorted(front, key=lambda index: (vectors[index][key], index))
+        low = vectors[order[0]][key]
+        high = vectors[order[-1]][key]
+        distances[order[0]] = math.inf
+        distances[order[-1]] = math.inf
+        span = high - low
+        if not 0.0 < span < math.inf:
+            continue
+        for position in range(1, len(order) - 1):
+            index = order[position]
+            if distances[index] == math.inf:
+                continue
+            gap = (
+                vectors[order[position + 1]][key]
+                - vectors[order[position - 1]][key]
+            )
+            distances[index] += gap / span
+    return distances

@@ -208,6 +208,21 @@ class TestSynthesisProperties:
 
     @SETTINGS
     @given(mesh=mesh_strategy, seed=st.integers(min_value=0, max_value=2**31))
+    def test_repaired_routings_equal_validated_ones(self, mesh, seed):
+        # Repair rounds build their routings without re-validating the
+        # table; each must equal a validated construction of its table, down
+        # to the digest, also when the table arrives as an array.
+        synthesizer = TableSynthesizer(mesh)
+        table = np.array(synthesizer.random_table(rng=seed))
+        result = synthesizer.certify(table, policy="repair")
+        validated = SynthesizedRouting(result.routing.next_hops)
+        assert result.routing == validated
+        assert result.routing.digest == validated.digest
+        assert result.routing.cache_token == validated.cache_token
+        assert all(type(hop) is int for row in result.routing.next_hops for hop in row)
+
+    @SETTINGS
+    @given(mesh=mesh_strategy, seed=st.integers(min_value=0, max_value=2**31))
     def test_rejections_carry_genuine_witness_cycles(self, mesh, seed):
         synthesizer = TableSynthesizer(mesh)
         table = synthesizer.random_table(rng=seed)

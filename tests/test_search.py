@@ -247,3 +247,56 @@ class TestRegistry:
     def test_available_list(self):
         names = available_searchers()
         assert "annealing" in names and "exhaustive" in names
+
+
+class TestNocSizeMismatch:
+    """An initial mapping built for fewer tiles than the objective's platform.
+
+    Every engine takes the NoC size from the initial mapping, so such a run
+    used to search the smaller NoC without a word; now each raises, naming
+    both sizes.
+    """
+
+    ENGINE_KWARGS = {
+        "genetic": dict(parameters=GeneticParameters(population_size=4, generations=1)),
+        "nsga2": dict(parameters=Nsga2Parameters(population_size=4, generations=1)),
+        "nsga3": dict(parameters=Nsga3Parameters(population_size=4, generations=1)),
+        "random": dict(samples=4),
+        "annealing": dict(schedule=AnnealingSchedule(max_evaluations=8)),
+    }
+
+    @pytest.mark.parametrize("columns, rows, tiles", [(4, 4, 9), (3, 2, 5)])
+    @pytest.mark.parametrize(
+        "name",
+        sorted({type(get_searcher(name)).name for name in available_searchers()}),
+    )
+    def test_registered_engines_refuse(self, example_cdcg, name, columns, rows, tiles):
+        platform = Platform(mesh=Mesh(columns, rows))
+        context = CwmEvaluationContext(cdcg_to_cwg(example_cdcg), platform)
+        initial = Mapping.random(example_cdcg.cores(), tiles, rng=2)
+        engine = get_searcher(name, **self.ENGINE_KWARGS.get(name, {}))
+        message = rf"{tiles}-tile NoC but the objective's platform has {columns * rows} tiles"
+        for objective in (context, cwm_objective(cdcg_to_cwg(example_cdcg), platform)):
+            with pytest.raises(ConfigurationError, match=message):
+                engine.search(objective, initial, rng=3)
+
+    def test_codesign_refuses(self, example_cdcg):
+        from repro.codesign import CodesignParameters, CodesignSearch
+
+        engine = CodesignSearch(
+            example_cdcg,
+            Platform(mesh=Mesh(4, 4)),
+            CodesignParameters(population_size=4, generations=1),
+        )
+        initial = Mapping.random(example_cdcg.cores(), 9, rng=2)
+        with pytest.raises(ConfigurationError, match="9-tile NoC .* 16 tiles"):
+            engine.search(initial=initial, rng=3)
+
+    def test_matching_sizes_and_platformless_objectives_pass(self, example_cdcg):
+        cwg = cdcg_to_cwg(example_cdcg)
+        platform = Platform(mesh=Mesh(3, 2))
+        initial = Mapping.random(example_cdcg.cores(), 6, rng=2)
+        RandomSearch(samples=3).search(CwmEvaluationContext(cwg, platform), initial, rng=1)
+        context = CwmEvaluationContext(cwg, platform)
+        smaller = Mapping.random(example_cdcg.cores(), 5, rng=2)
+        RandomSearch(samples=3).search(context.cost, smaller, rng=1)
