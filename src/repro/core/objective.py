@@ -211,8 +211,8 @@ class CountingObjective:
 
     @property
     def supports_rows(self) -> bool:
-        """True when the batch methods take tile arrays (a bound context)."""
-        return self._context is not None
+        """True when the bound context's batch methods take tile arrays."""
+        return bool(getattr(self._context, "supports_rows", False))
 
     def metrics(self, mapping: Union[Mapping, Dict[str, int]]) -> MetricVector:
         """Named component vector of *mapping* through the bound context.

@@ -13,6 +13,10 @@
   crowding distances must equal, float for float and in the same dict
   order, those of the original loop kept in ``tests/reference_pareto.py``.
 * **Row helpers** of :mod:`repro.search.base` round-trip to mappings.
+* **Sources without tile arrays.**  An objective whose batch methods take
+  mappings only is handed one mapping per row, by every population engine.
+* **Result breakdowns** come from the priced rows: no engine prices its
+  incumbent a second time to attach ``best_metrics``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,13 @@ import reference_pareto
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector, weighted_columns
 from repro.search.base import initial_row, random_row, row_mapping, tile_array
-from repro.search.genetic import swap_mutation
-from repro.search.nsga2 import crowding_distances, fast_non_dominated_sort
+from repro.search.genetic import GeneticParameters, GeneticSearch, swap_mutation
+from repro.search.nsga2 import (
+    NSGA2Search,
+    Nsga2Parameters,
+    crowding_distances,
+    fast_non_dominated_sort,
+)
 from repro.search.nsga3 import (
     _normalise,
     das_dennis_reference_points,
@@ -214,3 +223,71 @@ class TestKeyMatrixForms:
 
         with pytest.raises(ConfigurationError, match="key matrix"):
             fast_non_dominated_sort(np.zeros((3, 1)), ("energy", "time"))
+
+
+class _MappingOnlySource:
+    """A vector source whose batch methods take mappings, not tile arrays."""
+
+    name = "mapping-only"
+    metric_names = ("energy", "time")
+    weights = {"energy": 1.0}
+
+    def metrics(self, mapping):
+        tiles = [tile for _, tile in mapping]
+        energy = float(sum(weight * tile for weight, tile in enumerate(tiles, 1)))
+        return MetricVector(self.metric_names, (energy, float(max(tiles) - min(tiles))))
+
+    def cost(self, mapping):
+        return self.metrics(mapping)["energy"]
+
+    def evaluate_batch(self, mappings, backend=None):
+        return [self.cost(mapping) for mapping in mappings]
+
+    def evaluate_metrics_batch(self, mappings, backend=None):
+        return [self.metrics(mapping) for mapping in mappings]
+
+
+class TestMappingOnlySources:
+    INITIAL = Mapping({"a": 0, "b": 3, "c": 5, "d": 6}, num_tiles=9)
+
+    def test_genetic_search_hands_it_mappings(self):
+        engine = GeneticSearch(GeneticParameters(population_size=6, generations=4))
+        batched = engine.search(_MappingOnlySource(), self.INITIAL, rng=7)
+        unbatched = engine.search(_MappingOnlySource().cost, self.INITIAL, rng=7)
+        assert batched.best_mapping == unbatched.best_mapping
+        assert batched.history == unbatched.history
+        assert batched.evaluations == unbatched.evaluations
+
+    def test_nsga2_hands_it_mappings(self):
+        engine = NSGA2Search(Nsga2Parameters(population_size=6, generations=3))
+        result = engine.search(_MappingOnlySource(), self.INITIAL, rng=7)
+        assert result.best_metrics == _MappingOnlySource().metrics(result.best_mapping)
+        assert result.front
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        GeneticSearch(GeneticParameters(population_size=8, generations=3)),
+        NSGA2Search(Nsga2Parameters(population_size=8, generations=3)),
+    ],
+    ids=["genetic", "nsga2"],
+)
+def test_breakdown_reuses_the_priced_row(engine, monkeypatch):
+    from repro.eval.context import CwmEvaluationContext
+    from repro.graphs.cwg import cwg_from_edges
+    from repro.noc.platform import Platform
+    from repro.noc.topology import Mesh
+
+    cwg = cwg_from_edges("rows", [("a", "b", 64), ("b", "c", 32), ("c", "d", 16)])
+    context = CwmEvaluationContext(cwg, Platform(mesh=Mesh(3, 3)))
+    reference = CwmEvaluationContext(cwg, Platform(mesh=Mesh(3, 3)))
+
+    def scalar_pricing(self, mapping):
+        raise AssertionError("the incumbent was priced again")
+
+    monkeypatch.setattr(CwmEvaluationContext, "_compute_metrics", scalar_pricing)
+    result = engine.search(context, Mapping.random(cwg.cores, 9, rng=1), rng=2)
+    monkeypatch.undo()
+    assert result.best_metrics == reference.metrics(result.best_mapping)
+    assert context.cache_info().misses == len(context._memo)
