@@ -220,7 +220,9 @@ class EvaluationContext(ABC):
         self._misses = 0
         #: The last caller core order of a tile array, its key columns, and
         #: whether they are the caller's columns unchanged.
-        self._row_columns: Optional[Tuple[Tuple[str, ...], Tuple[int, ...], bool]] = None
+        self._row_columns: Optional[
+            Tuple[Tuple[str, ...], Tuple[int, ...], bool]
+        ] = None
 
     @property
     def backend(self) -> Optional["BatchBackend"]:
@@ -593,7 +595,8 @@ class EvaluationContext(ABC):
         the rows directly.
         """
         mappings = [Mapping.from_index_array(cores, row) for row in rows.tolist()]
-        return _value_array(self._compute_metrics_chunk(mappings), len(self.metric_names))
+        vectors = self._compute_metrics_chunk(mappings)
+        return _value_array(vectors, len(self.metric_names))
 
     # ------------------------------------------------------------------
     # Memo bookkeeping

@@ -228,14 +228,18 @@ def random_row(num_cores: int, num_tiles: int, rng) -> Row:
     return tuple(rng.permutation(num_tiles)[:num_cores].tolist())
 
 
-def row_mapping(cores: Sequence[str], row: Sequence[int], num_tiles: Optional[int]) -> Mapping:
+def row_mapping(
+    cores: Sequence[str], row: Sequence[int], num_tiles: Optional[int]
+) -> Mapping:
     """The :class:`~repro.core.mapping.Mapping` of a bred tile row.
 
     Rows bred by the operators of :mod:`repro.search.genetic` are injective
     and inside the NoC by construction, so the constructor's validation is
     skipped.
     """
-    return Mapping._from_trusted(dict(zip(cores, row)), dict(zip(row, cores)), num_tiles)
+    return Mapping._from_trusted(
+        dict(zip(cores, row)), dict(zip(row, cores)), num_tiles
+    )
 
 
 def tile_array(rows: Sequence[Sequence[int]], cores: Sequence[str]) -> np.ndarray:

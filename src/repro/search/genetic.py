@@ -304,11 +304,14 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
 
         batch_fn = batch_callable(objective)
         backend = self._pricing_backend() if batch_fn is not None else None
-        prices_rows = batch_fn is not None and getattr(objective, "supports_rows", False)
+        prices_rows = batch_fn is not None and getattr(
+            objective, "supports_rows", False
+        )
 
         def price(candidates: List[Row]) -> List[float]:
             if prices_rows:
-                return batch_fn(tile_array(candidates, cores), backend=backend, cores=cores)
+                tiles = tile_array(candidates, cores)
+                return batch_fn(tiles, backend=backend, cores=cores)
             mappings = [row_mapping(cores, row, num_tiles) for row in candidates]
             if batch_fn is not None:
                 return batch_fn(mappings, backend=backend)

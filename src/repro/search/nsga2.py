@@ -354,7 +354,9 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
             weights = getattr(source, "weights", None)
         if weights:
             names = tuple(source.metric_names)
-            return lambda rows, values: weighted_columns(values, names, weights).tolist()
+            return lambda rows, values: weighted_columns(
+                values, names, weights
+            ).tolist()
         return lambda rows, values: [objective(to_mapping(row)) for row in rows]
 
     def _num_tiles(self, initial: Mapping) -> int:
