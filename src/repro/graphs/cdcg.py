@@ -16,11 +16,13 @@ abstraction cannot express.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
-import networkx as nx
 
 from repro.utils.errors import GraphValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
+    import networkx as nx
 
 #: Name of the special source vertex.  Every packet with no explicit
 #: predecessor depends on ``START``.
@@ -403,6 +405,8 @@ class CDCG:
         Packet vertices carry ``source``, ``target``, ``computation_time`` and
         ``bits`` attributes.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_node(START)
         graph.add_node(END)

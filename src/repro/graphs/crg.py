@@ -14,11 +14,13 @@ reservation machinery live in :mod:`repro.noc`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
 
 from repro.utils.errors import GraphValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,19 @@ class CRG:
                     f"link {source}->{target} references a missing tile"
                 )
         if self.num_tiles > 1:
-            graph = self.to_networkx().to_undirected()
-            if not nx.is_connected(graph):
+            # Breadth-first search over the links taken as undirected.
+            neighbours: Dict[int, List[int]] = {index: [] for index in self._tiles}
+            for source, target in self._links:
+                neighbours[source].append(target)
+                neighbours[target].append(source)
+            reached = {next(iter(self._tiles))}
+            frontier = list(reached)
+            while frontier:
+                for neighbour in neighbours[frontier.pop()]:
+                    if neighbour not in reached:
+                        reached.add(neighbour)
+                        frontier.append(neighbour)
+            if len(reached) != self.num_tiles:
                 raise GraphValidationError(
                     f"CRG {self.name!r} is not connected; some tiles are unreachable"
                 )
@@ -214,6 +227,8 @@ class CRG:
         Tile vertices carry ``x``/``y`` attributes; link edges carry their
         ``orientation``.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for tile in self.tiles:
             graph.add_node(tile.index, x=tile.x, y=tile.y)

@@ -10,11 +10,13 @@ Murali & De Micheli's core graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
 
 from repro.utils.errors import GraphValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,8 @@ class CWG:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with ``bits`` edge attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(self._cores)
         for comm in self.communications():

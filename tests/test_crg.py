@@ -1,7 +1,12 @@
 """Communication resource graph (repro.graphs.crg)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.graphs.crg import CRG, Link, Tile
 from repro.utils.errors import GraphValidationError
 
@@ -107,6 +112,38 @@ class TestValidation:
         crg.add_tile(1, 1, 0)
         with pytest.raises(GraphValidationError):
             crg.validate()
+
+    def test_validate_rejects_two_linked_islands(self):
+        crg = CRG("islands")
+        for index in range(4):
+            crg.add_tile(index, index, 0)
+        crg.add_link(0, 1, "horizontal")
+        crg.add_link(3, 2, "horizontal")
+        with pytest.raises(GraphValidationError, match="'islands' is not connected"):
+            crg.validate()
+
+    def test_one_way_links_connect_weakly(self):
+        crg = CRG()
+        for index in range(3):
+            crg.add_tile(index, index, 0)
+        crg.add_link(0, 1, "horizontal")
+        crg.add_link(2, 1, "horizontal")
+        crg.validate()
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    # A fresh interpreter: networkx loads only when a to_networkx export runs.
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, repro; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestConversion:
