@@ -50,16 +50,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
     max_candidates:
         Safety bound on the number of mappings the engine will enumerate.
         ``None`` disables the bound.
-    fix_first_core:
-        When True, the first core (in sorted order) is only placed on tiles of
-        one mesh quadrant... more precisely it is pinned to the tiles it was
-        *not* already symmetric to; since a full symmetry reduction requires
-        knowledge of the mesh automorphisms, the implementation simply pins
-        the first core to its initial tile's orbit under enumeration order by
-        fixing it to each tile index ``<= n // 2``.  This halves (at least)
-        the enumeration effort while still containing an optimal mapping for
-        symmetric meshes.  Disabled by default to keep the engine exact for
-        any topology.
     batch_size:
         Candidates priced per :meth:`evaluate_batch` call when the objective
         supports bulk pricing; irrelevant otherwise.
@@ -79,7 +69,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
     def __init__(
         self,
         max_candidates: Optional[int] = 2_000_000,
-        fix_first_core: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
         backend=None,
         n_workers: Optional[int] = None,
@@ -89,7 +78,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
         if n_workers is not None and n_workers < 1:
             raise ConfigurationError(f"n_workers must be positive, got {n_workers}")
         self.max_candidates = max_candidates
-        self.fix_first_core = fix_first_core
         self.batch_size = batch_size
         self.n_workers = n_workers
         self._backend = backend
@@ -156,9 +144,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
         history = [(1, best_cost)]
 
         tile_indices = list(range(num_tiles))
-        first_core_tiles = None
-        if self.fix_first_core and cores:
-            first_core_tiles = set(range((num_tiles + 1) // 2))
 
         def consume(chunk: List[Mapping]) -> None:
             nonlocal best_mapping, best_cost, evaluations
@@ -171,8 +156,6 @@ class ExhaustiveSearch(PoolOwnerMixin, Searcher):
 
         chunk: List[Mapping] = []
         for assignment in permutations(tile_indices, len(cores)):
-            if first_core_tiles is not None and assignment[0] not in first_core_tiles:
-                continue
             candidate = Mapping(dict(zip(cores, assignment)), num_tiles=num_tiles)
             if candidate == initial:
                 continue
