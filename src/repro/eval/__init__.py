@@ -15,7 +15,8 @@ that cost.  The engine is split into a static and a dynamic half:
   evaluator, the CDCM scheduler, the greedy constructor and the benchmarks.
 * :class:`~repro.eval.context.EvaluationContext` (dynamic) — binds an
   application to a platform and prices mappings: ``cost(mapping)`` with an
-  LRU memo keyed by the mapping assignment, ``delta(mapping, tile_a, tile_b)``
+  LRU memo keyed by the candidate's key row (its tile of each core in the
+  context's ``core_order``), ``delta(mapping, tile_a, tile_b)``
   (exact incremental cost of a tile swap, when the model supports it) and
   ``evaluate_batch(mappings)``.
 

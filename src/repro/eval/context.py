@@ -5,11 +5,17 @@ single object every search engine prices mappings through.  Since the
 vector-objective redesign the memo stores **named component vectors**
 (:class:`~repro.core.metrics.MetricVector`) rather than scalars — the scalar
 operations are derived views, which is what lets a weight sweep re-scalarise
-an already-priced population for free.  The context exposes:
+an already-priced population for free.
+
+Inside a context a candidate is its **key row**: the int64 tile of each
+core in :attr:`EvaluationContext.core_order`, :data:`UNPLACED` where it
+places none.  Cores outside the application never enter a key, so a
+candidate's value and :class:`~repro.utils.errors.MappingError` depend on
+its key row alone.  The context exposes:
 
 * :meth:`EvaluationContext.metrics` — the component vector of a mapping
-  (energy terms, CDCM makespan), memoised in an LRU keyed by the (immutable,
-  hashable) mapping assignment so revisited candidates are free;
+  (energy terms, CDCM makespan), memoised in an LRU keyed by its key row's
+  bytes, so revisited candidates are free in whichever form they came;
 * :meth:`EvaluationContext.cost` — the scalar objective value, derived by
   applying the context's :attr:`EvaluationContext.weights` to the memoised
   vector (for the default weights this is bit-identical to the pre-vector
@@ -21,17 +27,15 @@ an already-priced population for free.  The context exposes:
   scalarisation views price swaps through;
 * :meth:`EvaluationContext.evaluate_metrics_batch` — bulk pricing of many
   candidates (population-based engines, sweep drivers), sharing the same
-  memo, and :meth:`EvaluationContext.evaluate_batch`, its scalar view.  Every
-  batch takes one path: memo lookup, in-batch dedup, then one chunk of
-  misses.  Where that chunk is priced is pluggable: pass a
+  memo, and :meth:`EvaluationContext.evaluate_batch`, its scalar view.  A
+  list of mappings, or a ``(pop, cores)`` tile array with ``cores=``,
+  becomes key rows at the door and takes one path: memo lookup, in-batch
+  dedup, then one chunk of missed key rows priced into an ``(m, k)``
+  float64 array by the one chunk pricer,
+  :meth:`EvaluationContext._compute_rows_chunk`.  Pass a
   :class:`~repro.eval.parallel.BatchBackend` (``backend=...`` at
-  construction or per call) to fan it out over a process pool or answer it
-  from a result store; the default prices it inline through
-  :meth:`EvaluationContext._compute_metrics_chunk`.  The same call takes a
-  ``(pop, cores)`` tile array with ``cores=`` and returns a ``(pop, k)``
-  float64 array, keying memo and dedup on row bytes in the context's
-  :attr:`EvaluationContext.core_order` — the form the population engines
-  price their broods through.
+  construction or per call) to price that chunk in a process pool or a
+  result store instead; every backend ends in the same chunk pricer.
 
 Contexts are *picklable-light*: pickling keeps the application graph and the
 platform but drops the memo, the backend and the route table — the unpickling
@@ -65,10 +69,12 @@ Two concrete contexts mirror the paper's two models:
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -110,6 +116,10 @@ if TYPE_CHECKING:  # pragma: no cover - import only used by type checkers
 #: Default size of the per-context cost memo.
 DEFAULT_CACHE_SIZE = 4096
 
+#: The key-row entry of an application core a candidate does not place.  No
+#: tile index equals it, so an unplaced core never aliases a placed one.
+UNPLACED = int(np.iinfo(np.int64).min)
+
 
 class CacheInfo(NamedTuple):
     """Statistics of a context's cost memo (mirrors ``functools.lru_cache``)."""
@@ -143,21 +153,21 @@ def _row_bytes(keys: np.ndarray) -> List[bytes]:
     return keys.view(np.dtype((np.void, width))).ravel().tolist()
 
 
-def _value_array(vectors: Sequence[MetricVector], width: int) -> np.ndarray:
-    """The ``(len(vectors), width)`` float64 array of vector values."""
-    return np.array(
-        [vector.values for vector in vectors], dtype=np.float64
-    ).reshape(len(vectors), width)
+def _placed(cores: Sequence[str], row: Sequence[int]) -> Dict[str, int]:
+    """The assignment a key row holds: each placed core and its tile."""
+    return {core: tile for core, tile in zip(cores, row) if tile != UNPLACED}
 
 
 class EvaluationContext(ABC):
     """Shared pricing interface for all mapping search engines.
 
     Subclasses implement :meth:`_compute_metrics` (the full per-mapping
-    component vector) and declare :attr:`metric_names` plus a default
-    :attr:`weights` view; the base class provides the LRU vector memo, the
-    derived scalar operations, batch evaluation (optionally fanned out over
-    a :class:`~repro.eval.parallel.BatchBackend`) and the (optional) delta
+    component vector) and declare :attr:`metric_names`, :attr:`core_order`
+    and a default :attr:`weights` view; they may override
+    :meth:`_compute_rows_chunk` to price a chunk of key rows at once.  The
+    base class provides the LRU vector memo, the derived scalar operations,
+    batch evaluation (optionally fanned out over a
+    :class:`~repro.eval.parallel.BatchBackend`) and the (optional) delta
     protocol.  Engines discover delta support through the ``supports_delta``
     attribute — see :func:`repro.search.base.delta_callable` — and batch
     support through ``supports_batch`` / :func:`repro.search.base.batch_callable`;
@@ -195,11 +205,11 @@ class EvaluationContext(ABC):
     #: :func:`repro.search.base.price_rows` reads).
     supports_rows: bool = True
 
-    #: The application's cores in the column order the memo keys tile rows
-    #: on — the sorted core names, the pinned
-    #: :meth:`~repro.core.mapping.Mapping.to_index_array` order.  ``None``
-    #: for a context that knows no application: it prices a tile array
-    #: through the list form.
+    #: The application's cores in the column order of the key rows the memo,
+    #: the chunk pricer and every backend work on — the sorted core names,
+    #: the pinned :meth:`~repro.core.mapping.Mapping.to_index_array` order.
+    #: Concrete contexts must set it; pricing through a context that does
+    #: not raises :class:`~repro.utils.errors.ConfigurationError`.
     core_order: Optional[Tuple[str, ...]] = None
 
     def __init__(
@@ -213,16 +223,10 @@ class EvaluationContext(ABC):
             )
         self._cache_size = cache_size
         self._backend = backend
-        # Mapping keys hold MetricVectors; row-byte keys (the array form of
-        # evaluate_metrics_batch) hold value tuples.
-        self._memo: "OrderedDict[Union[Mapping, bytes], Any]" = OrderedDict()
+        # Key-row bytes -> the candidate's metric values.
+        self._memo: "OrderedDict[bytes, Tuple[float, ...]]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        #: The last caller core order of a tile array, its key columns, and
-        #: whether they are the caller's columns unchanged.
-        self._row_columns: Optional[
-            Tuple[Tuple[str, ...], Tuple[int, ...], bool]
-        ] = None
 
     @property
     def backend(self) -> Optional["BatchBackend"]:
@@ -241,23 +245,25 @@ class EvaluationContext(ABC):
         (:class:`~repro.core.objective.ScalarisedObjective`) apply their own
         weight vectors to the *same* memoised vectors — so sweeping K weight
         vectors over an already-priced population costs zero additional
-        pricing passes.
+        pricing passes.  The memo key is the candidate's key row, shared
+        with batches; a miss is priced alone by :meth:`_compute_metrics`.
         """
-        if self._cache_size == 0 or not isinstance(mapping, Mapping):
+        if self._cache_size == 0:
             self._misses += 1
             return self._compute_metrics(mapping)
+        key = self._key_row(mapping)
         memo = self._memo
-        vector = memo.get(mapping)
-        if vector is None:
+        values = memo.get(key)
+        if values is None:
             self._misses += 1
             vector = self._compute_metrics(mapping)
-            memo[mapping] = vector
+            memo[key] = vector.values
             if len(memo) > self._cache_size:
                 memo.popitem(last=False)
-        else:
-            self._hits += 1
-            memo.move_to_end(mapping)
-        return vector
+            return vector
+        self._hits += 1
+        memo.move_to_end(key)
+        return MetricVector(self.metric_names, values)
 
     def cost(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
         """Scalar objective value of *mapping* (lower is better), memoised.
@@ -330,27 +336,25 @@ class EvaluationContext(ABC):
     ) -> Union[List[MetricVector], np.ndarray]:
         """Component vectors of several candidates in one call (shares the memo).
 
-        The one batch path of every context.  Candidates already in the memo
-        are answered from it; the misses are deduplicated and priced as one
-        chunk — by the backend when one is active, else inline through
-        :meth:`_compute_metrics_chunk` (which the vectorised CWM context
-        turns into a single array-kernel call) — then written back to the
-        memo.  A candidate repeated within the batch counts as one miss and
-        no hit.  Vectors are bit-identical to per-candidate :meth:`metrics`
-        calls regardless of the backend — only *where* the arithmetic runs
-        changes.
+        The one batch path of every context.  The candidates are turned into
+        key rows at the door; rows already in the memo are answered from it,
+        the misses are deduplicated and priced as one chunk — by the backend
+        when one is active, else inline through :meth:`_compute_rows_chunk`
+        (which the vectorised CWM context turns into a single array-kernel
+        call) — then written back to the memo.  A candidate repeated within
+        the batch counts as one miss and no hit.  Values are bit-identical to
+        per-candidate :meth:`metrics` calls regardless of the backend — only
+        *where* the arithmetic runs changes.
 
         **Array form.**  Pass a ``(pop, len(cores))`` integer tile array
         and its column order as *cores* (entry ``[r, c]`` is the tile of
         ``cores[c]`` in candidate *r*) to get a ``(pop, k)`` float64 array
         back, columns in :attr:`metric_names` order, every value
-        bit-identical to the list form.  Memo and in-batch dedup key on the
-        bytes of each row taken in the context's own :attr:`core_order`, so
-        two callers with different column orders share entries and never
-        collide; columns of cores outside the application do not enter the
-        key.  The CWM contexts price the misses straight from the rows;
-        other contexts, and every backend, get one
-        :class:`~repro.core.mapping.Mapping` per miss.
+        bit-identical to the list form.  The key row takes each row's
+        columns in :attr:`core_order`, so two callers with different column
+        orders share entries and never collide; columns of cores outside the
+        application do not enter the key, and neither do the tiles of such
+        cores in a listed candidate.
 
         Parameters
         ----------
@@ -375,74 +379,31 @@ class EvaluationContext(ABC):
         MappingError
             For a tile array whose width is not ``len(cores)``, and for a
             candidate the context cannot price (as in the list form).
+        ConfigurationError
+            For a tile array without *cores*, and for a context without
+            :attr:`core_order`.
         """
         active = backend if backend is not None else self._backend
         if cores is not None:
-            return self._evaluate_rows(mappings, cores, active)
+            cores = tuple(cores)
+            keys = self._row_keys(_tile_row_array(mappings, cores), cores)
+            return self._evaluate_keys(keys, active)
         if isinstance(mappings, np.ndarray):
             raise ConfigurationError(
                 "a tile array needs its column order: pass cores= with it"
             )
-        return self._evaluate_mappings(list(mappings), active)
+        keys = self._candidate_keys(list(mappings))
+        names = self.metric_names
+        return [
+            MetricVector(names, values)
+            for values in self._evaluate_keys(keys, active).tolist()
+        ]
 
-    def _evaluate_mappings(
-        self, items: List[Union[Mapping, Dict[str, int]]], active
-    ) -> List[MetricVector]:
-        """The list form of :meth:`evaluate_metrics_batch`."""
+    def _evaluate_keys(self, keys: np.ndarray, active) -> np.ndarray:
+        """The ``(pop, k)`` values of key rows: memo, dedup, one chunk of misses."""
         memo = self._memo
         use_memo = self._cache_size > 0
-        vectors: List[Optional[MetricVector]] = [None] * len(items)
-        # Unique misses in first-seen order; duplicate Mappings collapse to
-        # one computation (dict candidates are not hashable, so each prices
-        # on its own).
-        unique: List[Any] = []
-        targets: List[List[int]] = []
-        seen: Dict[Mapping, int] = {}
-        for index, mapping in enumerate(items):
-            if isinstance(mapping, Mapping):
-                if use_memo:
-                    cached = memo.get(mapping)
-                    if cached is not None:
-                        self._hits += 1
-                        memo.move_to_end(mapping)
-                        vectors[index] = cached
-                        continue
-                slot = seen.get(mapping)
-                if slot is not None:
-                    targets[slot].append(index)
-                    continue
-                seen[mapping] = len(unique)
-            unique.append(mapping)
-            targets.append([index])
-        if unique:
-            computed = (
-                self._compute_metrics_chunk(unique)
-                if active is None
-                else active.evaluate_metrics(self, unique)
-            )
-            for mapping, vector, indices in zip(unique, computed, targets):
-                self._misses += 1
-                for index in indices:
-                    vectors[index] = vector
-                if use_memo and isinstance(mapping, Mapping):
-                    memo[mapping] = vector
-                    if len(memo) > self._cache_size:
-                        memo.popitem(last=False)
-        return vectors  # type: ignore[return-value]  # every slot is filled
-
-    def _evaluate_rows(self, tiles, cores: Sequence[str], active) -> np.ndarray:
-        """The array form of :meth:`evaluate_metrics_batch`."""
-        cores = tuple(cores)
-        rows = _tile_row_array(tiles, cores)
-        width = len(self.metric_names)
-        if self.core_order is None:
-            # No application to key on: price through the list form.
-            mappings = [Mapping.from_index_array(cores, row) for row in rows.tolist()]
-            return _value_array(self._evaluate_mappings(mappings, active), width)
-        keys, columns = self._row_keys(rows, cores)
-        memo = self._memo
-        use_memo = self._cache_size > 0
-        out = np.empty((len(rows), width), dtype=np.float64)
+        out = np.empty((len(keys), len(self.metric_names)), dtype=np.float64)
         hit_rows: List[int] = []
         hit_values: List[Tuple[float, ...]] = []
         seen: Dict[bytes, int] = {}
@@ -468,50 +429,69 @@ class EvaluationContext(ABC):
         if hit_rows:
             out[hit_rows] = hit_values
         if first:
-            if len(first) < len(rows):
-                keys, rows = keys[first], rows[first]
+            if len(first) < len(keys):
+                keys = keys[first]
             if active is None:
-                computed = self._compute_rows_chunk(keys, rows, cores, columns)
+                computed = self._compute_rows_chunk(keys)
             else:
-                computed = _value_array(
-                    active.evaluate_metrics(
-                        self,
-                        [Mapping.from_index_array(cores, row) for row in rows.tolist()],
-                    ),
-                    width,
-                )
+                computed = active.evaluate_metrics(self, keys)
             self._misses += len(first)
             out[first] = computed
             if repeat_rows:
                 out[repeat_rows] = computed[repeat_slots]
             if use_memo:
-                for key, values in zip(seen, computed.tolist()):
-                    memo[key] = tuple(values)
-                    if len(memo) > self._cache_size:
-                        memo.popitem(last=False)
+                # The keys in seen are all misses, so they are appended in
+                # order and the oldest entries evicted, as one at a time.
+                memo.update(zip(seen, map(tuple, computed.tolist())))
+                while len(memo) > self._cache_size:
+                    memo.popitem(last=False)
         return out
 
-    def _row_keys(
-        self, rows: np.ndarray, cores: Tuple[str, ...]
-    ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Tile rows in :attr:`core_order`, and where each column came from.
+    def _require_core_order(self) -> Tuple[str, ...]:
+        order = self.core_order
+        if order is None:
+            # Without it no candidate has a key row to memoise or price.
+            raise ConfigurationError(
+                f"{type(self).__name__} defines no core_order; set "
+                f"self.core_order (the application's sorted core names, the "
+                f"column order of its key rows) in the constructor"
+            )
+        return order
 
-        ``columns[j]`` is the caller column holding ``core_order[j]``, or -1
-        when the caller does not place that core; such key entries are -1.
-        """
-        cached = self._row_columns
-        if cached is None or cached[0] != cores:
-            position = {core: column for column, core in enumerate(cores)}
-            columns = tuple(position.get(core, -1) for core in self.core_order)
-            cached = (cores, columns, columns == tuple(range(len(cores))))
-            self._row_columns = cached
-        _, columns, aligned = cached
-        if aligned:
-            return rows, columns
-        keys = np.full((len(rows), len(columns)), -1, dtype=np.int64)
+    def _key_row(self, candidate: Union[Mapping, Dict[str, int]]) -> bytes:
+        """The bytes of one listed candidate's key row."""
+        tiles = (
+            candidate.assignments()
+            if isinstance(candidate, Mapping)
+            else dict(candidate)
+        )
+        order = self._require_core_order()
+        try:
+            return struct.pack(
+                f"={len(order)}q", *[tiles.get(core, UNPLACED) for core in order]
+            )
+        except struct.error as exc:  # a tile that is not an int64 integer
+            raise MappingError(f"tile indices must be int64 integers: {exc}") from None
+
+    def _candidate_keys(
+        self, candidates: Sequence[Union[Mapping, Dict[str, int]]]
+    ) -> np.ndarray:
+        """The ``(len(candidates), len(core_order))`` key rows of a list."""
+        rows = b"".join(self._key_row(candidate) for candidate in candidates)
+        width = len(self._require_core_order())
+        return np.frombuffer(rows, dtype=np.int64).reshape(len(candidates), width)
+
+    def _row_keys(self, rows: np.ndarray, cores: Tuple[str, ...]) -> np.ndarray:
+        """The key rows of a caller's tile array whose columns are *cores*."""
+        order = self._require_core_order()
+        if cores == order:
+            return rows
+        position = {core: column for column, core in enumerate(cores)}
+        columns = [position.get(core, -1) for core in order]
+        keys = np.full((len(rows), len(columns)), UNPLACED, dtype=np.int64)
         present = [index for index, column in enumerate(columns) if column >= 0]
         keys[:, present] = rows[:, [columns[index] for index in present]]
-        return keys, columns
+        return keys
 
     def evaluate_batch(
         self,
@@ -560,43 +540,30 @@ class EvaluationContext(ABC):
     ) -> MetricVector:
         """Uncached component vector of *mapping*."""
 
-    def _compute_metrics_chunk(
-        self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
-    ) -> List[MetricVector]:
-        """Uncached vectors of a chunk of candidates, in order.
+    def _compute_rows_chunk(self, keys: np.ndarray) -> np.ndarray:
+        """Uncached ``(m, k)`` float64 values of ``(m, len(core_order))`` key rows.
 
-        The unit of work of batch pricing: the inline path of
-        :meth:`evaluate_metrics_batch`, each
+        The one chunk pricer: inline batches, each
         :class:`~repro.eval.parallel.ProcessPoolBackend` worker task and the
-        misses of :class:`~repro.service.store.ServiceBackend` all price
-        through this method.  The base
-        implementation loops per candidate; contexts with an array pricing
-        path (:class:`CwmEvaluationContext` when ``vectorize`` is on)
-        override it to price the whole chunk with one kernel call —
-        bit-identical by construction, so *where* a chunk is priced never
-        changes a value.
+        misses of :class:`~repro.service.store.ServiceBackend` all call it.
+        The base implementation prices a
+        :class:`~repro.core.mapping.Mapping` of each row's placed cores
+        through :meth:`_compute_metrics`.
         """
-        return [self._compute_metrics(mapping) for mapping in mappings]
+        return self._price_each(keys, Mapping)
 
-    def _compute_rows_chunk(
-        self,
-        keys: np.ndarray,
-        rows: np.ndarray,
-        cores: Tuple[str, ...],
-        columns: Tuple[int, ...],
+    def _price_each(
+        self, keys: np.ndarray, candidate: Callable[[Dict[str, int]], Any]
     ) -> np.ndarray:
-        """Uncached ``(m, k)`` vectors of the missed tile rows, in order.
-
-        *rows* are the caller's rows and *cores* their column order; *keys*
-        are the same rows in :attr:`core_order` (see :meth:`_row_keys`).  The
-        base implementation prices one rebuilt
-        :class:`~repro.core.mapping.Mapping` per row through
-        :meth:`_compute_metrics_chunk`; the CWM contexts override it to price
-        the rows directly.
-        """
-        mappings = [Mapping.from_index_array(cores, row) for row in rows.tolist()]
-        vectors = self._compute_metrics_chunk(mappings)
-        return _value_array(vectors, len(self.metric_names))
+        """``_compute_metrics(candidate(assignment))`` of each key row."""
+        order = self.core_order
+        values = [
+            self._compute_metrics(candidate(_placed(order, row))).values
+            for row in keys.tolist()
+        ]
+        return np.array(values, dtype=np.float64).reshape(
+            len(keys), len(self.metric_names)
+        )
 
     # ------------------------------------------------------------------
     # Memo bookkeeping
@@ -681,6 +648,7 @@ class CwmEvaluationContext(EvaluationContext):
         self.name = f"cwm({cwg.name})"
         self.weights = {"dynamic_energy": 1.0}
         self.core_order = tuple(sorted(cwg.cores))
+        self._core_set = frozenset(self.core_order)
         self.vectorize = (
             DEFAULT_VECTORIZE if vectorize is None else bool(vectorize)
         )
@@ -741,7 +709,8 @@ class CwmEvaluationContext(EvaluationContext):
         else:
             tiles = dict(mapping)
         for core, tile in tiles.items():
-            if not 0 <= tile < n:
+            # Cores outside the application are ignored, as in a key row.
+            if not 0 <= tile < n and core in self._core_set:
                 raise MappingError(
                     f"core {core!r} mapped to tile {tile}, outside the "
                     f"{n}-tile {self.platform.mesh}"
@@ -795,94 +764,40 @@ class CwmEvaluationContext(EvaluationContext):
             self._kernel = kernel
         return kernel
 
-    def _compute_metrics_chunk(
-        self, mappings: Sequence[Union[Mapping, Dict[str, int]]]
-    ) -> List[MetricVector]:
-        """Chunk pricing: one kernel gather per chunk when vectorised.
+    def _compute_rows_chunk(self, keys: np.ndarray) -> np.ndarray:
+        """One kernel gather per chunk when vectorised, else the scalar loop.
 
-        Candidates are stacked by :meth:`_tile_rows` and priced by
-        :meth:`_price_kernel_rows` in one call.  With ``vectorize`` off,
-        falls back to the base per-candidate loop.
-        """
-        items = list(mappings)
-        if not self.vectorize or not items:
-            return [self._compute_metrics(mapping) for mapping in items]
-        names = self.metric_names
-        return [
-            MetricVector(names, values)
-            for values in self._price_kernel_rows(self._tile_rows(items)).tolist()
-        ]
-
-    def _compute_rows_chunk(self, keys, rows, cores, columns):
-        """Tile-row pricing: the kernel reads the key rows when vectorised.
-
-        The rows are validated as :meth:`_tile_rows` validates candidates:
-        the same :class:`~repro.utils.errors.MappingError` for a tile outside
-        the NoC (any column, first row first) and for a missing required
-        core; columns of non-application cores are otherwise ignored.  With
-        ``vectorize`` off, prices rebuilt mappings through the scalar loop.
+        The first bad row raises :meth:`_compute_metrics`' error for its
+        first tile outside the NoC, else for its first unplaced core with
+        edges; unplaced isolated cores are never gathered.
         """
         if not self.vectorize:
-            return super()._compute_rows_chunk(keys, rows, cores, columns)
-        kernel = self.vector_kernel()
-        required = kernel.required_cores
-        missing = [
-            core
-            for core, column in zip(self.core_order, columns)
-            if column < 0 and core in required
-        ]
+            return self._price_each(keys, dict)
         n = self.route_table.num_tiles
-        checked = rows[:1] if missing else rows
-        if checked.size and (checked.min() < 0 or checked.max() >= n):
-            row, column = np.argwhere((checked < 0) | (checked >= n))[0]
-            raise MappingError(
-                f"core {cores[column]!r} mapped to tile {checked[row, column]}, "
-                f"outside the {n}-tile {self.platform.mesh}"
-            )
-        if missing:
-            raise MappingError(
-                f"mapping does not place core {missing[0]!r} of application "
-                f"{self.cwg.name!r}"
-            )
-        if -1 in columns:
-            # Unplaced isolated cores: the kernel never gathers them.
-            keys = np.where(keys < 0, 0, keys)
+        if keys.size and (keys.min() < 0 or keys.max() >= n):
+            unplaced = keys == UNPLACED
+            outside = ~unplaced & ((keys < 0) | (keys >= n))
+            required = self.vector_kernel().required_cores
+            missing = unplaced & [core in required for core in self.core_order]
+            for row in np.flatnonzero((outside | missing).any(axis=1))[:1]:
+                if outside[row].any():
+                    column = int(outside[row].argmax())
+                    raise MappingError(
+                        f"core {self.core_order[column]!r} mapped to tile "
+                        f"{keys[row, column]}, outside the {n}-tile "
+                        f"{self.platform.mesh}"
+                    )
+                core = self.core_order[int(missing[row].argmax())]
+                raise MappingError(
+                    f"mapping does not place core {core!r} of application "
+                    f"{self.cwg.name!r}"
+                )
+            keys = np.where(unplaced, 0, keys)
         return self._price_kernel_rows(keys)
 
     def _price_kernel_rows(self, tiles: np.ndarray) -> np.ndarray:
         """``(m, k)`` vectors of validated ``(m, cores)`` rows in kernel order."""
         return self.vector_kernel().price(tiles)[:, None]
-
-    def _tile_rows(
-        self, items: Sequence[Union[Mapping, Dict[str, int]]]
-    ) -> np.ndarray:
-        """The ``(pop, cores)`` tile array of a chunk, in kernel core order.
-
-        Candidates are validated exactly like the scalar path (same
-        :class:`~repro.utils.errors.MappingError` conditions).
-        """
-        kernel = self.vector_kernel()
-        order = kernel.core_order
-        required = kernel.required_cores
-        rows = np.zeros((len(items), len(order)), dtype=np.int64)
-        for row, mapping in enumerate(items):
-            tiles = self._tile_assignments(mapping)
-            try:
-                rows[row] = [tiles[core] for core in order]
-            except KeyError:
-                # Isolated cores (no incident edges) may be unplaced — the
-                # scalar accumulator never reads them, so neither do we.
-                for column, core in enumerate(order):
-                    tile = tiles.get(core)
-                    if tile is None:
-                        if core in required:
-                            raise MappingError(
-                                f"mapping does not place core {core!r} of "
-                                f"application {self.cwg.name!r}"
-                            )
-                        continue
-                    rows[row, column] = tile
-        return rows
 
     def delta(self, mapping: Mapping, tile_a: int, tile_b: int) -> float:
         """Exact CWM cost change of swapping the contents of two tiles.
@@ -1101,6 +1016,28 @@ class CdcmEvaluationContext(EvaluationContext):
     ) -> MetricVector:
         return self.evaluator.metrics(self.cdcg, mapping)
 
+    def _compute_rows_chunk(self, keys: np.ndarray) -> np.ndarray:
+        """Replay each key row's tile list directly; no mapping is built.
+
+        The rows are permuted once into the CDCG's core order and checked
+        as a mapping is (see :meth:`~repro.core.cdcm.CdcmEvaluator.tile_metrics`);
+        a core the CDCG gained after this context was built counts as
+        unplaced.
+        """
+        position = {core: column for column, core in enumerate(self.core_order)}
+        # Column -1 is the padding: a core without a key column is unplaced.
+        columns = [position.get(core, -1) for core in self.cdcg.cores()]
+        padded = np.hstack((keys, np.full((len(keys), 1), UNPLACED, np.int64)))
+        values = [
+            self.evaluator.tile_metrics(
+                self.cdcg, [None if tile == UNPLACED else tile for tile in row]
+            ).values
+            for row in padded[:, columns].tolist()
+        ]
+        return np.array(values, dtype=np.float64).reshape(
+            len(keys), len(self.metric_names)
+        )
+
     def repair_engine(self) -> CdcmRepairEngine:
         """The context's bounded-repair engine (built on first use).
 
@@ -1167,6 +1104,7 @@ class CdcmEvaluationContext(EvaluationContext):
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
+    "UNPLACED",
     "CacheInfo",
     "EvaluationContext",
     "CwmEvaluationContext",

@@ -3,24 +3,28 @@
 :meth:`repro.eval.context.EvaluationContext.evaluate_metrics_batch` is the
 one seam every population-based engine prices through (GA generations,
 exhaustive chunks, NSGA-II/III and co-design populations, weight sweeps).
-It looks candidates up in the memo, dedups the batch and hands the misses
-over as one chunk.  With ``backend=None`` the context prices that chunk
-inline; a :class:`BatchBackend` decides *where* it is priced instead —
+It turns the candidates into key rows, looks them up in the memo, dedups
+the batch and hands the misses over as one chunk: an ``(m,
+len(core_order))`` int64 array of key rows, the tile of each application
+core in the context's ``core_order``.  A backend returns their ``(m, k)``
+float64 metric values, columns in ``metric_names`` order.  With
+``backend=None`` the context prices that chunk inline; a
+:class:`BatchBackend` decides *where* it is priced instead —
 
 * :class:`ProcessPoolBackend` fans it out over a ``concurrent.futures``
   process pool.  Contexts are *picklable-light*: pickling drops the memo, the
   backend and the route table, and each worker rebuilds the table locally
   through the process-wide :func:`~repro.eval.route_table.get_route_table`
-  cache — so tasks ship only the application graph and the candidate
-  mappings, never the O(n^2) route arrays;
+  cache — so tasks ship only the application graph and the key rows, never
+  the O(n^2) route arrays;
 * :class:`~repro.service.store.ServiceBackend` answers it from a persistent
   result store and prices only the store misses.
 
 Every backend is bit-identical to inline pricing by construction: each
-prices through the same ``_compute_metrics_chunk`` code on the same inputs,
-and the caller reassembles results in submission order, so a seeded search
-returns the same mapping and the same cost no matter where it was priced
-(pinned by ``tests/test_parallel.py``).
+prices through the same chunk pricer, ``_compute_rows_chunk``, on the same
+rows, and the caller reassembles results in submission order, so a seeded
+search returns the same mapping and the same cost no matter where it was
+priced (pinned by ``tests/test_parallel.py``).
 
 The same pool also shards eager route-table construction by source row
 (:func:`warm_route_table`), so >16x16 NoC sweeps do not pay the O(n^2)
@@ -48,6 +52,8 @@ from typing import (
     Tuple,
     TYPE_CHECKING,
 )
+
+import numpy as np
 
 from repro.eval.route_table import (
     RouteTable,
@@ -90,16 +96,14 @@ def _worker_context(token: int, payload: bytes) -> "EvaluationContext":
     return context
 
 
-def _price_metrics_chunk(
-    token: int, payload: bytes, mappings: Sequence[Any]
-) -> List[Any]:
-    """Worker task: metric vectors of one chunk with a cached context.
+def _price_metrics_chunk(token: int, payload: bytes, keys: np.ndarray) -> np.ndarray:
+    """Worker task: the ``(m, k)`` values of one chunk of key rows.
 
-    Prices through ``_compute_metrics_chunk`` so a vectorised context uses
-    its array kernel per worker chunk instead of per-candidate loops.
+    Prices through the cached context's ``_compute_rows_chunk``, the chunk
+    pricer of inline batches, so a vectorised context uses its array kernel
+    per worker chunk.
     """
-    context = _worker_context(token, payload)
-    return list(context._compute_metrics_chunk(mappings))
+    return _worker_context(token, payload)._compute_rows_chunk(keys)
 
 
 def _route_rows(
@@ -134,12 +138,12 @@ def _route_rows(
 class BatchBackend(ABC):
     """Strategy deciding where a batch of uncached candidates is priced.
 
-    A backend receives the context and the candidates that missed the memo
+    A backend receives the context and the key rows that missed the memo
     (deduplication and memo bookkeeping stay in
     :meth:`~repro.eval.context.EvaluationContext.evaluate_metrics_batch`)
-    and must return their metric vectors in order.  Implementations must be
-    *bit-identical* to inline pricing: same ``_compute_metrics_chunk`` code,
-    same inputs, same order.
+    and must return their metric values in order.  Implementations must be
+    *bit-identical* to inline pricing: the same chunk pricer,
+    ``context._compute_rows_chunk``, on the same rows, in the same order.
     """
 
     #: Short identifier used in reports and benchmark tables.
@@ -147,23 +151,24 @@ class BatchBackend(ABC):
 
     @abstractmethod
     def evaluate_metrics(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[Any]:
-        """Metric vectors of *mappings* under *context*, in order.
+        self, context: "EvaluationContext", keys: np.ndarray
+    ) -> np.ndarray:
+        """The metric values of the key rows *keys* under *context*, in order.
 
         Parameters
         ----------
         context:
-            The evaluation context whose ``_compute_metrics_chunk`` defines
+            The evaluation context whose ``_compute_rows_chunk`` defines
             the components.
-        mappings:
-            Candidates to price (``Mapping`` objects or assignment dicts).
+        keys:
+            ``(m, len(context.core_order))`` int64 key rows (see
+            :mod:`repro.eval.context`).
 
         Returns
         -------
-        list of MetricVector
-            ``context._compute_metrics_chunk(mappings)``, possibly computed
-            elsewhere.
+        numpy.ndarray
+            The ``(m, k)`` float64 ``context._compute_rows_chunk(keys)``,
+            possibly computed elsewhere.
         """
 
     def map(
@@ -294,24 +299,21 @@ class ProcessPoolBackend(BatchBackend):
 
     # ------------------------------------------------------------------
     def evaluate_metrics(
-        self, context: "EvaluationContext", mappings: Sequence[Any]
-    ) -> List[Any]:
-        """Metric vectors of *mappings* across the pool, preserving order.
+        self, context: "EvaluationContext", keys: np.ndarray
+    ) -> np.ndarray:
+        """The values of the key rows *keys* across the pool, in order.
 
         Batches below ``min_batch_size`` are priced inline (identical
         arithmetic, no IPC).
         """
-        items = list(mappings)
-        if len(items) < self.min_batch_size:
-            return list(context._compute_metrics_chunk(items))
+        if len(keys) < self.min_batch_size:
+            return context._compute_rows_chunk(keys)
         token, payload = self._context_payload(context)
-        chunk = self.chunk_size or math.ceil(len(items) / self.n_workers)
+        chunk = self.chunk_size or math.ceil(len(keys) / self.n_workers)
         argslist = [
-            (token, payload, items[i : i + chunk])
-            for i in range(0, len(items), chunk)
+            (token, payload, keys[i : i + chunk]) for i in range(0, len(keys), chunk)
         ]
-        chunks = self._submit_all(_price_metrics_chunk, argslist)
-        return [result for chunk_results in chunks for result in chunk_results]
+        return np.concatenate(self._submit_all(_price_metrics_chunk, argslist))
 
     def _submit_all(
         self,

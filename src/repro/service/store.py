@@ -14,7 +14,7 @@ identity:
   depend on them, but CDCM *prices* do, so the store key must not);
 * the **mapping** digest (:func:`mapping_digest`) — SHA-256 over the sorted
   core names and the pinned :meth:`~repro.core.mapping.Mapping.to_index_array`
-  row.
+  row; :class:`ServiceBackend` takes it of each key row's placed cores.
 
 Because contexts memoise weight-independent component vectors, one stored
 vector serves every scalarisation — a weight sweep against a warm store
@@ -30,8 +30,10 @@ behind, and an optional byte budget is enforced by evicting the oldest
 entries first.
 
 :class:`ServiceBackend` drains the store through the ordinary ``backend=``
-seam of every evaluation context: hits are answered from the store, misses
-are priced inline and written back.
+seam of every evaluation context: it takes ``(m, len(core_order))`` int64
+key rows and returns ``(m, k)`` float64 values; hits are answered from the
+store, misses are priced inline by the context's chunk pricer and written
+back.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.mapping import Mapping
 from repro.core.metrics import MetricVector
+from repro.eval.context import UNPLACED
 from repro.eval.parallel import BatchBackend
 from repro.noc.platform import Platform
 from repro.noc.topology import topology_cache_token
@@ -125,10 +131,27 @@ def mapping_digest(mapping: Union[Mapping, Dict[str, int]]) -> str:
     """
     if not isinstance(mapping, Mapping):
         mapping = Mapping(mapping)
+    return _digest(mapping.cores, mapping.to_index_array())
+
+
+def _key_digests(cores: Sequence[str], keys: np.ndarray) -> List[str]:
+    """The :func:`mapping_digest` of the placed cores of each key row.
+
+    A row that places every core of the sorted *cores* digests equal to the
+    mapping that places exactly those cores.
+    """
+    return [
+        _digest(list(compress(cores, placed)), row[placed])
+        for row, placed in zip(keys, keys != UNPLACED)
+    ]
+
+
+def _digest(cores: Sequence[str], tiles: np.ndarray) -> str:
+    """SHA-256 over the core names and their int64 tile row."""
     digest = hashlib.sha256()
-    digest.update("\x1f".join(mapping.cores).encode("utf-8"))
+    digest.update("\x1f".join(cores).encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(mapping.to_index_array().tobytes())
+    digest.update(tiles.tobytes())
     return digest.hexdigest()
 
 
@@ -549,39 +572,40 @@ class ServiceBackend(BatchBackend):
             self._scopes[context] = scope
         return scope
 
-    def evaluate_metrics(
-        self, context: Any, mappings: Sequence[Any]
-    ) -> List[Any]:
-        """Metric vectors of *mappings*: store hits + freshly priced misses.
+    def evaluate_metrics(self, context: Any, keys: np.ndarray) -> np.ndarray:
+        """The values of the key rows *keys*: store hits + freshly priced misses.
 
         Store lookups and pricing both preserve submission order, and misses
         run the context's own chunk pricer, the one inline batches use, so
-        the returned vectors are bit-identical to a recompute regardless of
+        the returned values are bit-identical to a recompute regardless of
         the hit pattern.
         """
-        items = list(mappings)
-        if not items:
-            return []
         scope = self._scope(context)
-        digests = [mapping_digest(item) for item in items]
+        digests = _key_digests(context.core_order, keys)
         cached = self.store.get_many(scope, digests)
-        miss_positions = [i for i, vector in enumerate(cached) if vector is None]
-        self.store_hits += len(items) - len(miss_positions)
-        if miss_positions:
-            priced = list(
-                context._compute_metrics_chunk([items[i] for i in miss_positions])
-            )
-            self.priced += len(miss_positions)
+        names = tuple(context.metric_names)
+        out = np.empty((len(keys), len(names)), dtype=np.float64)
+        misses = []
+        for position, vector in enumerate(cached):
+            # A vector of other components (another context class in the same
+            # scope) is repriced, never broadcast into this context's columns.
+            if vector is None or vector.names != names:
+                misses.append(position)
+            else:
+                out[position] = vector.values
+        self.store_hits += len(keys) - len(misses)
+        if misses:
+            priced = context._compute_rows_chunk(keys[misses])
+            self.priced += len(misses)
             self.store.put_many(
                 scope,
                 [
-                    (digests[position], vector)
-                    for position, vector in zip(miss_positions, priced)
+                    (digests[position], MetricVector(names, values))
+                    for position, values in zip(misses, priced.tolist())
                 ],
             )
-            for position, vector in zip(miss_positions, priced):
-                cached[position] = vector
-        return cached
+            out[misses] = priced
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -320,6 +320,15 @@ def _load_population(cwg, platform, seed: int, size: int):
     return [Mapping.random(cwg.cores, platform.num_tiles, rng=rng) for _ in range(size)]
 
 
+def _chunk(context, mappings):
+    """The chunk pricer's values of *mappings*, one tuple per candidate."""
+    order = context.core_order
+    keys = np.array(
+        [mapping.to_index_array(order) for mapping in mappings], dtype=np.int64
+    ).reshape(len(mappings), len(order))
+    return [tuple(values) for values in context._compute_rows_chunk(keys).tolist()]
+
+
 class TestLoadAwareCwmContext:
     @pytest.fixture(scope="class")
     def load_setup(self, encoder_workload):
@@ -389,10 +398,10 @@ class TestLoadAwareCwmContext:
         context = LoadAwareCwmContext(cwg, platform, route_table=table)
         mappings = _load_population(cwg, platform, seed=5, size=24)
         scalar = [context._compute_metrics(mapping).values for mapping in mappings]
-        chunk = context._compute_metrics_chunk(mappings)
-        assert [vector.values for vector in chunk] == scalar
+        chunk = _chunk(context, mappings)
+        assert chunk == scalar
         clone = pickle.loads(pickle.dumps(context))
-        assert [v.values for v in clone._compute_metrics_chunk(mappings)] == scalar
+        assert _chunk(clone, mappings) == scalar
 
     def test_load_gather_pooled_on_custom_lazy_table(self):
         # A custom table travels with the pickle; each worker builds its own
@@ -425,16 +434,16 @@ class TestLoadAwareCwmContext:
                 return routing.route(topology, source, target)
 
         monkeypatch.setattr(table, "routing", CountingRouting())
-        chunk = context._compute_metrics_chunk(mappings)
+        chunk = _chunk(context, mappings)
         used = {
             (tiles[source], tiles[target])
             for tiles in (mapping.assignments() for mapping in mappings)
             for source, target, _ in context._edges
         }
         assert sorted(routed) == sorted(used)
-        context._compute_metrics_chunk(mappings)
+        _chunk(context, mappings)
         assert len(routed) == len(used)
-        assert [vector.values for vector in chunk] == [
+        assert chunk == [
             context._compute_metrics(mapping).values for mapping in mappings
         ]
         assert table.num_links == len(platform.mesh.links())
@@ -451,12 +460,11 @@ class TestLoadAwareCwmContext:
         scalar = [context._compute_metrics(mapping).values for mapping in mappings]
         # A few gathered elements per block: the chunk spans many row blocks.
         monkeypatch.setattr(vector_module, "_MAX_GATHER_ELEMENTS", 64)
-        chunk = context._compute_metrics_chunk(mappings)
-        assert [vector.values for vector in chunk] == scalar
+        assert _chunk(context, mappings) == scalar
 
     def test_empty_chunk(self, load_setup):
         cwg, platform, context, mappings = load_setup
-        assert context._compute_metrics_chunk([]) == []
+        assert _chunk(context, []) == []
         kernel = context.vector_kernel()
         peaks, totals = kernel.link_load_stats(np.zeros((0, len(kernel.core_order))))
         assert peaks.shape == totals.shape == (0,)

@@ -145,6 +145,7 @@ class _NanTimeContext(EvaluationContext):
     """Prices NaN time whenever core ``a`` sits on an odd tile."""
 
     metric_names = ("energy", "time")
+    core_order = ("a", "b", "c")
 
     def __init__(self) -> None:
         super().__init__()

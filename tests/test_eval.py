@@ -291,7 +291,7 @@ class TestCdcmEvaluationContext:
         self, example_cdcg, example_platform, example_mappings
     ):
         # One batch path for every context: a cold [A, B, A, dict] batch
-        # prices A once, and the dict candidate on its own.
+        # prices A once; the dict holds A's key row, so it is a repeat too.
         a, b = example_mappings["c"], example_mappings["d"]
         batch = [a, b, a, a.assignments()]
         context = CdcmEvaluationContext(example_cdcg, example_platform)
@@ -300,7 +300,7 @@ class TestCdcmEvaluationContext:
             reference.metrics(mapping) for mapping in batch
         ]
         info = context.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (3, 0, 2)
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
 
     def test_report_passthrough(self, example_cdcg, example_platform, example_mappings):
         context = CdcmEvaluationContext(example_cdcg, example_platform)

@@ -19,6 +19,7 @@ import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.analysis.comparison import ComparisonConfig, compare_models
@@ -78,15 +79,23 @@ def _inline_costs(context, mappings):
     return [context._scalarise(context._compute_metrics(m)) for m in mappings]
 
 
+def _keys(context, mappings):
+    """The key rows of *mappings*: their tiles in the context's core order."""
+    return np.array(
+        [mapping.to_index_array(context.core_order) for mapping in mappings],
+        dtype=np.int64,
+    )
+
+
 class CountingBackend(BatchBackend):
     """Prices chunks inline and counts the candidates it is handed."""
 
     def __init__(self):
         self.computed = 0
 
-    def evaluate_metrics(self, context, mappings):
-        self.computed += len(mappings)
-        return context._compute_metrics_chunk(mappings)
+    def evaluate_metrics(self, context, keys):
+        self.computed += len(keys)
+        return context._compute_rows_chunk(keys)
 
 
 def _first_call_dies(marker):
@@ -392,7 +401,7 @@ class TestComparisonNeverPools:
 class TestBackendProtocol:
     def test_backend_map_default_is_serial(self):
         class Echo(BatchBackend):
-            def evaluate_metrics(self, context, mappings):  # pragma: no cover
+            def evaluate_metrics(self, context, keys):  # pragma: no cover
                 return []
 
         assert Echo().map(pow, [(2, 3), (3, 2)]) == [8, 9]
@@ -412,7 +421,7 @@ class TestBackendProtocol:
         mappings = _random_mappings(cwg, 16, 8)
         baseline = {p.pid for p in multiprocessing.active_children()}
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as backend:
-            backend.evaluate_metrics(context, mappings)
+            backend.evaluate_metrics(context, _keys(context, mappings))
             assert backend._pool is not None
         assert backend._pool is None
         leaked = [
@@ -431,17 +440,17 @@ class TestDeadWorker:
             "repro.eval.parallel._price_metrics_chunk",
             functools.partial(_price_or_die_once, str(marker)),
         )
-        first = _random_mappings(cwg, 16, 8)
-        second = _random_mappings(cwg, 16, 8, offset=100)
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+        first = _keys(context, _random_mappings(cwg, 16, 8))
+        second = _keys(context, _random_mappings(cwg, 16, 8, offset=100))
         with ProcessPoolBackend(
             n_workers=N_WORKERS, min_batch_size=2, start_method="fork"
         ) as backend:
             got = backend.evaluate_metrics(context, first)
             assert marker.exists(), "no worker was killed"
-            assert got == context._compute_metrics_chunk(first)
+            assert got.tolist() == context._compute_rows_chunk(first).tolist()
             again = backend.evaluate_metrics(context, second)
-            assert again == context._compute_metrics_chunk(second)
+            assert again.tolist() == context._compute_rows_chunk(second).tolist()
 
     def test_map_survives_a_dead_worker(self, tmp_path):
         marker = str(tmp_path / "worker-died")

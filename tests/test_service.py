@@ -6,7 +6,7 @@ Five contracts are pinned here:
   only (edge order, insertion order and display names are invisible; any
   edit to bits/edges/cores is not).
 * **Bit-identity** — service-priced vectors and costs equal inline pricing
-  (the context's own ``_compute_metrics_chunk``) exactly, on mesh, torus and
+  (the context's own ``_compute_rows_chunk``) exactly, on mesh, torus and
   irregular fabrics, for both models, whatever mix of store hits and misses
   produced them.
 * **Durability** — corrupted, truncated or version-mismatched store files
@@ -32,6 +32,7 @@ import inspect
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.analysis.comparison import ComparisonConfig, compare_models
@@ -77,6 +78,14 @@ def _random_mappings(cores, num_tiles, count, offset=0):
         Mapping.random(cores, num_tiles, rng=offset + seed)
         for seed in range(count)
     ]
+
+
+def _keys(context, mappings):
+    """The key rows of *mappings*: their tiles in the context's core order."""
+    return np.array(
+        [mapping.to_index_array(context.core_order) for mapping in mappings],
+        dtype=np.int64,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +375,17 @@ class TestServiceBackend:
             make = lambda: CwmEvaluationContext(cwg, platform, cache_size=0)
         else:
             make = lambda: CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 12)
-        serial = make()._compute_metrics_chunk(mappings)
+        keys = _keys(make(), _random_mappings(cdcg.cores(), platform.num_tiles, 12))
+        serial = make()._compute_rows_chunk(keys).tolist()
         service = ServiceBackend(ResultStore(tmp_path / model / platform.mesh.name
                                              if hasattr(platform.mesh, "name")
                                              else tmp_path / model))
-        cold = service.evaluate_metrics(make(), mappings)
-        warm = service.evaluate_metrics(make(), mappings)
-        assert cold == serial
-        assert warm == serial
-        assert service.priced == len(mappings)
-        assert service.store_hits == len(mappings)
+        cold = service.evaluate_metrics(make(), keys)
+        warm = service.evaluate_metrics(make(), keys)
+        assert cold.tolist() == serial
+        assert warm.tolist() == serial
+        assert service.priced == len(keys)
+        assert service.store_hits == len(keys)
 
     def test_scalar_evaluate_matches_serial(self, tmp_path, workload):
         cdcg, _, platform = workload
@@ -429,7 +438,8 @@ class TestServiceBackend:
 
     def test_store_survives_process_restart_semantics(self, tmp_path, workload):
         cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 5)
+        context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
+        mappings = _keys(context, _random_mappings(cdcg.cores(), platform.num_tiles, 5))
         first = ServiceBackend(ResultStore(tmp_path))
         vectors = first.evaluate_metrics(
             CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
@@ -439,7 +449,7 @@ class TestServiceBackend:
         again = second.evaluate_metrics(
             CdcmEvaluationContext(cdcg, platform, cache_size=0), mappings
         )
-        assert again == vectors
+        assert again.tolist() == vectors.tolist()
         assert second.priced == 0 and second.store_hits == len(mappings)
 
 
@@ -478,16 +488,16 @@ class TestStoreWriteFailures:
         self, tmp_path, workload, monkeypatch, target, code
     ):
         cdcg, _, platform = workload
-        mappings = _random_mappings(cdcg.cores(), platform.num_tiles, 6)
         context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
-        reference = context._compute_metrics_chunk(mappings)
+        mappings = _keys(context, _random_mappings(cdcg.cores(), platform.num_tiles, 6))
+        reference = context._compute_rows_chunk(mappings).tolist()
         store = ResultStore(tmp_path)
         service = ServiceBackend(store)
         fake = _open_failing_writes(code) if target == "open" else _raise_oserror(code)
         with monkeypatch.context() as patch:
             patch.setattr(f"repro.service.store.{target}", fake, raising=False)
             with pytest.warns(StoreWriteWarning, match=os.strerror(code)) as caught:
-                got = service.evaluate_metrics(context, mappings)
+                got = service.evaluate_metrics(context, mappings).tolist()
         assert [w.category for w in caught] == [StoreWriteWarning]
         assert got == reference
         assert service.priced == len(mappings)
@@ -553,10 +563,11 @@ class TestLifecycle:
     def test_backend_context_manager_shuts_pool_down(self, workload):
         cdcg, _, platform = workload
         baseline = {p.pid for p in multiprocessing.active_children()}
+        context = CdcmEvaluationContext(cdcg, platform, cache_size=0)
         with ProcessPoolBackend(n_workers=2, min_batch_size=2) as pool:
             pool.evaluate_metrics(
-                CdcmEvaluationContext(cdcg, platform, cache_size=0),
-                _random_mappings(cdcg.cores(), platform.num_tiles, 8),
+                context,
+                _keys(context, _random_mappings(cdcg.cores(), platform.num_tiles, 8)),
             )
             assert any(
                 p.pid not in baseline for p in multiprocessing.active_children()

@@ -256,8 +256,9 @@ class TestVectorScalarBitIdentity:
         ) == scalar.evaluate_metrics_batch(population)
         # Duplicates collapse to one kernel row each (same-batch duplicates
         # share the unique slot without counting as memo hits, exactly like
-        # the pooled dedup path) and unique Mappings fill the memo.
-        assert vector.cache_info().misses == len(base) + 1  # + the dict
+        # the pooled dedup path; the dict holds base[1]'s key row) and unique
+        # candidates fill the memo.
+        assert vector.cache_info().misses == len(base)
         assert vector.cache_info().currsize == len(base)
         # A second batch is answered entirely from the memo.
         vector.evaluate_metrics_batch(base)
