@@ -43,7 +43,6 @@ from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.mapping import Mapping
-from repro.core.metrics import MetricVector
 from repro.search.base import (
     Objective,
     PoolOwnerMixin,
@@ -55,7 +54,6 @@ from repro.search.base import (
     check_noc_size,
     initial_row,
     objective_metrics,
-    price_rows,
     random_row,
     row_mapping,
     tile_array,
@@ -289,8 +287,6 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
         SearchResult
             Best mapping, its cost, evaluation count and convergence history.
         """
-        from repro.core.objective import resolve_vector_source
-
         params = self.parameters
         objective = as_objective(objective)
         generator = ensure_rng(rng)
@@ -359,20 +355,13 @@ class GeneticSearch(PoolOwnerMixin, Searcher):
                 history.append((evaluations, best_cost))
 
         best_mapping = row_mapping(cores, best, num_tiles)
-        if prices_rows and getattr(objective, "metric_names", None):
-            # The breakdown from the memo entry the incumbent's row left.
-            source = resolve_vector_source(objective)
-            values = price_rows(source, [best], cores, num_tiles)[0]
-            best_metrics = MetricVector(tuple(source.metric_names), values.tolist())
-        else:
-            best_metrics = objective_metrics(objective, best_mapping)
         return SearchResult(
             best_mapping=best_mapping,
             best_cost=best_cost,
             evaluations=evaluations,
             history=history,
             accepted_moves=accepted,
-            best_metrics=best_metrics,
+            best_metrics=objective_metrics(objective, best_mapping),
         )
 
     # ------------------------------------------------------------------
