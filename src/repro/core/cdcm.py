@@ -18,7 +18,7 @@ minimises contention — the property CWM cannot express.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.core.metrics import (
     CDCM_METRIC_NAMES,
@@ -208,19 +208,6 @@ class CdcmEvaluator:
         """
         return cdcm_metric_vector(
             self._scheduler.totals(cdcg, mapping, self._bit_energy),
-            self._static_power,
-        )
-
-    def tile_metrics(
-        self, cdcg: CDCG, tiles: Sequence[Optional[int]]
-    ) -> MetricVector:
-        """:meth:`metrics` of the tile of each core in ``cdcg.cores()`` order.
-
-        ``None`` marks an unplaced core; the checks and errors are those of
-        :meth:`metrics`, and no mapping is built.
-        """
-        return cdcm_metric_vector(
-            self._scheduler.tile_totals(cdcg, tiles, self._bit_energy),
             self._static_power,
         )
 

@@ -1017,26 +1017,12 @@ class CdcmEvaluationContext(EvaluationContext):
         return self.evaluator.metrics(self.cdcg, mapping)
 
     def _compute_rows_chunk(self, keys: np.ndarray) -> np.ndarray:
-        """Replay each key row's tile list directly; no mapping is built.
+        """Replay each key row's assignment dict; no mapping is built.
 
-        The rows are permuted once into the CDCG's core order and checked
-        as a mapping is (see :meth:`~repro.core.cdcm.CdcmEvaluator.tile_metrics`);
-        a core the CDCG gained after this context was built counts as
-        unplaced.
+        The replay checks the dict as it checks a listed candidate, so both
+        forms raise the same errors.
         """
-        position = {core: column for column, core in enumerate(self.core_order)}
-        # Column -1 is the padding: a core without a key column is unplaced.
-        columns = [position.get(core, -1) for core in self.cdcg.cores()]
-        padded = np.hstack((keys, np.full((len(keys), 1), UNPLACED, np.int64)))
-        values = [
-            self.evaluator.tile_metrics(
-                self.cdcg, [None if tile == UNPLACED else tile for tile in row]
-            ).values
-            for row in padded[:, columns].tolist()
-        ]
-        return np.array(values, dtype=np.float64).reshape(
-            len(keys), len(self.metric_names)
-        )
+        return self._price_each(keys, dict)
 
     def repair_engine(self) -> CdcmRepairEngine:
         """The context's bounded-repair engine (built on first use).

@@ -541,21 +541,6 @@ class CdcmScheduler:
         tiles = self._placement(arrays, mapping)
         return self._replay(arrays, tiles, bit_energy=bit_energy)
 
-    def tile_totals(
-        self,
-        cdcg: CDCG,
-        tiles: Sequence[Optional[int]],
-        bit_energy: Sequence[float],
-    ) -> ReplayTotals:
-        """:meth:`totals` of the tile of each core in ``cdcg.cores()`` order.
-
-        ``None`` marks an unplaced core; the checks and errors are those
-        :meth:`totals` applies to a mapping.
-        """
-        arrays = self._arrays(cdcg)
-        _check_placement(cdcg, arrays.cores, tiles, self.platform)
-        return self._replay(arrays, tiles, bit_energy=bit_energy)
-
     def schedule_subset(
         self,
         cdcg: CDCG,
@@ -921,26 +906,14 @@ def _tile_lookup(
 
     if cores is None:
         cores = cdcg.cores()
-    tiles = [assignments.get(core) for core in cores]
-    _check_placement(cdcg, cores, tiles, platform)
-    return dict(zip(cores, tiles))
-
-
-def _check_placement(
-    cdcg: CDCG,
-    cores: Sequence[str],
-    tiles: Sequence[Optional[int]],
-    platform: Platform,
-) -> None:
-    """Raise :class:`MappingError` unless ``tiles[i]``, the tile of ``cores[i]``,
-    places every core on its own tile of *platform* (``None``: unplaced)."""
-    missing = [core for core, tile in zip(cores, tiles) if tile is None]
+    missing = [core for core in cores if core not in assignments]
     if missing:
         raise MappingError(
             f"mapping does not place cores {missing} of application {cdcg.name!r}"
         )
-    used: Dict[int, str] = {}
-    for core, tile in zip(cores, tiles):
+    used = {}
+    for core in cores:
+        tile = assignments[core]
         if not platform.mesh.contains(tile):
             raise MappingError(
                 f"core {core!r} mapped to tile {tile}, outside {platform.mesh}"
@@ -950,6 +923,7 @@ def _check_placement(
                 f"cores {used[tile]!r} and {core!r} are both mapped to tile {tile}"
             )
         used[tile] = core
+    return {core: assignments[core] for core in cores}
 
 
 __all__ = [
