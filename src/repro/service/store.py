@@ -6,8 +6,9 @@ any run — never has to be priced again.  Entries live as small versioned JSON
 files on disk, fronted by an in-memory LRU, and are keyed by the full pricing
 identity:
 
-* the **scope** digest (:func:`scope_for_context`) — model (CWM/CDCM),
-  topology ``cache_token``, routing ``cache_token``, technology, wormhole
+* the **scope** digest (:func:`scope_for_context`) — model (CWM,
+  load-aware CWM or CDCM), topology ``cache_token``, routing
+  ``cache_token``, technology, wormhole
   :class:`~repro.noc.platform.NocParameters`, the local-link flag and the
   workload ``content_hash()`` (note the wormhole parameters: the shared
   route-table cache can omit them because routes and bit energies do not
@@ -208,16 +209,19 @@ def scope_for_context(context: Any) -> str:
     A *scope* is one pricing universe — every mapping digest inside it is
     priced by the same model over the same workload on the same platform, so
     ``(scope, mapping_digest)`` fully identifies a stored vector.  Supports
-    the two shipped contexts
-    (:class:`~repro.eval.context.CwmEvaluationContext`,
+    the shipped contexts
+    (:class:`~repro.eval.context.CwmEvaluationContext`, its load-aware
+    subclass :class:`~repro.codesign.load.LoadAwareCwmContext`, whose
+    vectors carry other components and so get a scope of their own, and
     :class:`~repro.eval.context.CdcmEvaluationContext`); CDCM scopes ignore
     scalarisation weights deliberately — stored vectors are component
     vectors, so every weight view shares one scope.
     """
+    from repro.codesign.load import LoadAwareCwmContext
     from repro.eval.context import CdcmEvaluationContext, CwmEvaluationContext
 
     if isinstance(context, CwmEvaluationContext):
-        model = "cwm"
+        model = "cwm+load" if isinstance(context, LoadAwareCwmContext) else "cwm"
         application = context.cwg
         include_local = context.include_local
     elif isinstance(context, CdcmEvaluationContext):
@@ -587,8 +591,8 @@ class ServiceBackend(BatchBackend):
         out = np.empty((len(keys), len(names)), dtype=np.float64)
         misses = []
         for position, vector in enumerate(cached):
-            # A vector of other components (another context class in the same
-            # scope) is repriced, never broadcast into this context's columns.
+            # A vector of other components (a subclass in its parent's scope)
+            # is repriced, never broadcast into this context's columns.
             if vector is None or vector.names != names:
                 misses.append(position)
             else:

@@ -15,7 +15,8 @@ from that:
 * **CDCM prices key rows without mappings**, and its array form raises the
   list form's errors.
 * **The store keys key rows** on the digest :func:`mapping_digest` gives the
-  full candidate, so a store filled through mappings answers tile arrays.
+  full candidate, so a store filled through mappings answers tile arrays;
+  load-aware CWM vectors have a scope of their own.
 * **A context must declare** ``core_order``.
 """
 
@@ -203,17 +204,31 @@ class TestStoreKeys:
         assert values.tolist() == [list(vector.values) for vector in listed]
         assert STORE_VERSION == 1
 
-
-    def test_vectors_of_other_components_are_repriced(self, tmp_path):
-        # CWM and load-aware CWM share a store scope; neither may read the
-        # other's vectors as its own.
+    def test_load_aware_cwm_has_a_scope_of_its_own(self, tmp_path):
+        # Its vectors carry two more components than plain CWM's, so a
+        # shared store keeps both and each is a hit the second time.
+        assert scope_for_context(CONTEXTS["load"]()) != scope_for_context(
+            CONTEXTS["cwm"]()
+        )
         service = ServiceBackend(ResultStore(tmp_path))
         mapping = _mapping(9)
-        plain = CONTEXTS["cwm"]().evaluate_metrics_batch([mapping], backend=service)
-        load = CONTEXTS["load"]().evaluate_metrics_batch([mapping], backend=service)
+        for _ in range(2):
+            plain = CONTEXTS["cwm"]().evaluate_metrics_batch([mapping], backend=service)
+            load = CONTEXTS["load"]().evaluate_metrics_batch([mapping], backend=service)
         assert load == [CONTEXTS["load"]().metrics(mapping)]
         assert plain == [CONTEXTS["cwm"]().metrics(mapping)]
-        assert service.priced == 2
+        assert (service.priced, service.store_hits) == (2, 2)
+
+    def test_a_vector_of_other_components_is_repriced(self, tmp_path):
+        context = CONTEXTS["load"]()
+        mapping = _mapping(10)
+        store = ResultStore(tmp_path)
+        foreign = MetricVector(("dynamic_energy",), (1.0,))
+        store.put(scope_for_context(context), mapping_digest(mapping), foreign)
+        service = ServiceBackend(store)
+        values = context.evaluate_metrics_batch([mapping], backend=service)
+        assert values == [CONTEXTS["load"]().metrics(mapping)]
+        assert service.priced == 1
 
 
 class _NoCoreOrder(EvaluationContext):
