@@ -30,7 +30,7 @@ class Mapping:
         checked against it and the free-tile helpers become available.
     """
 
-    __slots__ = ("_core_to_tile", "_tile_to_core", "_num_tiles", "_hash")
+    __slots__ = ("_core_to_tile", "_tile_to_core", "_num_tiles", "_hash", "_key")
 
     def __init__(
         self,
@@ -67,6 +67,9 @@ class Mapping:
         self._tile_to_core = tile_to_core
         self._num_tiles = num_tiles
         self._hash: Optional[int] = None
+        # (core order, key row bytes) as an evaluation context last packed
+        # them; cached like the hash, since contexts key every candidate.
+        self._key: Optional[Tuple[Tuple[str, ...], bytes]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -90,6 +93,7 @@ class Mapping:
         mapping._tile_to_core = tile_to_core
         mapping._num_tiles = num_tiles
         mapping._hash = None
+        mapping._key = None
         return mapping
 
     @classmethod
@@ -303,11 +307,22 @@ class Mapping:
         return self._core_to_tile == other._core_to_tile
 
     def __hash__(self) -> int:
-        # Mappings are immutable, so the hash is computed once and cached —
-        # memoised evaluation contexts hash every candidate they price.
+        # Mappings are immutable, so the hash is computed once and cached.
         if self._hash is None:
             self._hash = hash(tuple(sorted(self._core_to_tile.items())))
         return self._hash
+
+    def __getstate__(self) -> Tuple[Dict[str, int], Dict[int, str], Optional[int]]:
+        # The caches stay behind: string hashes are salted per process, so a
+        # hash cached in one would not match an equal mapping's in another.
+        return self._core_to_tile, self._tile_to_core, self._num_tiles
+
+    def __setstate__(
+        self, state: Tuple[Dict[str, int], Dict[int, str], Optional[int]]
+    ) -> None:
+        self._core_to_tile, self._tile_to_core, self._num_tiles = state
+        self._hash = None
+        self._key = None
 
     def __repr__(self) -> str:
         body = ", ".join(f"{core}->tau{tile}" for core, tile in self)

@@ -95,6 +95,20 @@ class MetricVector:
         self._values = values
 
     @classmethod
+    def _from_trusted(
+        cls, names: Tuple[str, ...], values: Tuple[float, ...]
+    ) -> "MetricVector":
+        """Build a vector from an already-validated names tuple and float tuple.
+
+        Internal fast path for memo hits, whose values were validated when
+        they were priced.
+        """
+        vector = object.__new__(cls)
+        vector._names = names
+        vector._values = values
+        return vector
+
+    @classmethod
     def from_dict(cls, components: MappingType[str, float]) -> "MetricVector":
         """Build a vector from a ``{name: value}`` mapping (insertion order kept)."""
         return cls(tuple(components), tuple(components.values()))

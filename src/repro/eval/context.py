@@ -248,10 +248,11 @@ class EvaluationContext(ABC):
         pricing passes.  The memo key is the candidate's key row, shared
         with batches; a miss is priced alone by :meth:`_compute_metrics`.
         """
+        order = self._require_core_order()
         if self._cache_size == 0:
             self._misses += 1
             return self._compute_metrics(mapping)
-        key = self._key_row(mapping)
+        key = self._key_row(mapping, order)
         memo = self._memo
         values = memo.get(key)
         if values is None:
@@ -263,7 +264,7 @@ class EvaluationContext(ABC):
             return vector
         self._hits += 1
         memo.move_to_end(key)
-        return MetricVector(self.metric_names, values)
+        return MetricVector._from_trusted(self.metric_names, values)
 
     def cost(self, mapping: Union[Mapping, Dict[str, int]]) -> float:
         """Scalar objective value of *mapping* (lower is better), memoised.
@@ -395,7 +396,7 @@ class EvaluationContext(ABC):
         keys = self._candidate_keys(list(mappings))
         names = self.metric_names
         return [
-            MetricVector(names, values)
+            MetricVector._from_trusted(names, tuple(values))
             for values in self._evaluate_keys(keys, active).tolist()
         ]
 
@@ -458,28 +459,40 @@ class EvaluationContext(ABC):
             )
         return order
 
-    def _key_row(self, candidate: Union[Mapping, Dict[str, int]]) -> bytes:
-        """The bytes of one listed candidate's key row."""
-        tiles = (
-            candidate.assignments()
-            if isinstance(candidate, Mapping)
-            else dict(candidate)
-        )
-        order = self._require_core_order()
+    @staticmethod
+    def _key_row(
+        candidate: Union[Mapping, Dict[str, int]], order: Tuple[str, ...]
+    ) -> bytes:
+        """The bytes of one listed candidate's key row in *order*.
+
+        A :class:`~repro.core.mapping.Mapping` keeps its last key beside its
+        cached hash, so a repeated one is packed once.
+        """
+        is_mapping = isinstance(candidate, Mapping)
+        if is_mapping:
+            cached = candidate._key
+            if cached is not None and (cached[0] is order or cached[0] == order):
+                return cached[1]
+            tiles = candidate._core_to_tile
+        else:
+            tiles = dict(candidate)
         try:
-            return struct.pack(
+            key = struct.pack(
                 f"={len(order)}q", *[tiles.get(core, UNPLACED) for core in order]
             )
         except struct.error as exc:  # a tile that is not an int64 integer
             raise MappingError(f"tile indices must be int64 integers: {exc}") from None
+        if is_mapping:
+            candidate._key = (order, key)
+        return key
 
     def _candidate_keys(
         self, candidates: Sequence[Union[Mapping, Dict[str, int]]]
     ) -> np.ndarray:
         """The ``(len(candidates), len(core_order))`` key rows of a list."""
-        rows = b"".join(self._key_row(candidate) for candidate in candidates)
-        width = len(self._require_core_order())
-        return np.frombuffer(rows, dtype=np.int64).reshape(len(candidates), width)
+        order = self._require_core_order()
+        rows = b"".join(self._key_row(candidate, order) for candidate in candidates)
+        return np.frombuffer(rows, dtype=np.int64).reshape(len(candidates), len(order))
 
     def _row_keys(self, rows: np.ndarray, cores: Tuple[str, ...]) -> np.ndarray:
         """The key rows of a caller's tile array whose columns are *cores*."""

@@ -8,7 +8,8 @@ from that:
 * **One memo.**  :meth:`~repro.eval.context.EvaluationContext.metrics` and
   both forms of ``evaluate_metrics_batch`` share entries: a candidate priced
   in one form is a hit in the other, including a dict and a mapping that
-  carries a core outside the application.
+  carries a core outside the application.  A mapping keeps its last key
+  row, never read by a context with another core order.
 * **Cores outside the application are ignored** by every context, in every
   form (CWM used to range-check their tiles), and a tile that is not an
   int64 integer is a :class:`~repro.utils.errors.MappingError`.
@@ -107,6 +108,22 @@ class TestOneMemo:
         again = [context.metrics(mapping) for mapping in mappings]
         assert again == listed
         assert context.cache_info()[:3] == (5, 5, 5)
+
+
+def test_a_mapping_keys_each_context_in_its_own_core_order():
+    # A mapping keeps the key row it was last packed into; a context with
+    # other cores must not read it.
+    spec = TgffSpec(name="keys-4", num_cores=4, num_packets=8, total_bits=8_000)
+    small = cdcg_to_cwg(TgffLikeGenerator(18).generate(spec))
+    contexts = [CwmEvaluationContext(CWG, PLATFORM), CwmEvaluationContext(small, PLATFORM)]
+    mappings = [_mapping(seed) for seed in range(4)]
+    for _ in range(2):
+        for context in contexts:
+            fresh = CwmEvaluationContext(context.cwg, PLATFORM)
+            expected = [fresh.metrics(mapping.assignments()) for mapping in mappings]
+            assert context.evaluate_metrics_batch(mappings) == expected
+            assert [context.metrics(mapping) for mapping in mappings] == expected
+    assert [context.cache_info()[:3] for context in contexts] == [(12, 4, 4)] * 2
 
 
 @pytest.mark.parametrize("kind", ["cwm", "cwm-scalar", "load"])
@@ -234,8 +251,8 @@ class TestStoreKeys:
 class _NoCoreOrder(EvaluationContext):
     metric_names = ("energy",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, cache_size: int) -> None:
+        super().__init__(cache_size)
         self.weights = {"energy": 1.0}
 
     def _compute_metrics(self, mapping):
@@ -251,6 +268,7 @@ class _NoCoreOrder(EvaluationContext):
     ],
     ids=["metrics", "list", "array"],
 )
-def test_a_context_without_core_order_is_refused(price):
+@pytest.mark.parametrize("cache_size", [16, 0])
+def test_a_context_without_core_order_is_refused(price, cache_size):
     with pytest.raises(ConfigurationError, match="_NoCoreOrder defines no core_order"):
-        price(_NoCoreOrder())
+        price(_NoCoreOrder(cache_size))

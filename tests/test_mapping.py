@@ -1,7 +1,13 @@
 """Core-to-tile mappings (repro.core.mapping)."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.mapping import Mapping
 from repro.utils.errors import MappingError
 
@@ -127,3 +133,39 @@ class TestEqualityAndHashing:
 
     def test_repr(self):
         assert "a->tau0" in repr(Mapping({"a": 0}))
+
+    def test_pickle_round_trip(self):
+        mapping = Mapping({"a": 0, "b": 3}, num_tiles=4)
+        hash(mapping)
+        clone = pickle.loads(pickle.dumps(mapping))
+        assert clone == mapping and hash(clone) == hash(mapping)
+        assert clone.free_tiles() == [1, 2]
+
+    def test_unpickled_mapping_hashes_as_its_process_does(self):
+        # A hash cached under one string-hash seed must not travel: the
+        # unpickled mapping would miss its equal in every set and dict.
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+
+        def run(seed, code, stdin=None):
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=stdin,
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            ).stdout
+
+        header = "import pickle, sys; from repro.core.mapping import Mapping; "
+        dumped = run(
+            "1",
+            header + "m = Mapping({'a': 1, 'b': 2}); hash(m); "
+            "sys.stdout.buffer.write(pickle.dumps(m))",
+        )
+        found = run(
+            "2",
+            header + "m = pickle.loads(sys.stdin.buffer.read()); "
+            "print(m in {Mapping({'a': 1, 'b': 2})})",
+            stdin=dumped,
+        )
+        assert found.strip() == b"True"
