@@ -41,6 +41,7 @@ from repro.noc.routing import (
     get_routing,
     link_adjacency,
     minimal_next_hops,
+    next_hop_trees,
     register_routing,
 )
 from repro.noc.topology import Topology
@@ -322,11 +323,16 @@ class TableSynthesizer:
     def materialise(self, routing: RoutingAlgorithm) -> NextHopTable:
         """The next-hop table of an existing routing over the topology.
 
-        Entries outside the minimal choice set (a non-minimal routing) are
-        clamped to the first minimal next hop, preserving the synthesizer's
-        reachability-by-construction invariant.
+        A routing with next-hop rows is read from its checked rows
+        (:func:`~repro.noc.routing.next_hop_trees`); any other routing gives
+        each entry from its route walk.  Entries outside the minimal choice
+        set (a non-minimal routing) are clamped to the first minimal next
+        hop, preserving the synthesizer's reachability-by-construction
+        invariant.
         """
-        n = self.topology.num_tiles
+        topology = self.topology
+        rows = next_hop_trees(topology, routing)
+        n = topology.num_tiles
         table: List[List[int]] = [[-1] * n for _ in range(n)]
         for target in range(n):
             for tile in range(n):
@@ -335,7 +341,10 @@ class TableSynthesizer:
                 choices = self._choices[target][tile]
                 if not choices:
                     continue
-                hop = routing.route(self.topology, tile, target)[1]
+                if rows is None:
+                    hop = routing.route(topology, tile, target)[1]
+                else:
+                    hop = rows[target][tile]
                 table[target][tile] = hop if hop in choices else choices[0]
         return tuple(tuple(row) for row in table)
 
@@ -449,16 +458,15 @@ class TableSynthesizer:
         # Repair rounds only mix entries of two validated tables: the
         # submitted one as its routing normalised it, and the fallback.
         rows = [list(row) for row in routing.next_hops]
+        targets = range(len(rows))
         for round_index in range(_MAX_REPAIR_ROUNDS):
-            cycle_links = set(report.cycle)
+            # An entry feeds a witness link (u, v) when it sends tile u to v;
+            # only such entries that differ from the fallback revert.
             reverted = False
-            for target in range(len(rows)):
-                row = rows[target]
-                for tile, hop in enumerate(row):
-                    if hop < 0:
-                        continue
-                    if (tile, hop) in cycle_links and hop != fallback[target][tile]:
-                        row[tile] = fallback[target][tile]
+            for tile, hop in report.cycle:
+                for target in targets:
+                    if rows[target][tile] == hop != fallback[target][tile]:
+                        rows[target][tile] = fallback[target][tile]
                         reverted = True
             if not reverted:
                 # The witness survives on fallback entries alone; only the

@@ -25,9 +25,13 @@ into a lazy per-pair memo instead of an eager precomputation, so sweeps over
 huge meshes never pay an O(n**2) warm-up for pairs they might not touch.
 
 An eager table over a routing with a next-hop table
-(:func:`~repro.noc.routing.next_hop_trees`) extends each tile's route from
-its next hop's route along the target's tree; other routings, and lazy
-tables, walk each pair's route.
+(:meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_table`; every shipped
+routing has one) is built from the ``(n, n)`` next-hop array: the hop counts
+are the trees' depths (:func:`~repro.noc.routing.tree_depths`, which also
+checks the rows), the energies follow from the hop counts, and
+:meth:`RouteTable.link_csr` gathers link ids straight from the array.  Paths
+and links are walked along the checked row the first time a pair is asked
+for, and memoised.  Other routings, and lazy tables, walk each pair's route.
 
 The numeric halves of an eager table (``hops`` and ``energy``) are stored as
 dense NumPy arrays rather than Python lists: scalar lookups index the same
@@ -46,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.energy.bit_energy import bit_energy_route
-from repro.noc.routing import next_hop_trees
+from repro.noc.routing import next_hop_trees, tree_depths
 from repro.noc.topology import topology_cache_token
 from repro.utils.errors import ConfigurationError
 
@@ -67,43 +71,6 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     """Mark *array* read-only (dense halves are shared across evaluators)."""
     array.setflags(write=False)
     return array
-
-
-def _tree_routes(
-    rows: Sequence[Sequence[int]],
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[Tuple[int, int], ...]]]:
-    """Row-major paths and links of next-hop rows that are in-trees.
-
-    Along each target's tree the route from ``u`` is ``u`` followed by the
-    route from its next hop, so each tile extends its parent's path and
-    links by one step instead of walking to the target.
-    """
-    path_columns = []
-    link_columns = []
-    for target, row in enumerate(rows):
-        paths: List[Optional[Tuple[int, ...]]] = [None] * len(row)
-        links: List[Optional[Tuple[Tuple[int, int], ...]]] = [None] * len(row)
-        paths[target] = (target,)
-        links[target] = ()
-        for tile in range(len(row)):
-            walk = []
-            current = tile
-            while paths[current] is None:
-                walk.append(current)
-                current = row[current]
-            path, route_links = paths[current], links[current]
-            for visited in reversed(walk):
-                route_links = ((visited, path[0]),) + route_links
-                path = (visited,) + path
-                paths[visited] = path
-                links[visited] = route_links
-        path_columns.append(paths)
-        link_columns.append(links)
-    # Columns are per target; the table is row-major by source.
-    return (
-        list(chain.from_iterable(zip(*path_columns))),
-        list(chain.from_iterable(zip(*link_columns))),
-    )
 
 
 def _route_energies(
@@ -146,6 +113,7 @@ class RouteTable:
         "include_local",
         "num_tiles",
         "_eager",
+        "_rows",
         "_paths",
         "_links",
         "_hops",
@@ -175,32 +143,40 @@ class RouteTable:
         self._dense_energy: Optional[np.ndarray] = None
         self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._link_keys: Optional[np.ndarray] = None
-        if self._eager:
-            rows = next_hop_trees(mesh, routing)
-            if rows is None:
-                tiles = range(self.num_tiles)
-                paths = [
-                    tuple(routing.route(mesh, source, target))
-                    for source in tiles
-                    for target in tiles
-                ]
-                links = [tuple(zip(path, path[1:])) for path in paths]
-            else:
-                paths, links = _tree_routes(rows)
-            self._paths = paths
-            self._links = links
-            # Eager numeric halves live in one dense allocation shared by
-            # scalar lookups and the vectorised kernel (see as_arrays()).
-            hops = np.fromiter(map(len, paths), dtype=np.int64, count=pairs)
-            self._hops = _freeze(hops)
-            self._energy = _freeze(
-                _route_energies(technology, hops, include_local)
-            )
-        else:
-            self._paths: Dict[int, Tuple[int, ...]] = {}
-            self._links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        # The checked next-hop rows of a table built from them; paths and
+        # links are then memoised per pair (row-major index) as they are
+        # walked, like every pair of a lazy table.
+        self._rows: Optional[Sequence[Sequence[int]]] = None
+        self._paths: Dict[int, Tuple[int, ...]] = {}
+        self._links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        if not self._eager:
             self._hops: Dict[int, int] = {}
             self._energy: Dict[int, float] = {}
+            return
+        rows = routing.next_hop_table(mesh)
+        if rows is None:
+            tiles = range(self.num_tiles)
+            paths = [
+                tuple(routing.route(mesh, source, target))
+                for source in tiles
+                for target in tiles
+            ]
+            self._paths = dict(enumerate(paths))
+            self._links = {
+                index: tuple(zip(path, path[1:]))
+                for index, path in self._paths.items()
+            }
+            hops = np.fromiter(map(len, paths), dtype=np.int64, count=pairs)
+        else:
+            depths = tree_depths(rows)
+            if depths is None:
+                next_hop_trees(mesh, routing)  # raises the route walk's error
+            self._rows = rows
+            hops = depths.T.ravel() + 1  # routers, row-major by source
+        # Eager numeric halves live in one dense allocation shared by
+        # scalar lookups and the vectorised kernel (see as_arrays()).
+        self._hops = _freeze(hops)
+        self._energy = _freeze(_route_energies(technology, hops, include_local))
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -275,8 +251,9 @@ class RouteTable:
         instance.include_local = include_local
         instance.num_tiles = num_tiles
         instance._eager = True
-        instance._paths = list(paths)
-        instance._links = list(links)
+        instance._rows = None
+        instance._paths = dict(enumerate(paths))
+        instance._links = dict(enumerate(links))
         instance._hops = _freeze(np.array(hops, dtype=np.int64))
         instance._energy = _freeze(np.array(energy, dtype=np.float64))
         instance._dense_hops = None
@@ -287,7 +264,12 @@ class RouteTable:
 
     @property
     def is_precomputed(self) -> bool:
-        """True when every pair was materialised eagerly at construction."""
+        """True when every pair's hops and energy were computed at construction.
+
+        Paths and links of a table built from next-hop rows are walked on
+        first use all the same; :meth:`link_csr` covers every pair without
+        walking them.
+        """
         return self._eager
 
     @property
@@ -307,25 +289,40 @@ class RouteTable:
         return source * n + target
 
     def _materialise(self, index: int, source: int, target: int) -> None:
-        path = tuple(self.routing.route(self.mesh, source, target))
+        """Route one pair into the memo (all four halves on a lazy table)."""
+        if self._rows is None:
+            path = tuple(self.routing.route(self.mesh, source, target))
+        else:
+            path = self._walk(index)
         self._paths[index] = path
         self._links[index] = tuple(zip(path, path[1:]))
-        self._hops[index] = len(path)
-        self._energy[index] = bit_energy_route(
-            self.technology, len(path), self.include_local
-        )
+        if not self._eager:
+            self._hops[index] = len(path)
+            self._energy[index] = bit_energy_route(
+                self.technology, len(path), self.include_local
+            )
+
+    def _walk(self, index: int) -> Tuple[int, ...]:
+        """The path of one pair along its target's checked next-hop row."""
+        tile, target = divmod(int(index), self.num_tiles)
+        row = self._rows[target]
+        path = [tile]
+        while tile != target:
+            tile = row[tile]
+            path.append(tile)
+        return tuple(path)
 
     def path(self, source: int, target: int) -> Tuple[int, ...]:
         """Router (tile) indices traversed, both endpoints included."""
         index = self._index(source, target)
-        if not self._eager and index not in self._paths:
+        if index not in self._paths:
             self._materialise(index, source, target)
         return self._paths[index]
 
     def links(self, source: int, target: int) -> Tuple[Tuple[int, int], ...]:
         """Inter-router links of the route, as ``(from, to)`` tile pairs."""
         index = self._index(source, target)
-        if not self._eager and index not in self._links:
+        if index not in self._links:
             self._materialise(index, source, target)
         return self._links[index]
 
@@ -461,7 +458,8 @@ class RouteTable:
             pairs asked for, each once.  Without *pairs* the rows are all
             ``num_tiles ** 2`` pairs in row-major order: an eager table builds
             that CSR on first use (never at construction) and memoises it,
-            and a lazy table raises
+            gathering a table built from next-hop rows straight from their
+            array, and a lazy table raises
             :class:`~repro.utils.errors.ConfigurationError` rather than route
             every pair and hold ids for all of them.
 
@@ -480,7 +478,11 @@ class RouteTable:
                 f"{self!r} is lazy; pass the pairs whose links are needed"
             )
         if self._link_csr is None:
-            self._link_csr = self._to_csr(self._links)
+            if self._rows is None:
+                pairs = range(self.num_tiles * self.num_tiles)
+                self._link_csr = self._to_csr([self._links[pair] for pair in pairs])
+            else:
+                self._link_csr = self._tree_csr()
         return self._link_csr
 
     def _sorted_link_keys(self) -> np.ndarray:
@@ -495,12 +497,43 @@ class RouteTable:
             self._link_keys = _freeze(np.array(keys, dtype=np.int64))
         return self._link_keys
 
+    def _tree_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Link-id CSR of every pair, gathered along the next-hop array.
+
+        Every tile but the target leads its route on, so the link leaving
+        each entry of the array gets its id first (and a link the topology
+        does not list raises).  Then all routes
+        advance in lockstep: step ``k`` writes the ``k``-th link id of every
+        route with more than ``k`` links and moves each on by one hop.
+        """
+        n = self.num_tiles
+        next_hops = np.asarray(self._rows, dtype=np.int64)  # [target][tile]
+        tiles = np.arange(n, dtype=np.int64)
+        leads = tiles[:, None] != tiles  # every entry off the diagonal
+        link_of = np.zeros((n, n), dtype=np.int32)
+        link_of[leads] = self._link_ids((tiles * n + next_hops)[leads])
+        link_of, next_hops = link_of.ravel(), next_hops.ravel()
+        counts = self._hops - 1
+        indptr = np.zeros(n * n + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(counts)
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        routes = np.flatnonzero(counts)
+        position = indptr[routes].astype(np.int64)
+        tile, target = np.divmod(routes, n)
+        while position.size:
+            entry = target * n + tile
+            indices[position] = link_of[entry]
+            tile = next_hops[entry]
+            position += 1
+            going = tile != target
+            tile, target, position = tile[going], target[going], position[going]
+        return _freeze(indptr), _freeze(indices)
+
     def _to_csr(
         self, routes: List[Tuple[Tuple[int, int], ...]]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Link-id CSR of *routes*, one row per route."""
         n = self.num_tiles
-        keys = self._sorted_link_keys()
         counts = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
         blocks = [np.empty(0, dtype=np.int32)]
         # Blocks of routes keep the temporaries small.
@@ -509,16 +542,21 @@ class RouteTable:
             ends = np.fromiter(
                 chain.from_iterable(chain.from_iterable(block)), dtype=np.int64
             )
-            wanted = ends[0::2] * n + ends[1::2]
-            ids = np.searchsorted(keys, wanted)
-            if ids.size and (ids.max() >= keys.size or (keys[ids] != wanted).any()):
-                raise ConfigurationError(
-                    f"{self!r} routes over a link its topology does not list"
-                )
+            ids = self._link_ids(ends[0::2] * n + ends[1::2])
             blocks.append(ids.astype(np.int32))
         indptr = np.zeros(len(routes) + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(counts)
         return _freeze(indptr), _freeze(np.concatenate(blocks))
+
+    def _link_ids(self, wanted: np.ndarray) -> np.ndarray:
+        """Ids of the links keyed ``tail * num_tiles + head``; unlisted ones raise."""
+        keys = self._sorted_link_keys()
+        ids = np.searchsorted(keys, wanted)
+        if ids.size and (ids.max() >= keys.size or (keys[ids] != wanted).any()):
+            raise ConfigurationError(
+                f"{self!r} routes over a link its topology does not list"
+            )
+        return ids
 
     def __repr__(self) -> str:
         mode = "precomputed" if self._eager else "lazy"

@@ -21,7 +21,12 @@ Beyond the dimension-ordered pair, the module provides:
   routing that routes by one next hop per target
   (:meth:`RoutingAlgorithm.next_hop_table`), from which the channel
   dependency graph and eager route tables are built without walking every
-  tile pair's route;
+  tile pair's route.  Every shipped routing has such rows: the four grid
+  routings compute theirs from tile coordinates, so only custom routings
+  without rows are walked pair by pair;
+* :func:`tree_depths` — the hop count of every walk along such rows, by
+  pointer doubling over the ``(T, T)`` array, which is also how the rows
+  are checked;
 * a routing **registry** (:func:`register_routing` / :func:`get_routing`)
   resolving spec strings — ``"xy"``, ``"yx"``, ``"table"``,
   ``"west-first"``, ``"negative-first"`` — so platforms are configurable by
@@ -37,6 +42,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.noc.topology import Topology, topology_cache_token
 from repro.utils.errors import ConfigurationError
@@ -139,6 +146,53 @@ def _require_grid(topology: Topology, routing_name: str) -> None:
             )
 
 
+def _unit_steps(
+    start: np.ndarray, end: np.ndarray, size: int, wrap: bool
+) -> np.ndarray:
+    """The step (-1, 0 or 1) :func:`_axis_steps` takes from *start* to *end*."""
+    if not wrap:
+        return np.sign(end - start)
+    forward = (end - start) % size
+    backward = (start - end) % size
+    return np.where(forward == 0, 0, np.where(forward <= backward, 1, -1))
+
+
+def _grid_next_hops(
+    topology: Topology,
+    along_x: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> List[List[int]]:
+    """Next-hop rows ``[target][tile]`` of a grid routing, from coordinates.
+
+    ``dx[t, u]`` and ``dy[t, u]`` are the steps the route walk from tile
+    ``u`` towards target ``t`` takes along each axis (the shorter way round
+    a wrapping axis, forward on ties), and ``along_x(dx, dy)`` says where
+    the next hop moves along X rather than Y.  The diagonal is ``-1``.
+    """
+    width, height = topology.width, topology.height
+    positions = np.array(
+        [topology.position_of(tile) for tile in topology.tiles()], dtype=np.int64
+    )
+    xs, ys = positions[:, :1], positions[:, 1:]  # (T, 1) columns
+    index = np.array(
+        [[topology.index_of(x, y) for x in range(width)] for y in range(height)],
+        dtype=np.int64,
+    )
+    wraps_x, wraps_y = _wraps(topology, "wraps_x"), _wraps(topology, "wraps_y")
+    # Rows run over targets, columns over the tiles a hop leaves from.
+    dx = _unit_steps(xs.T, xs, width, wraps_x)
+    dy = _unit_steps(ys.T, ys, height, wraps_y)
+    moves_x = along_x(dx, dy)
+    next_x = xs.T + np.where(moves_x, dx, 0)
+    next_y = ys.T + np.where(moves_x, 0, dy)
+    if wraps_x:
+        next_x %= width
+    if wraps_y:
+        next_y %= height
+    hops = index[next_y, next_x]
+    np.fill_diagonal(hops, -1)
+    return hops.tolist()
+
+
 class XYRouting(RoutingAlgorithm):
     """Dimension-ordered routing: X axis first, then Y axis.
 
@@ -161,6 +215,11 @@ class XYRouting(RoutingAlgorithm):
             path.append(topology.index_of(tx, y))
         return path
 
+    def next_hop_table(self, topology: Topology) -> List[List[int]]:
+        """The XY next hop of every tile towards every target (X while unaligned)."""
+        _require_grid(topology, self.name)
+        return _grid_next_hops(topology, lambda dx, dy: dx != 0)
+
 
 class YXRouting(RoutingAlgorithm):
     """Dimension-ordered routing: Y axis first, then X axis."""
@@ -179,6 +238,11 @@ class YXRouting(RoutingAlgorithm):
         for x in _axis_steps(sx, tx, topology.width, _wraps(topology, "wraps_x")):
             path.append(topology.index_of(x, ty))
         return path
+
+    def next_hop_table(self, topology: Topology) -> List[List[int]]:
+        """The YX next hop of every tile towards every target (Y while unaligned)."""
+        _require_grid(topology, self.name)
+        return _grid_next_hops(topology, lambda dx, dy: dy == 0)
 
 
 class WestFirstRouting(RoutingAlgorithm):
@@ -212,6 +276,15 @@ class WestFirstRouting(RoutingAlgorithm):
             for x in _axis_steps(sx, tx, topology.width, False):
                 path.append(topology.index_of(x, ty))
         return path
+
+    def next_hop_table(self, topology: Topology) -> List[List[int]]:
+        """The west-first next hop of every tile towards every target.
+
+        West while the target lies west, otherwise Y before east.
+        """
+        _require_grid(topology, self.name)
+        _reject_wrapping(topology, self.name)
+        return _grid_next_hops(topology, lambda dx, dy: (dx < 0) | (dy == 0))
 
 
 class NegativeFirstRouting(RoutingAlgorithm):
@@ -251,6 +324,17 @@ class NegativeFirstRouting(RoutingAlgorithm):
             for y in _axis_steps(cy, ty, topology.height, False):
                 path.append(topology.index_of(cx, y))
         return path
+
+    def next_hop_table(self, topology: Topology) -> List[List[int]]:
+        """The negative-first next hop of every tile towards every target.
+
+        West, then north, then east, then south, each while needed.
+        """
+        _require_grid(topology, self.name)
+        _reject_wrapping(topology, self.name)
+        return _grid_next_hops(
+            topology, lambda dx, dy: (dx < 0) | ((dx > 0) & (dy >= 0))
+        )
 
 
 class TableRouting(RoutingAlgorithm):
@@ -405,28 +489,65 @@ def next_hop_trees(
     Returns ``None`` when the routing has no next-hop table
     (:meth:`RoutingAlgorithm.next_hop_table`); callers then walk
     :meth:`~RoutingAlgorithm.route` per pair.  Otherwise every tile's walk
-    along row ``t`` must reach ``t``, which makes the route from ``u`` to
-    ``t`` exactly ``u`` followed by the route from ``n_t(u)``.  When a walk
-    dead-ends or loops, the first such ``(source, target)`` pair in
-    source-major order is routed through ``routing.route``, so the caller
-    gets the route walk's own :class:`ConfigurationError`.
+    along row ``t`` must reach ``t`` (checked by :func:`tree_depths`), which
+    makes the route from ``u`` to ``t`` exactly ``u`` followed by the route
+    from ``n_t(u)``.  When a walk dead-ends or loops, the first such
+    ``(source, target)`` pair in source-major order is routed through
+    ``routing.route``, so the caller gets the route walk's own
+    :class:`ConfigurationError`.
     """
     rows = routing.next_hop_table(topology)
     if rows is None:
         return None
+    if tree_depths(rows) is not None:
+        return rows
     first: Optional[Tuple[int, int]] = None
     for target, row in enumerate(rows):
         source = _first_stray(row, target)
         if source is not None and (first is None or (source, target) < first):
             first = (source, target)
-    if first is not None:
-        source, target = first
-        routing.route(topology, source, target)
-        raise ConfigurationError(
-            f"{routing!r} routes tile {source} to tile {target}, but its "
-            f"next-hop table does not"
-        )
-    return rows
+    assert first is not None  # tree_depths found a walk that never arrives
+    source, target = first
+    routing.route(topology, source, target)
+    raise ConfigurationError(
+        f"{routing!r} routes tile {source} to tile {target}, but its "
+        f"next-hop table does not"
+    )
+
+
+def tree_depths(rows: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
+    """Links on every walk along next-hop rows, or ``None`` if one never arrives.
+
+    ``depths[t, u]`` is the number of links from tile ``u`` to target ``t``
+    along row ``t`` (``0`` on the diagonal, whose entry no walk reads).
+    Pointer doubling finds them all in ``ceil(log2(T - 1))`` rounds of two
+    gathers over the flat ``(T, T + 1)`` array: each round doubles the steps
+    every jump covers and adds the links the jump skips.  Column ``T`` is a
+    sink standing in for a dead end, which is any entry outside the tiles:
+    negative ones too, which NumPy would read as indices from the end.  A
+    walk that dead-ends or loops has not reached its target after ``T - 1``
+    steps, and the rows are then not in-trees.
+    """
+    hops = np.asarray(rows, dtype=np.int64)
+    n = len(hops)
+    width = n + 1
+    tiles = np.arange(n, dtype=np.int64)
+    roots = tiles * width + tiles  # flat index of each row's target
+    jump = np.full((n, width), n, dtype=np.int64)
+    jump[:, :n] = np.where((hops >= 0) & (hops < n), hops, n)
+    jump[tiles, tiles] = tiles  # the target, like the sink, stays put
+    jump += (tiles * width)[:, None]  # flat: row t's entries live in row t
+    jump = jump.ravel()
+    # A fixed point (a target, a sink, or an entry naming its own tile,
+    # which never arrives anyway) takes no link.
+    depth = np.ones(n * width, dtype=np.int64)
+    depth[jump == np.arange(n * width)] = 0
+    for _ in range(max(n - 2, 0).bit_length()):
+        depth += depth[jump]
+        jump = jump[jump]
+    if not (jump.reshape(n, width)[:, :n] == roots[:, None]).all():
+        return None
+    return depth.reshape(n, width)[:, :n]
 
 
 def _first_stray(row: Sequence[int], target: int) -> Optional[int]:
@@ -439,12 +560,12 @@ def _first_stray(row: Sequence[int], target: int) -> Optional[int]:
             continue
         walk = [tile]
         current = row[tile]
-        while current >= 0 and not reaches[current]:
+        while 0 <= current < limit and not reaches[current]:
             if len(walk) == limit:  # more steps than tiles: a loop
                 return tile
             walk.append(current)
             current = row[current]
-        if current < 0:  # a dead end
+        if not 0 <= current < limit:  # a dead end
             return tile
         for visited in walk:
             reaches[visited] = True
@@ -534,6 +655,7 @@ __all__ = [
     "link_adjacency",
     "minimal_next_hops",
     "next_hop_trees",
+    "tree_depths",
     "available_routings",
     "register_routing",
     "get_routing",

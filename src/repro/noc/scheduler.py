@@ -48,12 +48,13 @@ Besides the full replay, the scheduler exposes the machinery of the
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping as TypingMapping, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graphs.cdcg import CDCG, Packet
-from repro.noc.platform import Platform
+from repro.noc.platform import NocParameters, Platform
 from repro.noc.resources import (
     LinkResource,
     LocalLinkResource,
@@ -349,12 +350,13 @@ class _CdcgArrays:
     """A CDCG as the index arrays the replay loop reads.
 
     Packets are numbered in declaration order, which is the heap's
-    tie-break; cores in :meth:`CDCG.cores` order.  A scheduler keeps one
-    instance per CDCG revision (stream times depend on its platform).
+    tie-break; cores in :meth:`CDCG.cores` order.  One instance serves
+    every scheduler of a CDCG revision and :class:`NocParameters` (stream
+    times depend on them); it holds no reference to the CDCG, so sharing it
+    keeps none alive.
     """
 
     __slots__ = (
-        "cdcg",
         "revision",
         "packets",
         "index",
@@ -371,8 +373,7 @@ class _CdcgArrays:
         "everyone",
     )
 
-    def __init__(self, cdcg: CDCG, parameters) -> None:
-        self.cdcg = cdcg
+    def __init__(self, cdcg: CDCG, parameters: NocParameters) -> None:
         self.revision = cdcg.revision
         packets = self.packets = cdcg.packets
         index = self.index = {p.name: i for i, p in enumerate(packets)}
@@ -391,6 +392,11 @@ class _CdcgArrays:
         self.predecessors = [len(cdcg.predecessors(p.name)) for p in packets]
         self.initial = [i for i, count in enumerate(self.predecessors) if count == 0]
         self.everyone = [True] * len(packets)
+
+
+#: Replay arrays per CDCG, then per :class:`NocParameters`, shared by every
+#: scheduler.  Weak keys: the share never keeps a CDCG alive.
+_SHARED_ARRAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class CdcmScheduler:
@@ -425,8 +431,6 @@ class CdcmScheduler:
             route_table = get_route_table(platform)
         self._route_table = route_table
         self._num_tiles = route_table.num_tiles
-        # Arrays of the most recent CDCG, rebuilt when its revision moves.
-        self._cdcg_arrays: Optional[_CdcgArrays] = None
         # Per tile pair (source * num_tiles + target): link ids, hop count
         # and path, filled on first use; the link-id lookup, the Resource
         # keys of the records and the free/busy lists are sized per link.
@@ -437,11 +441,12 @@ class CdcmScheduler:
         ] = None
 
     def _arrays(self, cdcg: CDCG) -> _CdcgArrays:
-        """The index arrays of *cdcg* at its current revision."""
-        arrays = self._cdcg_arrays
-        stale = arrays is None or arrays.cdcg is not cdcg
-        if stale or arrays.revision != cdcg.revision:
-            arrays = self._cdcg_arrays = _CdcgArrays(cdcg, self.platform.parameters)
+        """The index arrays of *cdcg* at its current revision (shared)."""
+        parameters = self.platform.parameters
+        shared = _SHARED_ARRAYS.setdefault(cdcg, {})
+        arrays = shared.get(parameters)
+        if arrays is None or arrays.revision != cdcg.revision:
+            arrays = shared[parameters] = _CdcgArrays(cdcg, parameters)
         return arrays
 
     def _order_index(self, cdcg: CDCG) -> Dict[str, int]:
@@ -506,9 +511,9 @@ class CdcmScheduler:
             If the CDCG has a dependence cycle (it then never terminates).
         """
         arrays = self._arrays(cdcg)
-        tiles = self._placement(arrays, mapping)
+        tiles = self._placement(cdcg, arrays, mapping)
         record: List[Tuple[int, float, List[float]]] = []
-        totals = self._replay(arrays, tiles, record=record)
+        totals = self._replay(cdcg, arrays, tiles, record=record)
         occupations: Dict[Resource, List[Occupation]] = {}
         schedules = self._recorded(arrays, tiles, record, occupations=occupations)
         return ScheduleResult(
@@ -538,8 +543,8 @@ class CdcmScheduler:
             the entry of its hop count to ``dynamic_energy``.
         """
         arrays = self._arrays(cdcg)
-        tiles = self._placement(arrays, mapping)
-        return self._replay(arrays, tiles, bit_energy=bit_energy)
+        tiles = self._placement(cdcg, arrays, mapping)
+        return self._replay(cdcg, arrays, tiles, bit_energy=bit_energy)
 
     def schedule_subset(
         self,
@@ -599,7 +604,9 @@ class CdcmScheduler:
             members.append(index[name])
         tiles = [tile_of.get(core) for core in arrays.cores]
         record: List[Tuple[int, float, List[float]]] = []
-        self._replay(arrays, tiles, members, ready_floor or {}, background, record)
+        self._replay(
+            cdcg, arrays, tiles, members, ready_floor or {}, background, record
+        )
         footprints: Dict[str, List[Tuple[Resource, Occupation]]] = {
             name: [] for name in names
         }
@@ -610,14 +617,18 @@ class CdcmScheduler:
     # Internals
     # ------------------------------------------------------------------
     def _placement(
-        self, arrays: _CdcgArrays, mapping: "Mapping | TypingMapping[str, int]"
+        self,
+        cdcg: CDCG,
+        arrays: _CdcgArrays,
+        mapping: "Mapping | TypingMapping[str, int]",
     ) -> List[int]:
         """Validated tile of every core, in the arrays' core order."""
-        tile_of = _tile_lookup(arrays.cdcg, mapping, self.platform, arrays.cores)
+        tile_of = _tile_lookup(cdcg, mapping, self.platform, arrays.cores)
         return list(tile_of.values())
 
     def _replay(
         self,
+        cdcg: CDCG,
         arrays: _CdcgArrays,
         tiles: Sequence[Optional[int]],
         members: Optional[List[int]] = None,
@@ -792,7 +803,7 @@ class CdcmScheduler:
         if granted != expected:
             raise SchedulingError(
                 f"only {granted} of {expected} packets could be "
-                f"scheduled; the CDCG of {arrays.cdcg.name!r} has a dependence cycle"
+                f"scheduled; the CDCG of {cdcg.name!r} has a dependence cycle"
             )
         return ReplayTotals(execution_time, dynamic, max(busy, default=0.0))
 

@@ -245,6 +245,41 @@ class TestSynthesisProperties:
 # ---------------------------------------------------------------------------
 
 
+def _full_scan_certify(topology, table, fallback):
+    """Repair-policy certification that scans every entry in every round.
+
+    The reference :meth:`TableSynthesizer.certify` must equal: it reverts
+    each entry that sends a tile along a witness link and differs from
+    *fallback*, and falls back wholesale when nothing reverts or the rounds
+    run out.
+    """
+    def gate(rows):
+        routing = SynthesizedRouting(rows)
+        return routing, validate_deadlock_free(topology, routing, raise_on_cycle=False)
+
+    routing, report = gate(table)
+    if report.deadlock_free:
+        return CertificationResult(routing, report, certified=True, repaired=False)
+    witness = report.cycle
+    rows = [list(row) for row in routing.next_hops]
+    for _ in range(synthesis_module._MAX_REPAIR_ROUNDS):
+        links = set(report.cycle)
+        reverted = False
+        for target, row in enumerate(rows):
+            for tile, hop in enumerate(row):
+                if (tile, hop) in links and hop != fallback[target][tile]:
+                    row[tile] = fallback[target][tile]
+                    reverted = True
+        if not reverted:
+            rows = [list(row) for row in fallback]
+        routing, report = gate(rows)
+        if report.deadlock_free:
+            return CertificationResult(routing, report, True, True, witness)
+    routing, report = gate(fallback)
+    return CertificationResult(routing, report, True, True, witness)
+
+
+
 class TestCertification:
     def test_all_seed_tables_certify(self, mesh_3x3, synthesizer):
         seeds = synthesizer.seed_tables()
@@ -266,6 +301,24 @@ class TestCertification:
             assert repaired.routing.next_hops != tuple(table) or True
             return
         pytest.fail("no cyclic random table found in 64 seeds")
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_repair_matches_a_full_scan(self, size):
+        mesh = Mesh(size, size)
+        synthesizer = TableSynthesizer(mesh)
+        seeds = synthesizer.seed_tables()
+        fallback = SynthesizedRouting(next(iter(seeds.values()))).next_hops
+        repaired = 0
+        for seed in range(12):
+            tables = [
+                synthesizer.random_table(rng=seed),
+                synthesizer.mutate(seeds["table"], rng=seed, mutations=size),
+            ]
+            for table in tables:
+                result = synthesizer.certify(table, policy="repair")
+                assert result == _full_scan_certify(mesh, table, fallback)
+                repaired += result.repaired
+        assert repaired > 0
 
     def test_unknown_policy_rejected(self, synthesizer):
         with pytest.raises(ConfigurationError):

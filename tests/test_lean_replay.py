@@ -3,14 +3,17 @@
 ``CdcmEvaluator.metrics`` prices a mapping through ``CdcmScheduler.totals``,
 the replay loop run without a recorder: it must build none of the Figure-3
 records (``PacketSchedule``, ``Occupation``, resource keys) that
-``schedule`` builds.  The scheduler keeps per-CDCG index arrays between
-calls; a CDCG that gains a packet, a dependence or a core between two calls
-must be read afresh by every entry point, exactly as a fresh scheduler
-reads it.
+``schedule`` builds.  Schedulers share per-CDCG index arrays between
+calls, per CDCG revision and :class:`NocParameters`; a CDCG that gains a
+packet, a dependence or a core between two calls must be read afresh by
+every entry point of every scheduler, exactly as a fresh scheduler reads
+it, and the share must keep no CDCG alive.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -100,40 +103,89 @@ def _platform() -> Platform:
     return Platform(mesh=Mesh(3, 3))
 
 
-@pytest.mark.parametrize("growth", sorted(GROWTH))
-def test_schedule_reads_a_grown_cdcg(growth):
+def _grown(growth) -> CDCG:
+    """A chain built already grown: no scheduler has seen it before."""
+    cdcg = _chain()
+    GROWTH[growth](cdcg)
+    return cdcg
+
+
+#: Each growth, replayed by the scheduler that replayed the CDCG before it
+#: grew (id: the growth) or by a second one, which finds the arrays the
+#: first one left (id: the growth and ``-second``).
+GROWN_BY = [
+    pytest.param(growth, second, id=f"{growth}-second" if second else growth)
+    for growth in sorted(GROWTH)
+    for second in (False, True)
+]
+
+
+@pytest.mark.parametrize("growth, second", GROWN_BY)
+def test_schedule_reads_a_grown_cdcg(growth, second):
     cdcg = _chain()
     kept = CdcmScheduler(_platform())
     kept.schedule(cdcg, PLACEMENT)
+    if second:
+        kept = CdcmScheduler(_platform())
     GROWTH[growth](cdcg)
-    fresh = CdcmScheduler(_platform()).schedule(cdcg, PLACEMENT)
     grown = kept.schedule(cdcg, PLACEMENT)
+    fresh = CdcmScheduler(_platform()).schedule(_grown(growth), PLACEMENT)
     assert grown.packet_schedules == fresh.packet_schedules
     assert grown.occupations == fresh.occupations
 
 
-@pytest.mark.parametrize("growth", sorted(GROWTH))
-def test_schedule_subset_reads_a_grown_cdcg(growth):
+@pytest.mark.parametrize("growth, second", GROWN_BY)
+def test_schedule_subset_reads_a_grown_cdcg(growth, second):
     cdcg = _chain()
     kept = CdcmScheduler(_platform())
     kept.schedule_subset(cdcg, PLACEMENT, [p.name for p in cdcg.packets])
+    if second:
+        kept = CdcmScheduler(_platform())
     GROWTH[growth](cdcg)
     names = [p.name for p in cdcg.packets]
-    fresh = CdcmScheduler(_platform()).schedule_subset(cdcg, PLACEMENT, names)
     grown = kept.schedule_subset(cdcg, PLACEMENT, names)
+    fresh = CdcmScheduler(_platform()).schedule_subset(_grown(growth), PLACEMENT, names)
     assert grown.schedules == fresh.schedules
     assert grown.footprints == fresh.footprints
 
 
-@pytest.mark.parametrize("growth", sorted(GROWTH))
-def test_metrics_read_a_grown_cdcg(growth):
+@pytest.mark.parametrize("growth, second", GROWN_BY)
+def test_metrics_read_a_grown_cdcg(growth, second):
     cdcg = _chain()
     kept = CdcmEvaluator(_platform())
     before = kept.metrics(cdcg, PLACEMENT)
+    if second:
+        kept = CdcmEvaluator(_platform())
     GROWTH[growth](cdcg)
     grown = kept.metrics(cdcg, PLACEMENT)
-    assert grown == CdcmEvaluator(_platform()).metrics(cdcg, PLACEMENT)
+    assert grown == CdcmEvaluator(_platform()).metrics(_grown(growth), PLACEMENT)
     assert grown != before
+
+
+def test_schedulers_share_arrays_only_under_equal_parameters():
+    cdcg = _chain()
+    narrow = Platform(mesh=Mesh(3, 3), parameters=NocParameters(flit_width=8))
+    first, second = CdcmScheduler(_platform()), CdcmScheduler(_platform())
+    assert first._arrays(cdcg) is second._arrays(cdcg)
+    assert CdcmScheduler(narrow)._arrays(cdcg) is not first._arrays(cdcg)
+    # Narrow flits stream longer; each scheduler replays with its own.
+    wide = first.schedule(cdcg, PLACEMENT)
+    slow = CdcmScheduler(narrow).schedule(cdcg, PLACEMENT)
+    assert slow.execution_time > wide.execution_time
+    assert slow == CdcmScheduler(narrow).schedule(_chain(), PLACEMENT)
+    assert first.schedule(cdcg, PLACEMENT) == wide
+
+
+def test_shared_arrays_keep_no_cdcg_alive():
+    cdcg = _chain()
+    scheduler = CdcmScheduler(_platform())
+    scheduler.schedule(cdcg, PLACEMENT)
+    CdcmEvaluator(_platform()).metrics(cdcg, PLACEMENT)
+    dropped = weakref.ref(cdcg)
+    del cdcg
+    gc.collect()
+    assert dropped() is None
+    assert scheduler.schedule(_chain(), PLACEMENT).execution_time > 0
 
 
 def test_metrics_see_an_added_core():

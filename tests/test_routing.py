@@ -5,7 +5,9 @@ routing with a next-hop table, the channel dependency graph
 (:func:`~repro.noc.deadlock.channel_dependency_graph`) and the eager
 :class:`~repro.eval.route_table.RouteTable` are built from the trees, and
 :class:`RouteWalk` — a wrapper that forwards only ``route()`` — forces the
-per-pair route walk they must equal, error messages included.
+per-pair route walk they must equal, error messages included.  The grid
+routings compute their tables from coordinates; the ``slow``-marked sweep
+checks them on every small mesh and torus.
 """
 
 import hypothesis.strategies as st
@@ -23,8 +25,10 @@ from repro.noc.deadlock import (
     validate_deadlock_free,
 )
 from repro.noc.routing import (
+    NegativeFirstRouting,
     RoutingAlgorithm,
     TableRouting,
+    WestFirstRouting,
     XYRouting,
     YXRouting,
     get_routing,
@@ -280,7 +284,44 @@ def _assert_trees_match_walk(topology, routing):
     for technology, include_local in ((TECH_0_07UM, True), (TECH_0_35UM, False)):
         fast = RouteTable(topology, routing, technology, include_local, precompute=True)
         slow = RouteTable(topology, walk, technology, include_local, precompute=True)
-        assert _route_table_state(fast) == _route_table_state(slow)
+        state = _route_table_state(fast)
+        assert state == _route_table_state(slow)
+        # ``==`` also holds for NumPy integers; the walk serves Python ints.
+        paths, links = state[:2]
+        assert all(type(tile) is int for path in paths for tile in path)
+        assert all(
+            type(tile) is int for route in links for link in route for tile in link
+        )
+
+
+GRID_ROUTINGS = (XYRouting(), YXRouting(), WestFirstRouting(), NegativeFirstRouting())
+
+
+def _next_hop_rows(topology, routing):
+    """The checked next-hop rows, or the route walk's where there are none."""
+    rows = next_hop_trees(topology, routing)
+    if rows is None:
+        return _materialise(topology, routing)
+    return tuple(tuple(row) for row in rows)
+
+
+def _assert_grid_matches_walk(topology, routing):
+    """A grid routing's table builds equal its route walk, refusals included."""
+    try:
+        routing.route(topology, 0, 0)
+    except ConfigurationError:  # route() refuses the fabric: so must the table
+        builds = dict(TestCorruptTablesRaiseAsTheRouteWalk.BUILDS, table=_next_hop_rows)
+        for name, build in builds.items():
+            fast = _outcome(lambda: build(topology, routing))
+            slow = _outcome(lambda: build(topology, RouteWalk(routing)))
+            assert fast[0] == "error" and fast == slow, name
+        return
+    assert _next_hop_rows(topology, routing) == _materialise(topology, routing)
+    _assert_trees_match_walk(topology, routing)
+
+
+def _never_walk(self, topology, source, target):
+    raise AssertionError("the route walk ran")
 
 
 class TestNextHopTreesMatchRouteWalk:
@@ -294,6 +335,12 @@ class TestNextHopTreesMatchRouteWalk:
     @given(topology=fabrics)
     def test_bfs_tables(self, topology):
         _assert_trees_match_walk(topology, TableRouting())
+
+    @SETTINGS
+    @given(topology=fabrics)
+    def test_grid_routings(self, topology):
+        for routing in GRID_ROUTINGS:
+            _assert_grid_matches_walk(topology, routing)
 
     def test_cyclic_tables_share_the_witness(self):
         mesh = Mesh(4, 4)
@@ -312,12 +359,18 @@ class TestNextHopTreesMatchRouteWalk:
         mesh = Mesh(4, 4)
 
         class Unwalkable(SynthesizedRouting):
-            def route(self, topology, source, target):
-                raise AssertionError("the route walk ran")
+            route = _never_walk
 
-        routing = Unwalkable(TableSynthesizer(mesh).random_table(rng=3))
-        channel_dependency_graph(mesh, routing)
-        RouteTable(mesh, routing, TECH_0_07UM, precompute=True)
+        synthesizer = TableSynthesizer(mesh)
+        routings = [Unwalkable(synthesizer.random_table(rng=3))]
+        for grid in map(type, GRID_ROUTINGS):
+            name = f"Unwalkable{grid.__name__}"
+            routings.append(type(name, (grid,), {"route": _never_walk})())
+        for routing in routings:
+            channel_dependency_graph(mesh, routing)
+            table = RouteTable(mesh, routing, TECH_0_07UM, precompute=True)
+            _route_table_state(table)
+            synthesizer.materialise(routing)
 
     def test_lazy_tables_match_tree_built_tables(self):
         mesh = Mesh(3, 3)
@@ -429,3 +482,13 @@ class TestCorruptTablesRaiseAsTheRouteWalk:
 
         with pytest.raises(ConfigurationError, match="next-hop table does not"):
             channel_dependency_graph(Mesh(2, 2), Inconsistent())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("routing", GRID_ROUTINGS, ids=lambda routing: routing.name)
+def test_grid_routings_on_every_small_grid(routing):
+    """Every mesh up to 8x8 and torus from 3x3 to 6x6 against the route walk."""
+    grids = [Mesh(w, h) for w in range(1, 9) for h in range(1, 9)]
+    grids += [Torus(w, h) for w in range(3, 7) for h in range(3, 7)]
+    for topology in grids:
+        _assert_grid_matches_walk(topology, routing)
