@@ -4,10 +4,10 @@
 This example demonstrates the parallel half of the evaluation engine
 (`repro.eval.parallel`) end to end on a large NoC:
 
-1. **sharded warm-up** — a 16x16 torus sits exactly at the eager/lazy route
-   table threshold; `warm_route_table` forces the eager build and shards it
-   by source row across the pool, then registers the result process-wide so
-   every later evaluation (and every forked worker) reuses it;
+1. **warm-up** — a 16x16 torus sits exactly at the eager/lazy route table
+   threshold; `warm_route_table` forces the eager build (from XY's next-hop
+   array, in process) and registers the result process-wide so every later
+   evaluation (and every forked worker) reuses it;
 2. **pooled GA pricing** — each GA generation is priced as one
    `evaluate_batch` call whose misses fan out over
    `ProcessPoolBackend(n_workers=4)`,
@@ -60,12 +60,12 @@ def main() -> None:
     )
 
     with ProcessPoolBackend(n_workers=n_workers, min_batch_size=2) as pool:
-        # 1. Warm the shared route table in parallel, sharded by source row.
+        # 1. Warm the shared route table before the pool forks its workers.
         start = time.perf_counter()
-        table = warm_route_table(platform, backend=pool)
+        table = warm_route_table(platform)
         print(
             f"route table: {platform.num_tiles ** 2:,} pairs warmed in "
-            f"{time.perf_counter() - start:.2f}s across {n_workers} workers "
+            f"{time.perf_counter() - start:.2f}s "
             f"(precomputed={table.is_precomputed})"
         )
 

@@ -34,6 +34,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.noc.deadlock import Channel, DeadlockReport, validate_deadlock_free
 from repro.noc.routing import (
     RoutingAlgorithm,
@@ -294,6 +296,20 @@ class TableSynthesizer:
             for tile in range(n)
             if len(self._choices[target][tile]) > 1
         )
+        # The entries random tables draw, in (target, tile) order: their flat
+        # indices, choice counts, and choices laid end to end.
+        drawn = [
+            (target * n + tile, choices)
+            for target, per_tile in enumerate(self._choices)
+            for tile, choices in enumerate(per_tile)
+            if choices
+        ]
+        self._drawn = np.array([entry for entry, _ in drawn], dtype=np.int64)
+        self._counts = np.array([len(choices) for _, choices in drawn], dtype=np.int64)
+        self._first_choice = np.cumsum(self._counts) - self._counts
+        self._flat_choices = np.array(
+            [hop for _, choices in drawn for hop in choices], dtype=np.int64
+        )
         self._seed_tables: Dict[str, NextHopTable] = {}
         self._fallback: Optional[NextHopTable] = None
         for spec in seed_specs:
@@ -353,21 +369,20 @@ class TableSynthesizer:
         return dict(self._seed_tables)
 
     def random_table(self, rng: RandomSource = None) -> NextHopTable:
-        """A uniformly random minimal table (reachable by construction)."""
+        """A uniformly random minimal table (reachable by construction).
+
+        One ``generator.integers`` call draws every entry's choice, over the
+        entries' choice counts in ``(target, tile)`` order.  NumPy draws such
+        broadcast bounds one element at a time, so the generator advances
+        exactly as one scalar ``integers(len(choices))`` call per entry
+        would advance it.
+        """
         generator = ensure_rng(rng)
         n = self.topology.num_tiles
-        table: List[List[int]] = [[-1] * n for _ in range(n)]
-        for target in range(n):
-            for tile in range(n):
-                if tile == target:
-                    continue
-                choices = self._choices[target][tile]
-                if not choices:
-                    continue
-                table[target][tile] = choices[
-                    int(generator.integers(len(choices)))
-                ]
-        return tuple(tuple(row) for row in table)
+        table = np.full(n * n, -1, dtype=np.int64)
+        picks = generator.integers(self._counts)
+        table[self._drawn] = self._flat_choices[self._first_choice + picks]
+        return tuple(map(tuple, table.reshape(n, n).tolist()))
 
     def mutate(
         self,

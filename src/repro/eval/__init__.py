@@ -39,9 +39,9 @@ pluggable.  Every batch takes one path, ``evaluate_metrics_batch``: memo
 lookup, in-batch dedup, then one chunk of misses, priced inline unless a
 :class:`~repro.eval.parallel.BatchBackend` is given —
 :class:`~repro.eval.parallel.ProcessPoolBackend` prices it across a process
-pool (contexts pickle light; workers rebuild route tables locally).  The same pool
-shards eager route-table construction by source row
-(:func:`~repro.eval.parallel.warm_route_table`) for >16x16 NoC sweeps.
+pool (contexts pickle light; workers rebuild route tables locally).
+:func:`~repro.eval.parallel.warm_route_table` builds and shares an eager
+route table, in process, for >16x16 NoC sweeps that touch every pair.
 
 A fourth, vectorised half (:mod:`repro.eval.vector`) moves batch pricing onto
 NumPy: :class:`~repro.eval.vector.VectorizedCwmKernel` binds an application

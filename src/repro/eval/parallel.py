@@ -26,9 +26,10 @@ rows, and the caller reassembles results in submission order, so a seeded
 search returns the same mapping and the same cost no matter where it was
 priced (pinned by ``tests/test_parallel.py``).
 
-The same pool also shards eager route-table construction by source row
-(:func:`warm_route_table`), so >16x16 NoC sweeps do not pay the O(n^2)
-warm-up on one core.
+:func:`warm_route_table` builds and shares the eager route table of a NoC
+above the lazy threshold before a sweep that touches every pair.  It builds
+in process: from next-hop arrays the build takes milliseconds, far less
+than shipping the table's routes back from pool workers.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -55,11 +55,7 @@ from typing import (
 
 import numpy as np
 
-from repro.eval.route_table import (
-    RouteTable,
-    get_route_table,
-    register_route_table,
-)
+from repro.eval.route_table import RouteTable, register_route_table
 from repro.utils.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
@@ -106,35 +102,6 @@ def _price_metrics_chunk(token: int, payload: bytes, keys: np.ndarray) -> np.nda
     return _worker_context(token, payload)._compute_rows_chunk(keys)
 
 
-def _route_rows(
-    platform: "Platform", include_local: bool, start: int, stop: int
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[Tuple[int, int], ...]], List[int], List[float]]:
-    """Worker task: route-table rows for source tiles ``start <= s < stop``.
-
-    Returns the four row-major arrays (paths, links, hops, bit energy) for
-    the slice, ready to be concatenated by
-    :meth:`~repro.eval.route_table.RouteTable.from_tables`.
-    """
-    from repro.energy.bit_energy import bit_energy_route
-
-    mesh = platform.mesh
-    routing = platform.routing
-    technology = platform.technology
-    n = mesh.num_tiles
-    paths: List[Tuple[int, ...]] = []
-    links: List[Tuple[Tuple[int, int], ...]] = []
-    hops: List[int] = []
-    energy: List[float] = []
-    for source in range(start, stop):
-        for target in range(n):
-            path = tuple(routing.route(mesh, source, target))
-            paths.append(path)
-            links.append(tuple(zip(path, path[1:])))
-            hops.append(len(path))
-            energy.append(bit_energy_route(technology, len(path), include_local))
-    return paths, links, hops, energy
-
-
 class BatchBackend(ABC):
     """Strategy deciding where a batch of uncached candidates is priced.
 
@@ -179,8 +146,8 @@ class BatchBackend(ABC):
         """Apply ``fn(*args)`` to every argument tuple, preserving order.
 
         The generic escape hatch for coarse-grained work that is not a batch
-        of mappings — multi-restart annealing runs and route-table row shards
-        go through here.  The default implementation runs serially.
+        of mappings — multi-restart annealing runs go through here.  The
+        default implementation runs serially.
 
         Parameters
         ----------
@@ -365,19 +332,16 @@ class ProcessPoolBackend(BatchBackend):
 def warm_route_table(
     platform: "Platform",
     include_local: bool = True,
-    backend: Optional[BatchBackend] = None,
     register: bool = True,
 ) -> RouteTable:
-    """Eagerly build a platform's route table, sharded by source row.
+    """Eagerly build a platform's route table, in process.
 
     For NoCs above the lazy threshold (>16x16), the default
     :func:`~repro.eval.route_table.get_route_table` avoids the O(n^2) warm-up
     by materialising pairs on demand — the right default for sparse access,
     the wrong one for a sweep that will touch every pair anyway.  This helper
-    forces the eager build and, given a :class:`ProcessPoolBackend`, computes
-    it in parallel: the source tiles are split into per-mesh-row shards, each
-    worker walks the routes of its rows, and the slices are concatenated with
-    :meth:`~repro.eval.route_table.RouteTable.from_tables`.
+    forces the eager build, which takes a routing with next-hop rows (every
+    shipped routing) from their array in milliseconds.
 
     Parameters
     ----------
@@ -385,8 +349,6 @@ def warm_route_table(
         Target architecture (topology, routing, technology).
     include_local:
         Whether local core-router links contribute to per-bit route energy.
-    backend:
-        Where to compute the rows; ``None`` builds serially.
     register:
         Install the result as the process-wide shared table
         (:func:`~repro.eval.route_table.register_route_table`) so subsequent
@@ -396,42 +358,11 @@ def warm_route_table(
     Returns
     -------
     RouteTable
-        An eager table identical to ``RouteTable.for_platform(platform,
-        include_local, precompute=True)``.
+        ``RouteTable.for_platform(platform, include_local, precompute=True)``.
     """
-    if backend is None:
-        table = RouteTable.for_platform(
-            platform, include_local=include_local, precompute=True
-        )
-    else:
-        n = platform.num_tiles
-        # One shard per mesh row; topologies without a grid embedding fall
-        # back to sqrt(n)-sized slices (same concatenation order either way,
-        # so the assembled table is identical regardless of sharding).
-        span = getattr(platform.mesh, "width", None) or max(1, math.isqrt(n))
-        shards: List[Tuple["Platform", bool, int, int]] = []
-        for start in range(0, n, span):
-            shards.append((platform, include_local, start, min(start + span, n)))
-        rows = backend.map(_route_rows, shards)
-        paths: List[Tuple[int, ...]] = []
-        links: List[Tuple[Tuple[int, int], ...]] = []
-        hops: List[int] = []
-        energy: List[float] = []
-        for shard_paths, shard_links, shard_hops, shard_energy in rows:
-            paths.extend(shard_paths)
-            links.extend(shard_links)
-            hops.extend(shard_hops)
-            energy.extend(shard_energy)
-        table = RouteTable.from_tables(
-            platform.mesh,
-            platform.routing,
-            platform.technology,
-            include_local,
-            paths,
-            links,
-            hops,
-            energy,
-        )
+    table = RouteTable.for_platform(
+        platform, include_local=include_local, precompute=True
+    )
     if register:
         register_route_table(platform, table, include_local=include_local)
     return table

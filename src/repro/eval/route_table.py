@@ -38,8 +38,8 @@ dense NumPy arrays rather than Python lists: scalar lookups index the same
 allocation the vectorised pricing kernel (:mod:`repro.eval.vector`) gathers
 from, exposed as ``(n, n)`` matrices through :meth:`RouteTable.as_arrays`.
 Lazy tables can densify those two halves on demand with
-:meth:`RouteTable.warm_dense`, which reuses — not re-derives — every pair
-already in the per-pair memo.
+:meth:`RouteTable.warm_dense`: from the trees' depths when the routing has
+next-hop rows, otherwise by walking only the pairs the per-pair memo lacks.
 """
 
 from __future__ import annotations
@@ -168,11 +168,8 @@ class RouteTable:
             }
             hops = np.fromiter(map(len, paths), dtype=np.int64, count=pairs)
         else:
-            depths = tree_depths(rows)
-            if depths is None:
-                next_hop_trees(mesh, routing)  # raises the route walk's error
+            hops = self._tree_hops(rows)
             self._rows = rows
-            hops = depths.T.ravel() + 1  # routers, row-major by source
         # Eager numeric halves live in one dense allocation shared by
         # scalar lookups and the vectorised kernel (see as_arrays()).
         self._hops = _freeze(hops)
@@ -197,70 +194,16 @@ class RouteTable:
             precompute=precompute,
         )
 
-    @classmethod
-    def from_tables(
-        cls,
-        mesh: "Topology",
-        routing: "RoutingAlgorithm",
-        technology: "Technology",
-        include_local: bool,
-        paths: List[Tuple[int, ...]],
-        links: List[Tuple[Tuple[int, int], ...]],
-        hops: List[int],
-        energy: List[float],
-    ) -> "RouteTable":
-        """Assemble an eager table from already-computed row-major arrays.
+    def _tree_hops(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """Routers on every pair's walk along next-hop *rows*, row-major by source.
 
-        This is the assembly half of the sharded parallel warm-up
-        (:func:`repro.eval.parallel.warm_route_table`): workers compute slices
-        of the four arrays for disjoint source-tile ranges and the caller
-        concatenates them here instead of re-walking every route serially.
-
-        Parameters
-        ----------
-        mesh, routing, technology, include_local:
-            The platform facets the arrays were computed for (same meaning as
-            in the constructor).
-        paths, links, hops, energy:
-            Row-major per-pair arrays (index ``source * num_tiles + target``),
-            each of length ``num_tiles ** 2``.
-
-        Returns
-        -------
-        RouteTable
-            An eager table semantically identical to
-            ``RouteTable(mesh, routing, technology, include_local)``.
+        The trees' depths (:func:`~repro.noc.routing.tree_depths`) check the
+        rows too; rows that are not in-trees raise the route walk's error.
         """
-        num_tiles = mesh.num_tiles
-        expected = num_tiles * num_tiles
-        for label, table in (
-            ("paths", paths),
-            ("links", links),
-            ("hops", hops),
-            ("energy", energy),
-        ):
-            if len(table) != expected:
-                raise ConfigurationError(
-                    f"{label} table has {len(table)} entries, expected "
-                    f"{expected} for the {num_tiles}-tile {mesh}"
-                )
-        instance = object.__new__(cls)
-        instance.mesh = mesh
-        instance.routing = routing
-        instance.technology = technology
-        instance.include_local = include_local
-        instance.num_tiles = num_tiles
-        instance._eager = True
-        instance._rows = None
-        instance._paths = dict(enumerate(paths))
-        instance._links = dict(enumerate(links))
-        instance._hops = _freeze(np.array(hops, dtype=np.int64))
-        instance._energy = _freeze(np.array(energy, dtype=np.float64))
-        instance._dense_hops = None
-        instance._dense_energy = None
-        instance._link_csr = None
-        instance._link_keys = None
-        return instance
+        depths = tree_depths(rows)
+        if depths is None:
+            next_hop_trees(self.mesh, self.routing)  # raises the route walk's error
+        return depths.T.ravel() + 1
 
     @property
     def is_precomputed(self) -> bool:
@@ -395,12 +338,16 @@ class RouteTable:
     def warm_dense(self) -> Tuple[np.ndarray, np.ndarray]:
         """Densify the numeric halves of a lazy table in one pass.
 
-        Pairs already in the per-pair memo are *reused*, not re-routed; only
-        the missing pairs walk the routing algorithm.  Paths and links stay
-        lazy (densifying them would cost the O(n^2) tuple storage the lazy
-        mode exists to avoid) — after warming, ``hop_count``/``bit_energy``
-        answer from the dense matrices while ``path``/``links`` keep
-        memoising per pair.  Idempotent; eager tables are already dense.
+        A routing with next-hop rows gives every pair's hop count from the
+        trees' depths, as an eager table does, without calling
+        :meth:`~repro.noc.routing.RoutingAlgorithm.route`.  Any other
+        routing *reuses* the pairs already in the per-pair memo and walks
+        only the missing ones.  Energies follow from the hop counts.  Paths
+        and links stay lazy (densifying them would cost the O(n^2) tuple
+        storage the lazy mode exists to avoid) — after warming,
+        ``hop_count``/``bit_energy`` answer from the dense matrices while
+        ``path``/``links`` keep memoising per pair.  Idempotent; eager
+        tables are already dense.
 
         Returns
         -------
@@ -408,30 +355,29 @@ class RouteTable:
             The same read-only ``(n, n)`` views :meth:`as_arrays` returns.
         """
         if not self._eager and self._dense_energy is None:
-            n = self.num_tiles
-            energy = np.empty(n * n, dtype=np.float64)
-            hops = np.empty(n * n, dtype=np.int64)
-            memo_energy = self._energy
-            memo_hops = self._hops
-            mesh, routing = self.mesh, self.routing
-            technology, include_local = self.technology, self.include_local
-            index = 0
-            for source in range(n):
-                for target in range(n):
-                    cached = memo_energy.get(index)
-                    if cached is not None:
-                        energy[index] = cached
-                        hops[index] = memo_hops[index]
-                    else:
-                        count = len(routing.route(mesh, source, target))
-                        hops[index] = count
-                        energy[index] = bit_energy_route(
-                            technology, count, include_local
-                        )
-                    index += 1
-            self._dense_energy = _freeze(energy)
+            rows = self.routing.next_hop_table(self.mesh)
+            hops = self._walked_hops() if rows is None else self._tree_hops(rows)
             self._dense_hops = _freeze(hops)
+            self._dense_energy = _freeze(
+                _route_energies(self.technology, hops, self.include_local)
+            )
         return self.as_arrays()
+
+    def _walked_hops(self) -> np.ndarray:
+        """Every pair's hop count, row-major: memoised pairs, else the route walk."""
+        n = self.num_tiles
+        hops = np.empty(n * n, dtype=np.int64)
+        memo = self._hops
+        mesh, routing = self.mesh, self.routing
+        index = 0
+        for source in range(n):
+            for target in range(n):
+                cached = memo.get(index)
+                if cached is None:
+                    cached = len(routing.route(mesh, source, target))
+                hops[index] = cached
+                index += 1
+        return hops
 
     @property
     def num_links(self) -> int:
@@ -620,11 +566,10 @@ def register_route_table(
 ) -> None:
     """Install *table* as the process-wide shared table for *platform*.
 
-    Used by the parallel warm-up (:func:`repro.eval.parallel.warm_route_table`)
-    so that a table assembled from sharded worker results is the one every
-    subsequent :func:`get_route_table` call returns — large-NoC sweeps warm up
-    once, in parallel, and then price serially (or in a pool) off the shared
-    result.
+    Used by :func:`repro.eval.parallel.warm_route_table`, so that an eager
+    table built above the lazy threshold is the one every subsequent
+    :func:`get_route_table` call returns — large-NoC sweeps warm up once and
+    then price serially (or in a pool) off the shared result.
 
     Parameters
     ----------

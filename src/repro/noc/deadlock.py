@@ -10,8 +10,17 @@ packets can each hold a link the next one needs — none can advance.
 :func:`validate_deadlock_free` builds the CDG induced by a routing function
 over a topology (all source/target pairs of the deterministic route set) and
 rejects cycles, returning the offending link sequence as a counter-example.
-A routing with a next-hop table gets the CDG in closed form from its
-per-target trees; any other routing walks every pair's route.
+The graph stays integer from build to witness: on a ``T``-tile fabric,
+channel ``(u, v)`` is the key ``u * T + v``, which sorts exactly like the
+tuple.  One builder turns a routing's dependencies into the sorted keys and
+a CSR of deduplicated successor ids.  A routing with a next-hop table gets
+them in closed form from its per-target trees, in a few whole-array NumPy
+passes; any other routing walks every pair's route and feeds the walked
+links to the same builder.  One depth-first search over the CSR, roots and
+successors in key order, returns the witness.
+:func:`channel_dependency_graph` and :func:`find_cycle` are dict-of-tuples
+views over the same code.
+
 This is the gate irregular and table-backed routings pass **before** any
 contention model prices mappings on them:
 
@@ -30,9 +39,11 @@ contention model prices mappings on them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.noc.routing import RoutingAlgorithm, next_hop_trees
+import numpy as np
+
+from repro.noc.routing import RoutingAlgorithm, next_hop_trees, tree_depths
 from repro.noc.topology import Topology
 from repro.utils.errors import ConfigurationError
 
@@ -90,84 +101,157 @@ def channel_dependency_graph(
     the next hop from tile ``u`` towards target ``t``, the vertices are the
     links ``(u, n_t(u))`` for ``u != t`` and the edges run ``(u, n_t(u)) ->
     (n_t(u), n_t(n_t(u)))`` whenever ``n_t(u) != t`` — the same graph, from
-    one lookup per table entry.
+    one lookup per table entry.  A walked route that leaves the tiles raises
+    :class:`~repro.utils.errors.ConfigurationError` naming its pair.
 
     Returns
     -------
     dict
         ``{link: set of links acquired immediately after it}`` — vertices
-        with no outgoing dependency map to an empty set.
+        with no outgoing dependency map to an empty set.  A view of the
+        integer graph :func:`validate_deadlock_free` searches.
     """
-    rows = next_hop_trees(topology, routing)
-    if rows is not None:
-        return _tree_dependency_graph(rows)
-    graph: Dict[Channel, Set[Channel]] = {}
+    tiles, keys, indptr, successors = _dependency_csr(topology, routing)
+    channels = [divmod(key, tiles) for key in keys.tolist()]
+    bounds = indptr.tolist()
+    after = successors.tolist()
+    return {
+        channel: {channels[vertex] for vertex in after[bounds[i] : bounds[i + 1]]}
+        for i, channel in enumerate(channels)
+    }
+
+
+def _dependency_csr(
+    topology: Topology, routing: RoutingAlgorithm
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The CDG of *routing* over *topology* as ``(tiles, keys, indptr, successors)``.
+
+    Channel ``(u, v)`` is the key ``u * tiles + v``.  Vertex ``i`` is the
+    channel ``keys[i]`` (ascending), and its successors are the vertex ids
+    ``successors[indptr[i]:indptr[i + 1]]`` (ascending, each once).
+    """
+    rows = routing.next_hop_table(topology)
+    if rows is None:
+        return _walked_cdg(topology, routing)
+    hops = np.asarray(rows, dtype=np.int64)
+    if tree_depths(hops) is None:
+        next_hop_trees(topology, routing)  # raises the route walk's error
+    return _tree_cdg(hops)
+
+
+def _tree_cdg(hops: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The CDG of next-hop rows ``hops[t, u]`` that are in-trees rooted at ``t``."""
+    tiles = len(hops)
+    index = np.arange(tiles, dtype=np.int64)
+    targets = index[:, None]
+    hops = np.where(index == targets, targets, hops)  # no walk reads the diagonal
+    links = index * tiles + hops  # links[t, u]: the key of link (u, n_t(u))
+    after = np.take_along_axis(links, hops, axis=1)  # links[t, n_t(u)]
+    going = hops != targets  # the link's head is not the target
+    return tiles, *_csr(tiles, links[index != targets], links[going], after[going])
+
+
+def _walked_cdg(
+    topology: Topology, routing: RoutingAlgorithm
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The CDG of every pair's walked route, pair by pair in source-major order."""
+    tiles = topology.num_tiles
+    links: List[int] = []
+    held: List[int] = []
+    wanted: List[int] = []
     for source in topology.tiles():
         for target in topology.tiles():
             if source == target:
                 continue
             path = routing.route(topology, source, target)
-            hops = list(zip(path, path[1:]))
-            for link in hops:
-                graph.setdefault(link, set())
-            for held, wanted in zip(hops, hops[1:]):
-                graph[held].add(wanted)
-    return graph
+            if path and not (0 <= min(path) and max(path) < tiles):
+                raise ConfigurationError(
+                    f"{routing!r} routes tile {source} to tile {target} along "
+                    f"{list(path)}, which leaves the {tiles} tiles of {topology}"
+                )
+            chain = [tail * tiles + head for tail, head in zip(path, path[1:])]
+            links += chain
+            held += chain[:-1]
+            wanted += chain[1:]
+    arrays = (np.array(keys, dtype=np.int64) for keys in (links, held, wanted))
+    return tiles, *_csr(tiles, *arrays)
 
 
-def _tree_dependency_graph(
-    rows: Sequence[Sequence[int]],
-) -> Dict[Channel, Set[Channel]]:
-    """The CDG of next-hop rows that are in-trees rooted at their targets."""
-    graph: Dict[Channel, Set[Channel]] = {}
-    for target, row in enumerate(rows):
-        links = list(enumerate(row))  # links[u] is the link (u, n_t(u))
-        for link in links:
-            tile, hop = link
-            if tile == target:
+def _csr(
+    tiles: int, links: np.ndarray, held: np.ndarray, wanted: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, indptr, successors)`` of channel keys and ``held -> wanted`` edges.
+
+    *links* lists every vertex, repeats allowed; *held* and *wanted* are
+    vertices too, and each wanted link leaves the head of its held one.
+    Dense marks order and deduplicate both without a sort: ``np.sort``
+    and ``np.unique`` (which imports ``numpy.ma``) cost peak memory.
+    """
+    marked = np.zeros(tiles * tiles, dtype=bool)
+    marked[links] = True
+    keys = np.flatnonzero(marked)
+    vertex = np.zeros(tiles * tiles, dtype=np.int64)
+    vertex[keys] = np.arange(keys.size)  # vertex[key] is the key's vertex id
+    # Edge (u, v) -> (v, w) is marked at (vertex of (u, v), w).
+    marked = np.zeros(keys.size * tiles, dtype=bool)
+    marked[vertex[held] * tiles + wanted % tiles] = True
+    tails, heads = np.divmod(np.flatnonzero(marked), tiles)
+    indptr = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=keys.size), out=indptr[1:])
+    return keys, indptr, vertex[keys[tails] % tiles * tiles + heads]
+
+
+def _first_cycle(indptr: List[int], successors: List[int]) -> List[int]:
+    """The vertex ids of the first cycle a DFS meets, or ``[]`` when acyclic.
+
+    Roots, and each vertex's successors, are visited in id order; a
+    successor already on the path closes the cycle, which runs from it to
+    the path's end.
+    """
+    state = bytearray(len(indptr) - 1)  # 0 unvisited, 1 on the path, 2 done
+    for root in range(len(state)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        cursors = [indptr[root]]  # the next successor to try, per path vertex
+        while path:
+            vertex = path[-1]
+            cursor, end = cursors[-1], indptr[vertex + 1]
+            while cursor < end:
+                successor = successors[cursor]
+                cursor += 1
+                if state[successor] == 1:
+                    return path[path.index(successor) :]
+                if not state[successor]:
+                    break
+            else:
+                state[vertex] = 2
+                path.pop()
+                cursors.pop()
                 continue
-            wanted = graph.get(link)
-            if wanted is None:
-                wanted = graph[link] = set()
-            if hop != target:
-                wanted.add(links[hop])
-    return graph
+            cursors[-1] = cursor
+            state[successor] = 1
+            path.append(successor)
+            cursors.append(indptr[successor])
+    return []
 
 
 def find_cycle(graph: Dict[Channel, Set[Channel]]) -> Tuple[Channel, ...]:
     """A witness cycle of a dependency graph, or ``()`` when acyclic.
 
     Deterministic: vertices and edges are visited in sorted order, so the
-    same graph always yields the same witness.
+    same graph always yields the same witness.  Successors that are not
+    vertices of *graph* are skipped.
     """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[Channel, int] = {vertex: WHITE for vertex in graph}
-    for root in sorted(graph):
-        if colour[root] != WHITE:
-            continue
-        # Iterative DFS keeping the grey path on an explicit stack.
-        stack: List[Tuple[Channel, List[Channel]]] = [(root, sorted(graph[root]))]
-        colour[root] = GREY
-        path = [root]
-        while stack:
-            vertex, pending = stack[-1]
-            advanced = False
-            while pending:
-                successor = pending.pop(0)
-                state = colour.get(successor, BLACK)
-                if state == GREY:
-                    return tuple(path[path.index(successor):])
-                if state == WHITE:
-                    colour[successor] = GREY
-                    path.append(successor)
-                    stack.append((successor, sorted(graph[successor])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[vertex] = BLACK
-                path.pop()
-                stack.pop()
-    return ()
+    order = sorted(graph)
+    ids = {vertex: i for i, vertex in enumerate(order)}
+    indptr = [0]
+    successors: List[int] = []
+    for vertex in order:
+        successors += [ids[then] for then in sorted(graph[vertex]) if then in ids]
+        indptr.append(len(successors))
+    return tuple(order[i] for i in _first_cycle(indptr, successors))
 
 
 def validate_deadlock_free(
@@ -201,12 +285,16 @@ def validate_deadlock_free(
         The analysis outcome (always deadlock-free when *raise_on_cycle* is
         left on, since a cycle raises instead).
     """
-    graph = channel_dependency_graph(topology, routing)
-    cycle = find_cycle(graph)
+    tiles, keys, indptr, successors = _dependency_csr(topology, routing)
+    channels = keys.tolist()
+    cycle = tuple(
+        divmod(channels[vertex], tiles)
+        for vertex in _first_cycle(indptr.tolist(), successors.tolist())
+    )
     report = DeadlockReport(
         deadlock_free=not cycle,
-        num_channels=len(graph),
-        num_dependencies=sum(len(edges) for edges in graph.values()),
+        num_channels=len(channels),
+        num_dependencies=len(successors),
         cycle=cycle,
     )
     if cycle and raise_on_cycle:

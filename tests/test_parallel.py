@@ -40,7 +40,7 @@ from repro.eval.route_table import (
 )
 from repro.graphs.convert import cdcg_to_cwg
 from repro.noc.platform import Platform
-from repro.noc.topology import Mesh, Torus
+from repro.noc.topology import Mesh
 from repro.search.annealing import FAST_SCHEDULE, SimulatedAnnealing
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticParameters, GeneticSearch
@@ -329,24 +329,11 @@ class TestSearchDeterminism:
 
 
 class TestRouteTableWarmup:
-    def test_serial_and_sharded_tables_identical(self, pool):
-        platform = Platform(mesh=Torus(5, 4))
-        reference = RouteTable.for_platform(platform, precompute=True)
-        sharded = warm_route_table(platform, backend=pool, register=False)
-        n = platform.num_tiles
-        for source in range(n):
-            for target in range(n):
-                assert sharded.path(source, target) == reference.path(source, target)
-                assert sharded.bit_energy(source, target) == reference.bit_energy(
-                    source, target
-                )
-        assert sharded.is_precomputed
-
-    def test_warmup_registers_shared_table(self, pool):
+    def test_warmup_registers_shared_table(self):
         platform = Platform(mesh=Mesh(5, 5))
         clear_route_table_cache()
         try:
-            table = warm_route_table(platform, backend=pool)
+            table = warm_route_table(platform)
             assert get_route_table(platform) is table
         finally:
             clear_route_table_cache()
@@ -355,20 +342,6 @@ class TestRouteTableWarmup:
         table = RouteTable.for_platform(Platform(mesh=Mesh(2, 2)))
         with pytest.raises(ConfigurationError):
             register_route_table(Platform(mesh=Mesh(3, 3)), table)
-
-    def test_from_tables_validates_lengths(self):
-        platform = Platform(mesh=Mesh(2, 2))
-        with pytest.raises(ConfigurationError):
-            RouteTable.from_tables(
-                platform.mesh,
-                platform.routing,
-                platform.technology,
-                True,
-                [],
-                [],
-                [],
-                [],
-            )
 
 
 class TestComparisonNeverPools:

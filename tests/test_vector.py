@@ -28,7 +28,7 @@ from repro.eval.route_table import RouteTable
 from repro.eval.vector import VectorizedCwmKernel, population_to_array
 from repro.graphs.cwg import CWG, cwg_from_edges
 from repro.noc.platform import Platform
-from repro.noc.routing import TableRouting, XYRouting
+from repro.noc.routing import RoutingAlgorithm, TableRouting, XYRouting
 from repro.noc.topology import IrregularTopology, Mesh, Torus
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.genetic import GeneticParameters, GeneticSearch
@@ -65,6 +65,17 @@ _PLATFORMS = [
     Platform(mesh=Torus(3, 3)),
     _irregular_platform(),
 ]
+
+
+class _RouteOnly(RoutingAlgorithm):
+    """Forwards only ``route()``: route tables cannot see next-hop rows."""
+
+    def __init__(self, inner: RoutingAlgorithm) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def route(self, topology, source, target):
+        return self.inner.route(topology, source, target)
 
 
 def _population(cwg: CWG, num_tiles: int, seed: int, size: int):
@@ -193,7 +204,7 @@ class TestRouteTableDense:
             assert lazy.hop_count(2, 1) == eager.hop_count(2, 1)
 
     def test_warm_dense_reuses_memoised_pairs(self, monkeypatch):
-        platform = Platform(mesh=Mesh(3, 3))
+        platform = Platform(mesh=Mesh(3, 3), routing=_RouteOnly(XYRouting()))
         table = RouteTable.for_platform(platform, precompute=False)
         # Memoise a handful of pairs, then count the routing calls the
         # densify pass makes: exactly one per *missing* pair.
@@ -215,6 +226,21 @@ class TestRouteTableDense:
         calls.clear()
         table.warm_dense()
         assert calls == []
+
+    def test_warm_dense_from_next_hop_rows_never_routes(self, monkeypatch):
+        platform = Platform(mesh=Mesh(4, 3))
+        table = RouteTable.for_platform(platform, precompute=False)
+        table.bit_energy(0, 5)  # memoise one pair; the rows give every pair anyway
+
+        def never_route(self, topology, source, target):
+            raise AssertionError("the route walk ran")
+
+        monkeypatch.setattr(type(table.routing), "route", never_route)
+        energy, hops = table.warm_dense()
+        eager = RouteTable.for_platform(platform, precompute=True)
+        eager_energy, eager_hops = eager.as_arrays()
+        assert np.array_equal(energy, eager_energy)
+        assert np.array_equal(hops, eager_hops)
 
     def test_warm_dense_is_noop_on_eager(self):
         table = RouteTable.for_platform(Platform(mesh=Mesh(2, 2)))
