@@ -18,6 +18,14 @@ The last case prices the 12x10 Table 1 row through a memo-less
 asserts the lean path at >= 5x the recorded one.  Like the other perf bars
 of the suite, the bar can be waived with ``REPRO_BENCH_NO_PERF_BARS=1``;
 ``REPRO_BENCH_RECORD=1`` appends both rates to ``BENCH_scheduler.json``.
+
+The fresh-table case prices the co-design shape (30 cores, 120 packets on
+6x6) on 20 distinct certified synthesized routings, each through a fresh
+``CdcmEvaluator`` on a fresh table, as co-design prices every new routing,
+then replays the same mappings through the now-warm evaluators.  Route link
+ids are memoised on the table, so the fresh replay pays each route's walk
+once and the warm one pays none.  It asserts equal vectors and sets no bar;
+``REPRO_BENCH_RECORD=1`` appends both per-replay times.
 """
 
 import os
@@ -26,10 +34,11 @@ import time
 import pytest
 
 from conftest import emit, record_sample
+from repro.codesign import TableSynthesizer
 from repro.core.cdcm import CdcmEvaluator
 from repro.core.mapping import Mapping
 from repro.eval.context import CdcmEvaluationContext
-from repro.eval.route_table import get_route_table
+from repro.eval.route_table import RouteTable, get_route_table
 from repro.noc.platform import Platform
 from repro.noc.scheduler import CdcmScheduler
 from repro.noc.topology import Mesh
@@ -157,3 +166,75 @@ def test_lean_pricing_beats_the_recorded_replay(benchmark):
     if _SKIP_PERF_BARS:
         pytest.skip(">= 5x bar waived via REPRO_BENCH_NO_PERF_BARS")
     assert recorded >= 5.0 * lean
+
+
+def _certified_routings(mesh: Mesh, count: int):
+    """*count* distinct certified routings: mutated seed tables, repaired.
+
+    (A uniformly random 6x6 table almost never certifies; its repair ends on
+    the fallback table.)
+    """
+    synthesizer = TableSynthesizer(mesh)
+    seeds = list(synthesizer.seed_tables().values())
+    routings = {}
+    for seed in range(10 * count):
+        table = synthesizer.mutate(seeds[seed % len(seeds)], rng=seed, mutations=4)
+        routing = synthesizer.certify(table).routing
+        routings.setdefault(routing.digest, routing)
+        if len(routings) == count:
+            return list(routings.values())
+    raise AssertionError(f"fewer than {count} distinct certified routings")
+
+
+@pytest.mark.benchmark(group="scheduler-fresh-table")
+def test_fresh_table_replays(benchmark):
+    spec = TgffSpec(
+        name="codesign-30", num_cores=30, num_packets=120, total_bits=120 * 4_096
+    )
+    cdcg = TgffLikeGenerator(1).generate(spec)
+    platform = Platform(mesh=Mesh(6, 6))
+    platforms = [
+        platform.with_routing(routing)
+        for routing in _certified_routings(platform.mesh, 20)
+    ]
+    mappings = [
+        Mapping.random(cdcg.cores(), platform.num_tiles, rng=seed)
+        for seed in range(len(platforms))
+    ]
+
+    def run():
+        fresh, warm, vectors = [], [], []
+        for _ in range(5):
+            # Tables and evaluators are built outside the timed calls.
+            evaluators = [
+                CdcmEvaluator(routed, route_table=RouteTable.for_platform(routed))
+                for routed in platforms
+            ]
+            for times, pass_vectors in ((fresh, []), (warm, [])):
+                for evaluator, mapping in zip(evaluators, mappings):
+                    start = time.perf_counter()
+                    vector = evaluator.metrics(cdcg, mapping)
+                    times.append(time.perf_counter() - start)
+                    pass_vectors.append(vector)
+                vectors.append(pass_vectors)
+        fresh.sort()
+        warm.sort()
+        return fresh[len(fresh) // 2], warm[len(warm) // 2], vectors
+
+    fresh, warm, vectors = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert all(pass_vectors == vectors[0] for pass_vectors in vectors)
+    emit(
+        "CDCM replay on a fresh route table vs a warm one (30 cores, 120 packets, "
+        "6x6, 20 certified synthesized routings)",
+        f"{'table':<10} {'ms/replay':>10}\n"
+        f"{'fresh':<10} {fresh * 1e3:>10.3f}\n"
+        f"{'warm':<10} {warm * 1e3:>10.3f}",
+    )
+    record_sample(
+        "BENCH_scheduler.json",
+        {
+            "bench": "bench_scheduler_fresh_table",
+            "fresh_table_replay_s": fresh,
+            "warm_table_replay_s": warm,
+        },
+    )

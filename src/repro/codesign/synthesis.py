@@ -74,6 +74,28 @@ _POLICIES = ("reject", "repair")
 _MAX_REPAIR_ROUNDS = 8
 
 
+def _square_integer_rows(
+    next_hops: Sequence[Sequence[int]],
+) -> Optional[NextHopTable]:
+    """*next_hops* as rows of Python ints, when one NumPy pass accepts it.
+
+    A non-empty square array of an integer dtype, every entry below its
+    size, is a valid table (negative entries mark no route).  Anything
+    else — ragged or empty rows, other dtypes, entries past the table —
+    gives ``None``.
+    """
+    try:
+        array = np.asarray(next_hops)
+    except ValueError:  # ragged rows
+        return None
+    if array.ndim != 2 or array.dtype.kind not in "iu":
+        return None
+    size, width = array.shape
+    if size == 0 or width != size or array.max() >= size:
+        return None
+    return tuple(map(tuple, array.tolist()))
+
+
 class SynthesizedRouting(RoutingAlgorithm):
     """A routing algorithm defined by an explicit per-target next-hop table.
 
@@ -82,7 +104,10 @@ class SynthesizedRouting(RoutingAlgorithm):
     next_hops:
         ``next_hops[target][tile]`` — the next tile on the route from
         ``tile`` to ``target`` (``-1`` marks the diagonal and unreachable
-        pairs).  Rows are copied into immutable tuples.
+        pairs).  Rows are copied into immutable tuples of Python ints.  A
+        square table of an integer dtype is checked in one NumPy pass; any
+        other input entry by entry, which raises for an empty table, a row
+        of the wrong length or an entry past the table.
 
     Notes
     -----
@@ -97,22 +122,24 @@ class SynthesizedRouting(RoutingAlgorithm):
     name = "synthesized"
 
     def __init__(self, next_hops: Sequence[Sequence[int]]) -> None:
-        table = tuple(tuple(int(hop) for hop in row) for row in next_hops)
-        if not table:
-            raise ConfigurationError("next-hop table must not be empty")
-        size = len(table)
-        for target, row in enumerate(table):
-            if len(row) != size:
-                raise ConfigurationError(
-                    f"next-hop row for target {target} has {len(row)} entries; "
-                    f"expected one per tile ({size})"
-                )
-            for tile, hop in enumerate(row):
-                if hop >= size:
+        table = _square_integer_rows(next_hops)
+        if table is None:  # checked entry by entry, which raises every error
+            table = tuple(tuple(int(hop) for hop in row) for row in next_hops)
+            if not table:
+                raise ConfigurationError("next-hop table must not be empty")
+            size = len(table)
+            for target, row in enumerate(table):
+                if len(row) != size:
                     raise ConfigurationError(
-                        f"next hop {hop} of tile {tile} towards target "
-                        f"{target} is outside the {size}-tile table"
+                        f"next-hop row for target {target} has {len(row)} "
+                        f"entries; expected one per tile ({size})"
                     )
+                for tile, hop in enumerate(row):
+                    if hop >= size:
+                        raise ConfigurationError(
+                            f"next hop {hop} of tile {tile} towards target "
+                            f"{target} is outside the {size}-tile table"
+                        )
         self._next_hops = table
         self._digest: Optional[str] = None
 

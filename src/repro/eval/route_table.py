@@ -33,6 +33,11 @@ checks the rows), the energies follow from the hop counts, and
 and links are walked along the checked row the first time a pair is asked
 for, and memoised.  Other routings, and lazy tables, walk each pair's route.
 
+:meth:`RouteTable.link_ids` serves a route's links as link ids, memoised per
+pair on the table, so every scheduler, evaluator and context bound to one
+table shares the memo: a CDCM replay on a fresh scheduler walks only the
+routes no earlier replay on that table has walked.
+
 The numeric halves of an eager table (``hops`` and ``energy``) are stored as
 dense NumPy arrays rather than Python lists: scalar lookups index the same
 allocation the vectorised pricing kernel (:mod:`repro.eval.vector`) gathers
@@ -122,6 +127,8 @@ class RouteTable:
         "_dense_energy",
         "_link_csr",
         "_link_keys",
+        "_link_id_of",
+        "_route_link_ids",
     )
 
     def __init__(
@@ -143,6 +150,10 @@ class RouteTable:
         self._dense_energy: Optional[np.ndarray] = None
         self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._link_keys: Optional[np.ndarray] = None
+        # Link id by key ``tail * n + head`` (built on the first link_ids()
+        # miss) and the link ids of every route asked for, by pair index.
+        self._link_id_of: Optional[Dict[int, int]] = None
+        self._route_link_ids: Dict[int, Tuple[int, ...]] = {}
         # The checked next-hop rows of a table built from them; paths and
         # links are then memoised per pair (row-major index) as they are
         # walked, like every pair of a lazy table.
@@ -269,6 +280,67 @@ class RouteTable:
             self._materialise(index, source, target)
         return self._links[index]
 
+    def link_ids(self, source: int, target: int) -> Tuple[int, ...]:
+        """Ids of the route's inter-router links, in route order (memoised).
+
+        Ids are Python ints numbered as in :meth:`link_csr`: positions in
+        the sorted ``topology.links()`` (see :attr:`link_keys`).  The first
+        call for a pair walks its target's checked next-hop row on a table
+        built from rows, and maps :meth:`links` otherwise; it stores the ids
+        in :attr:`link_id_memo`, which every scheduler bound to the table
+        reads.  A route over a link the topology does not list raises
+        :class:`~repro.utils.errors.ConfigurationError`.
+        """
+        index = self._index(source, target)
+        ids = self._route_link_ids.get(index)
+        if ids is None:
+            ids = self._route_link_ids[index] = self._route_ids(source, target)
+        return ids
+
+    @property
+    def link_id_memo(self) -> Dict[int, Tuple[int, ...]]:
+        """The memo of :meth:`link_ids`, keyed ``source * num_tiles + target``.
+
+        Read-only to callers: a replay binds it once and calls
+        :meth:`link_ids`, which fills it, only for a pair it lacks.
+        """
+        return self._route_link_ids
+
+    def _route_ids(self, source: int, target: int) -> Tuple[int, ...]:
+        """Link ids of one route, looked up by key ``tail * n + head``."""
+        n = self.num_tiles
+        id_of = self._link_id_of
+        if id_of is None:
+            keys = self.link_keys.tolist()
+            id_of = self._link_id_of = dict(zip(keys, range(len(keys))))
+        ids = []
+        if self._rows is None:
+            for tail, head in self.links(source, target):
+                # A tile outside the table would alias another link's key.
+                inside = 0 <= tail < n and 0 <= head < n
+                link = id_of.get(tail * n + head) if inside else None
+                if link is None:
+                    raise self._unlisted(tail, head)
+                ids.append(link)
+        else:  # along the checked row, filling neither path nor link memo
+            row = self._rows[target]
+            tile = source
+            while tile != target:
+                hop = row[tile]
+                link = id_of.get(tile * n + hop)
+                if link is None:
+                    raise self._unlisted(tile, hop)
+                ids.append(link)
+                tile = hop
+        return tuple(ids)
+
+    def _unlisted(self, tail: int, head: int) -> ConfigurationError:
+        """The error of a route over link ``(tail, head)``, which is unlisted."""
+        return ConfigurationError(
+            f"{self!r} routes over link {(tail, head)}, which its topology "
+            f"does not list"
+        )
+
     def hop_count(self, source: int, target: int) -> int:
         """``K`` — number of routers traversed."""
         index = self._index(source, target)
@@ -381,8 +453,8 @@ class RouteTable:
 
     @property
     def num_links(self) -> int:
-        """Directed links of the topology: :meth:`link_csr` ids run below it."""
-        return self._sorted_link_keys().size
+        """Directed links of the topology: link ids run below it."""
+        return self.link_keys.size
 
     def link_csr(
         self, pairs: Optional[np.ndarray] = None
@@ -431,11 +503,14 @@ class RouteTable:
                 self._link_csr = self._tree_csr()
         return self._link_csr
 
-    def _sorted_link_keys(self) -> np.ndarray:
-        """``tail * num_tiles + head`` of the sorted topology links (memoised).
+    @property
+    def link_keys(self) -> np.ndarray:
+        """``tail * num_tiles + head`` of every topology link, by link id.
 
-        The keys ascend with the link ids, so a binary search maps a link to
-        its id without an ``(n, n)`` lookup array.
+        A read-only int64 array of the sorted ``topology.links()``, built on
+        first use: the one numbering of :meth:`link_ids`, :meth:`link_csr`
+        and :attr:`num_links`.  The keys ascend with the ids, so a binary
+        search maps a link to its id without an ``(n, n)`` lookup array.
         """
         if self._link_keys is None:
             n = self.num_tiles
@@ -496,7 +571,7 @@ class RouteTable:
 
     def _link_ids(self, wanted: np.ndarray) -> np.ndarray:
         """Ids of the links keyed ``tail * num_tiles + head``; unlisted ones raise."""
-        keys = self._sorted_link_keys()
+        keys = self.link_keys
         ids = np.searchsorted(keys, wanted)
         if ids.size and (ids.max() >= keys.size or (keys[ids] != wanted).any()):
             raise ConfigurationError(

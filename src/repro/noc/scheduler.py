@@ -62,7 +62,7 @@ from repro.noc.resources import (
     Resource,
     RouterResource,
 )
-from repro.utils.errors import ConfigurationError, MappingError, SchedulingError
+from repro.utils.errors import MappingError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.core.mapping import Mapping
@@ -403,12 +403,18 @@ class CdcmScheduler:
     """Replays a CDCG over a mapped platform, producing a :class:`ScheduleResult`.
 
     One loop replays every entry point.  It arbitrates over integer link ids
-    (numbered as in :meth:`~repro.eval.route_table.RouteTable.link_csr`) and
-    flat ``free_at`` lists, and keeps only delivery times, hop counts and
+    and flat ``free_at`` lists, and keeps only delivery times, hop counts and
     per-link busy sums: that is :meth:`totals`, the path pricing takes.
     :meth:`schedule` and :meth:`schedule_subset` also record each grant's
     start times and build the :class:`PacketSchedule` and
     :class:`~repro.noc.resources.Occupation` records from them afterwards.
+
+    Each route's link ids come from the route table
+    (:meth:`~repro.eval.route_table.RouteTable.link_ids`), which memoises
+    them per tile pair for every scheduler bound to it: a replay reads the
+    memo with one dict lookup per packet, and walks a route only when no
+    replay on that table has walked it before.  Only the records of
+    :meth:`schedule` and :meth:`schedule_subset` read the table's paths.
 
     Parameters
     ----------
@@ -416,9 +422,7 @@ class CdcmScheduler:
         Target architecture (mesh, routing, wormhole parameters, technology).
     route_table:
         Optional pre-built :class:`~repro.eval.route_table.RouteTable`; by
-        default the process-wide shared table for *platform* is used, so every
-        packet's path is a precomputed O(1) lookup instead of a fresh XY walk
-        per replay.
+        default the process-wide shared table for *platform* is used.
     """
 
     def __init__(self, platform: Platform, route_table=None) -> None:
@@ -431,11 +435,6 @@ class CdcmScheduler:
             route_table = get_route_table(platform)
         self._route_table = route_table
         self._num_tiles = route_table.num_tiles
-        # Per tile pair (source * num_tiles + target): link ids, hop count
-        # and path, filled on first use; the link-id lookup, the Resource
-        # keys of the records and the free/busy lists are sized per link.
-        self._routes: Dict[int, Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = {}
-        self._link_ids: Optional[Dict[Tuple[int, int], int]] = None
         self._resources: Optional[
             Tuple[List[LinkResource], List[LocalLinkResource], List[RouterResource]]
         ] = None
@@ -453,37 +452,16 @@ class CdcmScheduler:
         """Deterministic heap tie-break ranks (CDCG declaration order)."""
         return self._arrays(cdcg).index
 
-    def _link_id_map(self) -> Dict[Tuple[int, int], int]:
-        """Id of every topology link, numbered as in ``RouteTable.link_csr``."""
-        if self._link_ids is None:
-            links = sorted(self._route_table.mesh.links())
-            self._link_ids = {link: i for i, link in enumerate(links)}
-        return self._link_ids
-
-    def _route(
-        self, source: int, target: int
-    ) -> Tuple[Tuple[int, ...], int, Tuple[int, ...]]:
-        """``(link ids, hop count, path)`` of one route, memoised per tile pair."""
-        link_ids = self._link_id_map()
-        path = tuple(self._route_table.path(source, target))
-        try:
-            ids = tuple(link_ids[link] for link in zip(path, path[1:]))
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"{self._route_table!r} routes over link {exc.args[0]}, which "
-                f"its topology does not list"
-            ) from None
-        route = self._routes[source * self._num_tiles + target] = (ids, len(path), path)
-        return route
-
     def _resource_lists(
         self,
     ) -> Tuple[List[LinkResource], List[LocalLinkResource], List[RouterResource]]:
         """Resource keys by link id and by tile (built on first recorded replay)."""
         if self._resources is None:
-            tiles = range(self._num_tiles)
+            n = self._num_tiles
+            tiles = range(n)
+            keys = self._route_table.link_keys.tolist()
             self._resources = (
-                [LinkResource(tail, head) for tail, head in self._link_id_map()],
+                [LinkResource(*divmod(key, n)) for key in keys],
                 [LocalLinkResource(tile) for tile in tiles],
                 [RouterResource(tile) for tile in tiles],
             )
@@ -491,7 +469,7 @@ class CdcmScheduler:
 
     @property
     def route_table(self):
-        """The route table replays read paths from (shared or custom)."""
+        """The route table replays read link ids from (shared or custom)."""
         return self._route_table
 
     # ------------------------------------------------------------------
@@ -664,7 +642,8 @@ class CdcmScheduler:
         source_core = arrays.source
         target_core = arrays.target
         bits = arrays.bits
-        routes = self._routes
+        table = self._route_table
+        routes = table.link_id_memo
         num_tiles = self._num_tiles
 
         count = len(computation)
@@ -695,7 +674,7 @@ class CdcmScheduler:
         heappop = heapq.heappop
         heappush = heapq.heappush
 
-        num_links = len(self._link_id_map())
+        num_links = table.num_links
         # Next instant each contention resource is free: inter-router links
         # by link id, local links by tile.
         free = [0.0] * num_links
@@ -714,10 +693,9 @@ class CdcmScheduler:
             stream = stream_of[i]
             source = tiles[source_core[i]]
             target = tiles[target_core[i]]
-            route = routes.get(source * num_tiles + target)
-            if route is None:
-                route = self._route(source, target)
-            link_ids, hops, _ = route
+            link_ids = routes.get(source * num_tiles + target)
+            if link_ids is None:
+                link_ids = table.link_ids(source, target)
 
             # Source local link: the core streams the whole packet to its
             # router.
@@ -790,7 +768,7 @@ class CdcmScheduler:
             if delivery > execution_time:
                 execution_time = delivery
             if pricing:
-                dynamic += bits[i] * bit_energy[hops]
+                dynamic += bits[i] * bit_energy[len(link_ids) + 1]
 
             for j in successors[i]:
                 if member[j]:
@@ -830,7 +808,8 @@ class CdcmScheduler:
         tl = params.link_time
         serialize_local = params.serialize_local_links
         link_resources, local_resources, router_resources = self._resource_lists()
-        routes = self._routes
+        table = self._route_table
+        routes = table.link_id_memo  # holds every route the replay granted
         num_tiles = self._num_tiles
         packets = arrays.packets
         schedules: Dict[str, PacketSchedule] = {}
@@ -840,7 +819,8 @@ class CdcmScheduler:
             bits = packet.bits
             source = tiles[arrays.source[i]]
             target = tiles[arrays.target[i]]
-            link_ids, hops, path = routes[source * num_tiles + target]
+            link_ids = routes[source * num_tiles + target]
+            path = table.path(source, target)
             injection = ready + arrays.computation[i]
             stream = arrays.stream[i]
             num_flits = arrays.flits[i]
@@ -871,7 +851,7 @@ class CdcmScheduler:
                             name, bits, head, link_start + tail, contended=contended
                         )
                     )
-                if position < hops - 1:
+                if position < len(link_ids):
                     output: Resource = link_resources[link_ids[position]]
                 elif footprint is None or serialize_local:
                     output = local_resources[target]

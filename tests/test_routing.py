@@ -260,6 +260,7 @@ def _route_table_state(table):
         energy.tobytes(),
         indptr.tobytes(),
         indices.tobytes(),
+        [table.link_ids(*pair) for pair in pairs],
     )
 
 
@@ -292,6 +293,11 @@ def _assert_trees_match_walk(topology, routing):
         assert all(
             type(tile) is int for route in links for link in route for tile in link
         )
+        # Link ids are the positions of the route's links among the sorted links.
+        position = {link: i for i, link in enumerate(sorted(topology.links()))}
+        link_ids = state[-1]
+        assert link_ids == [tuple(position[link] for link in route) for route in links]
+        assert all(type(link) is int for route in link_ids for link in route)
 
 
 GRID_ROUTINGS = (XYRouting(), YXRouting(), WestFirstRouting(), NegativeFirstRouting())
@@ -381,6 +387,7 @@ class TestNextHopTreesMatchRouteWalk:
         for source in mesh.tiles():
             for target in mesh.tiles():
                 assert lazy.path(source, target) == eager.path(source, target)
+                assert lazy.link_ids(source, target) == eager.link_ids(source, target)
 
 
 def _corrupt(table, rng, corruptions):
