@@ -317,12 +317,15 @@ class RouteTable:
         if self._rows is None:
             for tail, head in self.links(source, target):
                 # A tile outside the table would alias another link's key.
+                # The walk along checked rows below visits only tiles.
                 inside = 0 <= tail < n and 0 <= head < n
                 link = id_of.get(tail * n + head) if inside else None
                 if link is None:
                     raise self._unlisted(tail, head)
                 ids.append(link)
         else:  # along the checked row, filling neither path nor link memo
+            # _walk's loop, mapping each hop as it goes: _walk and a second
+            # pass over the path's links cost twice as much per miss.
             row = self._rows[target]
             tile = source
             while tile != target:

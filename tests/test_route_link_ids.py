@@ -191,3 +191,20 @@ def test_a_tile_past_the_table_is_no_link():
     assert table.link_id_memo == {}
     with pytest.raises(ConfigurationError, match=r"routes over link \(0, 11\), which"):
         CdcmEvaluator(platform, route_table=table).metrics(cdcg, {"a": 0, "b": 2})
+
+
+def test_a_row_jump_between_distant_tiles_is_no_link():
+    # Towards tile 8 of 3x3, tile 0 jumps straight to 8: the walk arrives,
+    # over (0, 8), which is no mesh link.
+    mesh = Mesh(3, 3)
+    rows = [list(row) for row in XYRouting().next_hop_table(mesh)]
+    rows[8][0] = 8
+    platform = Platform(mesh=mesh, routing=SynthesizedRouting(rows))
+    table = RouteTable.for_platform(platform)
+    cdcg = CDCG("jump")
+    cdcg.add_packet("p", "a", "b", computation_time=1.0, bits=64)
+    with pytest.raises(ConfigurationError, match=r"routes over link \(0, 8\), which"):
+        table.link_ids(0, 8)
+    with pytest.raises(ConfigurationError, match=r"routes over link \(0, 8\), which"):
+        CdcmEvaluator(platform, route_table=table).metrics(cdcg, {"a": 0, "b": 8})
+    assert table.link_id_memo == {}
