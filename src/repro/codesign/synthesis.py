@@ -74,10 +74,13 @@ _POLICIES = ("reject", "repair")
 _MAX_REPAIR_ROUNDS = 8
 
 
-def _square_integer_rows(
-    next_hops: Sequence[Sequence[int]],
-) -> Optional[NextHopTable]:
-    """*next_hops* as rows of Python ints, when one NumPy pass accepts it.
+#: Entries below int64's range saturate here: like any negative entry,
+#: they mark no route.
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def _square_integer_array(next_hops: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
+    """*next_hops* as a read-only int64 copy, when one NumPy pass accepts it.
 
     A non-empty square array of an integer dtype, every entry below its
     size, is a valid table (negative entries mark no route).  Anything
@@ -93,7 +96,9 @@ def _square_integer_rows(
     size, width = array.shape
     if size == 0 or width != size or array.max() >= size:
         return None
-    return tuple(map(tuple, array.tolist()))
+    array = array.astype(np.int64)
+    array.setflags(write=False)
+    return array
 
 
 class SynthesizedRouting(RoutingAlgorithm):
@@ -104,10 +109,12 @@ class SynthesizedRouting(RoutingAlgorithm):
     next_hops:
         ``next_hops[target][tile]`` — the next tile on the route from
         ``tile`` to ``target`` (``-1`` marks the diagonal and unreachable
-        pairs).  Rows are copied into immutable tuples of Python ints.  A
-        square table of an integer dtype is checked in one NumPy pass; any
-        other input entry by entry, which raises for an empty table, a row
-        of the wrong length or an entry past the table.
+        pairs).  Rows are copied into immutable tuples of Python ints, and
+        the table into the read-only int64 array
+        :meth:`next_hop_array` returns.  A square table of an integer dtype
+        is checked in one NumPy pass; any other input entry by entry, which
+        raises for an empty table, a row of the wrong length or an entry
+        past the table.
 
     Notes
     -----
@@ -122,8 +129,10 @@ class SynthesizedRouting(RoutingAlgorithm):
     name = "synthesized"
 
     def __init__(self, next_hops: Sequence[Sequence[int]]) -> None:
-        table = _square_integer_rows(next_hops)
-        if table is None:  # checked entry by entry, which raises every error
+        array = _square_integer_array(next_hops)
+        if array is not None:
+            table = tuple(map(tuple, array.tolist()))
+        else:  # checked entry by entry, which raises every error
             table = tuple(tuple(int(hop) for hop in row) for row in next_hops)
             if not table:
                 raise ConfigurationError("next-hop table must not be empty")
@@ -140,32 +149,41 @@ class SynthesizedRouting(RoutingAlgorithm):
                             f"next hop {hop} of tile {tile} towards target "
                             f"{target} is outside the {size}-tile table"
                         )
-        self._next_hops = table
+            array = np.array(
+                [[max(hop, _INT64_MIN) for hop in row] for row in table],
+                dtype=np.int64,
+            )
+            array.setflags(write=False)
+        self._array = array
+        self._next_hops: Optional[NextHopTable] = table
         self._digest: Optional[str] = None
 
     @classmethod
-    def _from_rows(cls, table: NextHopTable) -> "SynthesizedRouting":
-        """A routing over rows already validated as a table's (no checks).
+    def _from_array(cls, array: np.ndarray) -> "SynthesizedRouting":
+        """A routing over an array already validated as a table's (no checks).
 
         For the repair rounds of :meth:`TableSynthesizer.certify`, whose
         candidates only mix entries of two validated tables of one size:
-        *table* must be a tuple of int tuples, one per target, each with one
-        entry per tile, none past the table.
+        *array* must be a read-only square int64 array with no entry past
+        the table.  Its tuple rows are made when first read.
         """
         routing = object.__new__(cls)
-        routing._next_hops = table
+        routing._array = array
+        routing._next_hops = None
         routing._digest = None
         return routing
 
     @property
     def next_hops(self) -> NextHopTable:
         """The immutable ``[target][tile]`` next-hop table."""
+        if self._next_hops is None:
+            self._next_hops = tuple(map(tuple, self._array.tolist()))
         return self._next_hops
 
     @property
     def num_tiles(self) -> int:
         """Number of tiles the table covers."""
-        return len(self._next_hops)
+        return len(self._array)
 
     @property
     def digest(self) -> str:
@@ -176,7 +194,7 @@ class SynthesizedRouting(RoutingAlgorithm):
         that are never priced.
         """
         if self._digest is None:
-            digest = hashlib.sha256(repr(self._next_hops).encode("ascii"))
+            digest = hashlib.sha256(repr(self.next_hops).encode("ascii"))
             self._digest = digest.hexdigest()[:16]
         return self._digest
 
@@ -188,7 +206,12 @@ class SynthesizedRouting(RoutingAlgorithm):
     def next_hop_table(self, topology: Topology) -> NextHopTable:
         """The table itself, once *topology* has as many tiles as it covers."""
         self._require_size(topology)
-        return self._next_hops
+        return self.next_hops
+
+    def next_hop_array(self, topology: Topology) -> np.ndarray:
+        """The table as the read-only int64 array it was checked as (kept)."""
+        self._require_size(topology)
+        return self._array
 
     def route(self, topology: Topology, source: int, target: int) -> List[int]:
         """The table route from *source* to *target*, endpoints included."""
@@ -198,7 +221,7 @@ class SynthesizedRouting(RoutingAlgorithm):
                 raise ConfigurationError(f"tile {tile} outside {topology}")
         if source == target:
             return [source]
-        row = self._next_hops[target]
+        row = self.next_hops[target]
         path = [source]
         current = source
         limit = len(row)
@@ -219,19 +242,23 @@ class SynthesizedRouting(RoutingAlgorithm):
         return path
 
     def _require_size(self, topology: Topology) -> None:
-        if topology.num_tiles != len(self._next_hops):
+        if topology.num_tiles != self.num_tiles:
             raise ConfigurationError(
-                f"next-hop table covers {len(self._next_hops)} tiles but "
+                f"next-hop table covers {self.num_tiles} tiles but "
                 f"{topology} has {topology.num_tiles}"
             )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SynthesizedRouting):
             return NotImplemented
-        return self._next_hops == other._next_hops
+        return self.next_hops == other.next_hops
 
     def __hash__(self) -> int:
-        return hash(self._next_hops)
+        return hash(self.next_hops)
+
+    def __reduce__(self):
+        # Pickled as its rows; unpickling checks them into a fresh array.
+        return type(self), (self.next_hops,)
 
     def __repr__(self) -> str:
         return f"SynthesizedRouting(digest={self.digest!r})"
@@ -337,8 +364,8 @@ class TableSynthesizer:
         self._flat_choices = np.array(
             [hop for _, choices in drawn for hop in choices], dtype=np.int64
         )
-        self._seed_tables: Dict[str, NextHopTable] = {}
-        self._fallback: Optional[NextHopTable] = None
+        self._seeds: Dict[str, SynthesizedRouting] = {}
+        self._fallback: Optional[CertificationResult] = None
         for spec in seed_specs:
             if spec not in available_routings():
                 continue
@@ -349,10 +376,10 @@ class TableSynthesizer:
                 continue
             if not result.certified:
                 continue
-            self._seed_tables[spec] = table
+            self._seeds[spec] = result.routing
             if self._fallback is None:
-                # The validated rows, so repair rounds need no re-validation.
-                self._fallback = result.routing.next_hops
+                # Kept whole: a repair that falls back returns it as is.
+                self._fallback = result
         if self._fallback is None:
             raise ConfigurationError(
                 f"no seed routing of {tuple(seed_specs)} certifies "
@@ -393,7 +420,16 @@ class TableSynthesizer:
 
     def seed_tables(self) -> Dict[str, NextHopTable]:
         """The certified seed tables, keyed by their registry spec."""
-        return dict(self._seed_tables)
+        return {spec: routing.next_hops for spec, routing in self._seeds.items()}
+
+    def seed_routings(self) -> Dict[str, SynthesizedRouting]:
+        """The certified seed routings, keyed by their registry spec.
+
+        They were certified at construction, so a search can seed its
+        population from them without sending them through :meth:`certify`
+        again.
+        """
+        return dict(self._seeds)
 
     def random_table(self, rng: RandomSource = None) -> NextHopTable:
         """A uniformly random minimal table (reachable by construction).
@@ -461,11 +497,14 @@ class TableSynthesizer:
             ``"reject"`` — a cyclic channel dependency graph rejects the
             table, surfacing the witness cycle; ``"repair"`` — entries
             feeding the witness cycle's links are reverted to the certified
-            fallback table round by round, falling back wholesale when no
-            entry reverts or when :data:`_MAX_REPAIR_ROUNDS` rounds are
-            exhausted, and the repaired table re-enters the gate.  Repair
-            therefore always certifies (the fallback itself is certified
-            at construction).
+            fallback table round by round, on a copy of the table's
+            next-hop array, and the repaired table re-enters the gate.  When
+            no entry reverts or :data:`_MAX_REPAIR_ROUNDS` rounds are
+            exhausted, the repair falls back wholesale and returns the
+            fallback's certification from construction (its routing and
+            report, with this table's witness).  Repair therefore always
+            certifies, unless a round's mix of the two tables no longer
+            routes every pair, which raises the route walk's error.
 
         Returns
         -------
@@ -497,28 +536,31 @@ class TableSynthesizer:
             )
         fallback = self._fallback
         assert fallback is not None  # constructor guarantees a fallback
+        topology = self.topology
         # Repair rounds only mix entries of two validated tables: the
         # submitted one as its routing normalised it, and the fallback.
-        rows = [list(row) for row in routing.next_hops]
-        targets = range(len(rows))
-        for round_index in range(_MAX_REPAIR_ROUNDS):
+        hops = routing.next_hop_array(topology).copy()
+        original = fallback.routing.next_hop_array(topology)
+        tiles = len(hops)
+        width = tiles + 1
+        # Entry (t, u) reads link (u, hops[t, u]) of a (T, T + 1) witness
+        # mask, whose last column stands in for every negative entry.
+        leaving = np.arange(tiles, dtype=np.int64) * width
+        for _ in range(_MAX_REPAIR_ROUNDS):
             # An entry feeds a witness link (u, v) when it sends tile u to v;
             # only such entries that differ from the fallback revert.
-            reverted = False
-            for tile, hop in report.cycle:
-                for target in targets:
-                    if rows[target][tile] == hop != fallback[target][tile]:
-                        rows[target][tile] = fallback[target][tile]
-                        reverted = True
-            if not reverted:
-                # The witness survives on fallback entries alone; only the
-                # full fallback (certified at construction) can clear it.
-                rows = [list(row) for row in fallback]
-            candidate = tuple(tuple(row) for row in rows)
-            routing = SynthesizedRouting._from_rows(candidate)
-            report = validate_deadlock_free(
-                self.topology, routing, raise_on_cycle=False
-            )
+            cycle = np.array(report.cycle, dtype=np.int64)
+            witness = np.zeros(tiles * width, dtype=bool)
+            witness[cycle[:, 0] * width + cycle[:, 1]] = True
+            feeds = witness[leaving + np.where(hops < 0, tiles, hops)]
+            revert = feeds & (hops != original)
+            if not revert.any():
+                break  # the witness survives on fallback entries alone
+            hops[revert] = original[revert]
+            candidate = hops.copy()
+            candidate.setflags(write=False)
+            routing = SynthesizedRouting._from_array(candidate)
+            report = validate_deadlock_free(topology, routing, raise_on_cycle=False)
             if report.deadlock_free:
                 return CertificationResult(
                     routing=routing,
@@ -529,24 +571,13 @@ class TableSynthesizer:
                 )
         # Witness-guided reverts are monotone (entries only ever move toward
         # the fallback) but a large mesh can surface more distinct cycles
-        # than there are rounds; when the budget runs out, revert wholesale
-        # to the fallback, which is certified by construction.
-        routing = SynthesizedRouting._from_rows(fallback)
-        report = validate_deadlock_free(
-            self.topology, routing, raise_on_cycle=False
-        )
-        if report.deadlock_free:
-            return CertificationResult(
-                routing=routing,
-                report=report,
-                certified=True,
-                repaired=True,
-                witness=first_witness,
-            )
-        return CertificationResult(  # pragma: no cover - defensive
-            routing=None,
-            report=report,
-            certified=False,
+        # than there are rounds.  When the rounds run out, or no entry
+        # reverts, only the full fallback clears the witness: it was
+        # certified at construction, so that certification is returned.
+        return CertificationResult(
+            routing=fallback.routing,
+            report=fallback.report,
+            certified=True,
             repaired=True,
             witness=first_witness,
         )

@@ -24,9 +24,9 @@ For very large NoCs (more than ``_EAGER_PAIR_LIMIT`` pairs) the table turns
 into a lazy per-pair memo instead of an eager precomputation, so sweeps over
 huge meshes never pay an O(n**2) warm-up for pairs they might not touch.
 
-An eager table over a routing with a next-hop table
-(:meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_table`; every shipped
-routing has one) is built from the ``(n, n)`` next-hop array: the hop counts
+An eager table over a routing with a next-hop table (every shipped routing
+has one) is built from the ``(n, n)`` next-hop array
+(:meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_array`): the hop counts
 are the trees' depths (:func:`~repro.noc.routing.tree_depths`, which also
 checks the rows), the energies follow from the hop counts, and
 :meth:`RouteTable.link_csr` gathers link ids straight from the array.  Paths
@@ -50,7 +50,7 @@ next-hop rows, otherwise by walking only the pairs the per-pair memo lacks.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -118,6 +118,7 @@ class RouteTable:
         "include_local",
         "num_tiles",
         "_eager",
+        "_next_hops",
         "_rows",
         "_paths",
         "_links",
@@ -154,18 +155,20 @@ class RouteTable:
         # miss) and the link ids of every route asked for, by pair index.
         self._link_id_of: Optional[Dict[int, int]] = None
         self._route_link_ids: Dict[int, Tuple[int, ...]] = {}
-        # The checked next-hop rows of a table built from them; paths and
-        # links are then memoised per pair (row-major index) as they are
-        # walked, like every pair of a lazy table.
-        self._rows: Optional[Sequence[Sequence[int]]] = None
+        # The checked next-hop array of a table built from one, and its rows
+        # as Python ints, each converted on the first walk towards its
+        # target; paths and links are then memoised per pair (row-major
+        # index) as they are walked, like every pair of a lazy table.
+        self._next_hops: Optional[np.ndarray] = None
+        self._rows: Optional[List[Optional[List[int]]]] = None
         self._paths: Dict[int, Tuple[int, ...]] = {}
         self._links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         if not self._eager:
             self._hops: Dict[int, int] = {}
             self._energy: Dict[int, float] = {}
             return
-        rows = routing.next_hop_table(mesh)
-        if rows is None:
+        array = routing.next_hop_array(mesh)
+        if array is None:
             tiles = range(self.num_tiles)
             paths = [
                 tuple(routing.route(mesh, source, target))
@@ -179,8 +182,9 @@ class RouteTable:
             }
             hops = np.fromiter(map(len, paths), dtype=np.int64, count=pairs)
         else:
-            hops = self._tree_hops(rows)
-            self._rows = rows
+            hops = self._tree_hops(array)
+            self._next_hops = array
+            self._rows = [None] * self.num_tiles
         # Eager numeric halves live in one dense allocation shared by
         # scalar lookups and the vectorised kernel (see as_arrays()).
         self._hops = _freeze(hops)
@@ -205,13 +209,15 @@ class RouteTable:
             precompute=precompute,
         )
 
-    def _tree_hops(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        """Routers on every pair's walk along next-hop *rows*, row-major by source.
+    def _tree_hops(self, next_hops: np.ndarray) -> np.ndarray:
+        """Routers on every pair's walk along the routing's next-hop array.
 
-        The trees' depths (:func:`~repro.noc.routing.tree_depths`) check the
-        rows too; rows that are not in-trees raise the route walk's error.
+        *next_hops* is :meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_array`,
+        row-major by target; the result is row-major by source.  The trees'
+        depths (:func:`~repro.noc.routing.tree_depths`) check the rows too;
+        rows that are not in-trees raise the route walk's error.
         """
-        depths = tree_depths(rows)
+        depths = tree_depths(next_hops)
         if depths is None:
             next_hop_trees(self.mesh, self.routing)  # raises the route walk's error
         return depths.T.ravel() + 1
@@ -256,10 +262,17 @@ class RouteTable:
                 self.technology, len(path), self.include_local
             )
 
+    def _row(self, target: int) -> List[int]:
+        """Row *target* of the checked next-hop array, as Python ints (kept)."""
+        row = self._rows[target]
+        if row is None:
+            row = self._rows[target] = self._next_hops[target].tolist()
+        return row
+
     def _walk(self, index: int) -> Tuple[int, ...]:
         """The path of one pair along its target's checked next-hop row."""
         tile, target = divmod(int(index), self.num_tiles)
-        row = self._rows[target]
+        row = self._row(target)
         path = [tile]
         while tile != target:
             tile = row[tile]
@@ -326,7 +339,7 @@ class RouteTable:
         else:  # along the checked row, filling neither path nor link memo
             # _walk's loop, mapping each hop as it goes: _walk and a second
             # pass over the path's links cost twice as much per miss.
-            row = self._rows[target]
+            row = self._row(target)
             tile = source
             while tile != target:
                 hop = row[tile]
@@ -430,8 +443,8 @@ class RouteTable:
             The same read-only ``(n, n)`` views :meth:`as_arrays` returns.
         """
         if not self._eager and self._dense_energy is None:
-            rows = self.routing.next_hop_table(self.mesh)
-            hops = self._walked_hops() if rows is None else self._tree_hops(rows)
+            array = self.routing.next_hop_array(self.mesh)
+            hops = self._walked_hops() if array is None else self._tree_hops(array)
             self._dense_hops = _freeze(hops)
             self._dense_energy = _freeze(
                 _route_energies(self.technology, hops, self.include_local)
@@ -488,6 +501,13 @@ class RouteTable:
         -------
         (indptr, indices):
             Read-only int32 arrays of ``rows + 1`` offsets and of link ids.
+
+        Raises
+        ------
+        ConfigurationError
+            If a route crosses a link the topology does not list, as
+            :meth:`link_ids` does; a walked tile outside the table names
+            its link.
         """
         if pairs is not None:
             n = self.num_tiles
@@ -531,7 +551,7 @@ class RouteTable:
         route with more than ``k`` links and moves each on by one hop.
         """
         n = self.num_tiles
-        next_hops = np.asarray(self._rows, dtype=np.int64)  # [target][tile]
+        next_hops = self._next_hops  # [target][tile]
         tiles = np.arange(n, dtype=np.int64)
         leads = tiles[:, None] != tiles  # every entry off the diagonal
         link_of = np.zeros((n, n), dtype=np.int32)
@@ -566,6 +586,11 @@ class RouteTable:
             ends = np.fromiter(
                 chain.from_iterable(chain.from_iterable(block)), dtype=np.int64
             )
+            # A tile outside the table would alias another link's key.
+            outside = np.flatnonzero((ends < 0) | (ends >= n))
+            if outside.size:
+                tail = int(outside[0]) & ~1  # the tail of the first such link
+                raise self._unlisted(int(ends[tail]), int(ends[tail + 1]))
             ids = self._link_ids(ends[0::2] * n + ends[1::2])
             blocks.append(ids.astype(np.int32))
         indptr = np.zeros(len(routes) + 1, dtype=np.int32)

@@ -15,9 +15,12 @@ channel ``(u, v)`` is the key ``u * T + v``, which sorts exactly like the
 tuple.  One builder turns a routing's dependencies into the sorted keys and
 a CSR of deduplicated successor ids.  A routing with a next-hop table gets
 them in closed form from its per-target trees, in a few whole-array NumPy
-passes; any other routing walks every pair's route and feeds the walked
-links to the same builder.  One depth-first search over the CSR, roots and
-successors in key order, returns the witness.
+passes, reading the rows as one array
+(:meth:`~repro.noc.routing.RoutingAlgorithm.next_hop_array`, which a
+synthesized routing keeps rather than converts); any other routing walks
+every pair's route and feeds the walked links to the same builder.  One
+depth-first search over the CSR, roots and successors in key order,
+returns the witness.
 :func:`channel_dependency_graph` and :func:`find_cycle` are dict-of-tuples
 views over the same code.
 
@@ -130,10 +133,9 @@ def _dependency_csr(
     channel ``keys[i]`` (ascending), and its successors are the vertex ids
     ``successors[indptr[i]:indptr[i + 1]]`` (ascending, each once).
     """
-    rows = routing.next_hop_table(topology)
-    if rows is None:
+    hops = routing.next_hop_array(topology)
+    if hops is None:
         return _walked_cdg(topology, routing)
-    hops = np.asarray(rows, dtype=np.int64)
     if tree_depths(hops) is None:
         next_hop_trees(topology, routing)  # raises the route walk's error
     return _tree_cdg(hops)

@@ -21,9 +21,11 @@ Beyond the dimension-ordered pair, the module provides:
   routing that routes by one next hop per target
   (:meth:`RoutingAlgorithm.next_hop_table`), from which the channel
   dependency graph and eager route tables are built without walking every
-  tile pair's route.  Every shipped routing has such rows: the four grid
-  routings compute theirs from tile coordinates, so only custom routings
-  without rows are walked pair by pair;
+  tile pair's route.  Both read the rows as one int64 array
+  (:meth:`RoutingAlgorithm.next_hop_array`), which a synthesized routing
+  keeps from its construction.  Every shipped routing has such rows: the
+  four grid routings compute theirs from tile coordinates, so only custom
+  routings without rows are walked pair by pair;
 * :func:`tree_depths` — the hop count of every walk along such rows, by
   pointer doubling over the ``(T, T)`` array, which is also how the rows
   are checked;
@@ -95,6 +97,20 @@ class RoutingAlgorithm(ABC):
         route walk.
         """
         return None
+
+    def next_hop_array(self, topology: Topology) -> Optional[np.ndarray]:
+        """:meth:`next_hop_table` as a read-only ``(T, T)`` int64 array, or ``None``.
+
+        What the deadlock gate and the route-table build read.  The default
+        converts :meth:`next_hop_table` once per call; a routing that keeps
+        its rows as such an array returns it as is.
+        """
+        rows = self.next_hop_table(topology)
+        if rows is None:
+            return None
+        array = np.array(rows, dtype=np.int64)
+        array.setflags(write=False)
+        return array
 
     @property
     def cache_token(self) -> Tuple:

@@ -20,10 +20,15 @@ recorder the loop also keeps each grant's start times, from which
 
 * one :class:`PacketSchedule` per packet — injection time, delivery time,
   path, contention delay;
+* the application execution time ``texec`` used by the static-energy model;
 * the cost-variable lists of every CRG vertex and edge
   (:class:`~repro.noc.resources.Occupation` records), matching the
-  annotations of Figure 3;
-* the application execution time ``texec`` used by the static-energy model.
+  annotations of Figure 3.  The result keeps each grant's start times and
+  link ids and builds the lists from them the first time
+  :attr:`ScheduleResult.occupations` is read, then keeps them: a report's
+  energy and execution time read none of them, while the Figure-3 readers,
+  :meth:`ScheduleResult.max_link_utilisation` (the metric vector's
+  congestion component) and the repair engine's base state do.
 
 The timing model is validated against the paper's worked example: it
 reproduces every interval of Figure 3 and the execution times of 100 ns /
@@ -121,14 +126,125 @@ class PacketSchedule:
         return self.network_latency - self.contention_delay
 
 
+class _Grants(NamedTuple):
+    """A recorded replay's grants, from which its Figure-3 lists are built.
+
+    Plain data only, so a kept :class:`ScheduleResult` pins no scheduler,
+    CDCG arrays or route table, and pickles and copies like its lists.
+
+    Attributes
+    ----------
+    grants:
+        Per packet, in grant order: its :class:`PacketSchedule`, the
+        recorded start times (source local link, then every output along
+        the route) and the ids of its route's inter-router links.
+    resources:
+        The scheduler's resource keys: links by link id, local links and
+        routers by tile.
+    routing_time, link_time:
+        ``tr`` and ``tl`` of the replayed platform.
+    """
+
+    grants: List[Tuple[PacketSchedule, List[float], Tuple[int, ...]]]
+    resources: Tuple[List[LinkResource], List[LocalLinkResource], List[RouterResource]]
+    routing_time: float
+    link_time: float
+
+    def occupations(self) -> Dict[Resource, List[Occupation]]:
+        """Every router, link and local-link record, filed under its resource.
+
+        The occupation half of :meth:`CdcmScheduler._recorded`'s arithmetic:
+        resources appear in first-use order and each list in grant order.
+        """
+        tr = self.routing_time
+        tl = self.link_time
+        link_resources, local_resources, router_resources = self.resources
+        occupations: Dict[Resource, List[Occupation]] = {}
+        for schedule, starts, link_ids in self.grants:
+            packet = schedule.packet
+            name = packet.name
+            bits = packet.bits
+            num_flits = schedule.num_flits
+            stream = num_flits * tl
+            tail = (num_flits - 1) * tl
+            last = len(link_ids)
+
+            start = starts[0]
+            occupations.setdefault(local_resources[schedule.source_tile], []).append(
+                Occupation(
+                    name,
+                    bits,
+                    start,
+                    start + stream,
+                    contended=start > schedule.injection_time,
+                )
+            )
+            head = start + tl
+            for position, router in enumerate(schedule.path):
+                link_start = starts[position + 1]
+                contended = link_start > head + tr
+                occupations.setdefault(router_resources[router], []).append(
+                    Occupation(
+                        name, bits, head, link_start + tail, contended=contended
+                    )
+                )
+                if position < last:
+                    output: Resource = link_resources[link_ids[position]]
+                else:
+                    output = local_resources[schedule.target_tile]
+                occupations.setdefault(output, []).append(
+                    Occupation(
+                        name, bits, link_start, link_start + stream, contended=contended
+                    )
+                )
+                head = link_start + tl
+        return occupations
+
+
 @dataclass
 class ScheduleResult:
-    """Outcome of replaying a CDCG over a mapped platform."""
+    """Outcome of replaying a CDCG over a mapped platform.
+
+    ``occupations`` holds the cost-variable lists of Figure 3, per resource.
+    Lists given to the constructor are kept as given.  A result of
+    :meth:`CdcmScheduler.schedule` holds its replay's grants instead and
+    builds the lists from them the first time ``occupations`` is read —
+    directly, through the readers below, or by ``==`` and ``repr`` — and
+    then keeps them.  Copies and pickles of a result build nothing.
+    """
 
     application: str
     execution_time: float
     packet_schedules: Dict[str, PacketSchedule]
     occupations: Dict[Resource, List[Occupation]] = field(default_factory=dict)
+
+    @classmethod
+    def _deferred(
+        cls,
+        application: str,
+        execution_time: float,
+        packet_schedules: Dict[str, PacketSchedule],
+        grants: _Grants,
+    ) -> "ScheduleResult":
+        """A result whose ``occupations`` *grants* builds on first read."""
+        result = cls.__new__(cls)
+        result.application = application
+        result.execution_time = execution_time
+        result.packet_schedules = packet_schedules
+        result._grants = grants
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks, which for
+        # ``occupations`` means a deferred result's first read.
+        grants = self.__dict__.get("_grants") if name == "occupations" else None
+        if grants is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self.occupations = grants.occupations()
+        del self._grants
+        return self.occupations
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -479,7 +595,9 @@ class CdcmScheduler:
         """Replay *cdcg* with cores placed according to *mapping*.
 
         *mapping* may be a :class:`repro.core.mapping.Mapping` or any mapping
-        from core name to tile index.
+        from core name to tile index.  The result's packet schedules are
+        built here; its Figure-3 lists (:attr:`ScheduleResult.occupations`)
+        are built from the recorded grants when first read.
 
         Raises
         ------
@@ -492,13 +610,16 @@ class CdcmScheduler:
         tiles = self._placement(cdcg, arrays, mapping)
         record: List[Tuple[int, float, List[float]]] = []
         totals = self._replay(cdcg, arrays, tiles, record=record)
-        occupations: Dict[Resource, List[Occupation]] = {}
-        schedules = self._recorded(arrays, tiles, record, occupations=occupations)
-        return ScheduleResult(
-            application=cdcg.name,
-            execution_time=totals.execution_time,
-            packet_schedules=schedules,
-            occupations=occupations,
+        grants: List[Tuple[PacketSchedule, List[float], Tuple[int, ...]]] = []
+        schedules = self._recorded(arrays, tiles, record, grants=grants)
+        params = self.platform.parameters
+        return ScheduleResult._deferred(
+            cdcg.name,
+            totals.execution_time,
+            schedules,
+            _Grants(
+                grants, self._resource_lists(), params.routing_time, params.link_time
+            ),
         )
 
     def totals(
@@ -790,24 +911,25 @@ class CdcmScheduler:
         arrays: _CdcgArrays,
         tiles: Sequence[Optional[int]],
         record: List[Tuple[int, float, List[float]]],
-        occupations: Optional[Dict[Resource, List[Occupation]]] = None,
+        grants: Optional[List[Tuple[PacketSchedule, List[float], Tuple[int, ...]]]] = None,
         footprints: Optional[Dict[str, List[Tuple[Resource, Occupation]]]] = None,
     ) -> Dict[str, PacketSchedule]:
         """The packet schedules of a recorded replay, in grant order.
 
         Rebuilds every grant from its recorded starts with the replay's own
-        arithmetic.  With *occupations*, every router, link and local-link
-        record is filed under its resource: the cost-variable lists of
-        Figure 3.  With *footprints*, each packet's list gets its
-        contention-resource records, in route order — router records never
-        influence timing, and the repair engine prices dynamic energy from
-        hop counts.
+        arithmetic.  With *grants*, each packet's schedule, starts and link
+        ids are appended: what :meth:`_Grants.occupations` builds the
+        cost-variable lists of Figure 3 from.  With *footprints*, each
+        packet's list gets its contention-resource records, in route order
+        — router records never influence timing, and the repair engine
+        prices dynamic energy from hop counts.
         """
         params = self.platform.parameters
         tr = params.routing_time
         tl = params.link_time
         serialize_local = params.serialize_local_links
-        link_resources, local_resources, router_resources = self._resource_lists()
+        if footprints is not None:
+            link_resources, local_resources, _ = self._resource_lists()
         table = self._route_table
         routes = table.link_id_memo  # holds every route the replay granted
         num_tiles = self._num_tiles
@@ -816,57 +938,42 @@ class CdcmScheduler:
         for i, ready, starts in record:
             packet = packets[i]
             name = packet.name
-            bits = packet.bits
             source = tiles[arrays.source[i]]
             target = tiles[arrays.target[i]]
             link_ids = routes[source * num_tiles + target]
             path = table.path(source, target)
             injection = ready + arrays.computation[i]
             stream = arrays.stream[i]
-            num_flits = arrays.flits[i]
-            tail = (num_flits - 1) * tl
             footprint = None if footprints is None else footprints[name]
 
             start = starts[0]
             contention = start - injection
-            if footprint is None or serialize_local:
+            if footprint is not None and serialize_local:
                 occupation = Occupation(
-                    name, bits, start, start + stream, contended=start > injection
+                    name, packet.bits, start, start + stream, contended=start > injection
                 )
-                resource = local_resources[source]
-                if footprint is None:
-                    occupations.setdefault(resource, []).append(occupation)
-                else:
-                    footprint.append((resource, occupation))
+                footprint.append((local_resources[source], occupation))
             head = start + tl
-            for position, router in enumerate(path):
+            for position in range(len(path)):
                 link_start = starts[position + 1]
                 earliest = head + tr
                 contended = link_start > earliest
                 if contended:
                     contention += link_start - earliest
-                if footprint is None:
-                    occupations.setdefault(router_resources[router], []).append(
-                        Occupation(
-                            name, bits, head, link_start + tail, contended=contended
-                        )
+                if footprint is not None:
+                    if position < len(link_ids):
+                        output: Resource = link_resources[link_ids[position]]
+                    elif serialize_local:
+                        output = local_resources[target]
+                    else:
+                        break  # an unserialised local link is no contention resource
+                    occupation = Occupation(
+                        name, packet.bits, link_start, link_start + stream, contended=contended
                     )
-                if position < len(link_ids):
-                    output: Resource = link_resources[link_ids[position]]
-                elif footprint is None or serialize_local:
-                    output = local_resources[target]
-                else:
-                    break  # an unserialised local link is no contention resource
-                occupation = Occupation(
-                    name, bits, link_start, link_start + stream, contended=contended
-                )
-                if footprint is None:
-                    occupations.setdefault(output, []).append(occupation)
-                else:
                     footprint.append((output, occupation))
                 head = link_start + tl
 
-            schedules[name] = PacketSchedule(
+            schedule = schedules[name] = PacketSchedule(
                 packet=packet,
                 source_tile=source,
                 target_tile=target,
@@ -875,8 +982,10 @@ class CdcmScheduler:
                 injection_time=injection,
                 delivery_time=link_start + stream,
                 contention_delay=contention,
-                num_flits=num_flits,
+                num_flits=arrays.flits[i],
             )
+            if grants is not None:
+                grants.append((schedule, starts, link_ids))
         return schedules
 
 

@@ -3,16 +3,22 @@
 ``CdcmEvaluator.metrics`` prices a mapping through ``CdcmScheduler.totals``,
 the replay loop run without a recorder: it must build none of the Figure-3
 records (``PacketSchedule``, ``Occupation``, resource keys) that
-``schedule`` builds.  Schedulers share per-CDCG index arrays between
-calls, per CDCG revision and :class:`NocParameters`; a CDCG that gains a
-packet, a dependence or a core between two calls must be read afresh by
-every entry point of every scheduler, exactly as a fresh scheduler reads
-it, and the share must keep no CDCG alive.
+``schedule`` builds.  ``schedule`` itself builds the packet schedules and
+leaves the ``Occupation`` lists of Figure 3 to the first read of
+``ScheduleResult.occupations``; such a result equals, copies and pickles
+like one built with its lists, and keeps no scheduler alive.  Schedulers
+share per-CDCG index arrays between calls, per CDCG revision and
+:class:`NocParameters`; a CDCG that gains a packet, a dependence or a core
+between two calls must be read afresh by every entry point of every
+scheduler, exactly as a fresh scheduler reads it, and the share must keep
+no CDCG alive.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import weakref
 from collections import Counter
 
@@ -24,7 +30,7 @@ from repro.graphs.cdcg import CDCG
 from repro.noc import resources, scheduler
 from repro.noc.platform import NocParameters, Platform
 from repro.noc.routing import RoutingAlgorithm
-from repro.noc.scheduler import CdcmScheduler
+from repro.noc.scheduler import CdcmScheduler, ScheduleResult
 from repro.noc.topology import Mesh
 from repro.utils.errors import ConfigurationError, MappingError
 from repro.workloads.tgff import TgffLikeGenerator, TgffSpec
@@ -73,8 +79,93 @@ def test_metrics_build_no_records(constructed, serialize_local):
 
     report = evaluator.evaluate(cdcg, mappings[0])
     assert constructed["PacketSchedule"] == cdcg.num_packets
-    assert constructed["Occupation"] > 0
+    assert constructed["Occupation"] == 0
     assert report.metric_vector() == evaluator.metrics(cdcg, mappings[0])
+    assert constructed["Occupation"] > 0
+
+
+def _lean_case(serialize_local: bool = False):
+    """A 60-packet TGFF application on 4x4 and one random mapping of it."""
+    spec = TgffSpec(name="lazy", num_cores=12, num_packets=60, total_bits=60 * 2_048)
+    cdcg = TgffLikeGenerator(5).generate(spec)
+    platform = Platform(
+        mesh=Mesh(4, 4),
+        parameters=NocParameters(serialize_local_links=serialize_local),
+    )
+    return cdcg, platform, Mapping.random(cdcg.cores(), platform.num_tiles, rng=3)
+
+
+@pytest.mark.parametrize("serialize_local", [False, True])
+def test_evaluate_builds_the_lists_on_first_read(constructed, serialize_local):
+    cdcg, platform, mapping = _lean_case(serialize_local)
+    evaluator = CdcmEvaluator(platform)
+    constructed.clear()
+    report = evaluator.evaluate(cdcg, mapping)
+    assert constructed["PacketSchedule"] == cdcg.num_packets
+    assert constructed["Occupation"] == 0
+
+    lists = report.schedule.occupations
+    built = constructed["Occupation"]
+    # Per packet: its source local link, then a router and an output per hop.
+    hops = sum(s.hop_count for s in report.schedule.packet_schedules.values())
+    assert built == sum(map(len, lists.values())) == cdcg.num_packets + 2 * hops
+    assert report.schedule.occupations is lists
+    report.metric_vector()  # reads the lists again
+    assert constructed["Occupation"] == built
+    assert constructed["PacketSchedule"] == cdcg.num_packets
+
+
+def test_a_deferred_result_equals_one_built_from_its_values():
+    cdcg, platform, mapping = _lean_case()
+    scheduler = CdcmScheduler(platform)
+    read = scheduler.schedule(cdcg, mapping)
+    values = ScheduleResult(
+        read.application, read.execution_time, read.packet_schedules, read.occupations
+    )
+    assert values.occupations is read.occupations  # explicit lists are kept
+    unread = scheduler.schedule(cdcg, mapping)
+    assert unread == values
+    assert values == scheduler.schedule(cdcg, mapping)
+    assert repr(scheduler.schedule(cdcg, mapping)) == repr(values)
+    assert ScheduleResult("empty", 0.0, {}).occupations == {}
+
+
+def _pickled(report):
+    return pickle.loads(pickle.dumps(report))
+
+
+@pytest.mark.parametrize("duplicate", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_copies_of_a_report_round_trip(constructed, duplicate, read_first):
+    cdcg, platform, mapping = _lean_case()
+    report = CdcmEvaluator(platform).evaluate(cdcg, mapping)
+    if read_first:
+        report.schedule.occupations
+    constructed.clear()
+    twin = duplicate(report)
+    assert constructed["Occupation"] == 0  # copying builds nothing
+    assert twin == report  # reads, and so builds, unread lists on both sides
+    assert twin.schedule.occupations == report.schedule.occupations
+    assert twin.metric_vector() == report.metric_vector()
+    if read_first:
+        assert constructed["Occupation"] == 0
+    else:
+        assert constructed["Occupation"] == 2 * sum(
+            map(len, report.schedule.occupations.values())
+        )
+
+
+def test_a_report_keeps_no_scheduler_alive():
+    cdcg, platform, mapping = _lean_case()
+    evaluator = CdcmEvaluator(platform)
+    report = evaluator.evaluate(cdcg, mapping)
+    scheduler = weakref.ref(evaluator._scheduler)
+    del evaluator
+    gc.collect()
+    assert scheduler() is None
+    expected = CdcmScheduler(platform).schedule(cdcg, mapping).occupations
+    assert report.schedule.occupations == expected
+    assert report.metric_vector() == CdcmEvaluator(platform).metrics(cdcg, mapping)
 
 
 def _chain() -> CDCG:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.codesign import SynthesizedRouting, TableSynthesizer
@@ -191,6 +192,19 @@ def test_a_tile_past_the_table_is_no_link():
     assert table.link_id_memo == {}
     with pytest.raises(ConfigurationError, match=r"routes over link \(0, 11\), which"):
         CdcmEvaluator(platform, route_table=table).metrics(cdcg, {"a": 0, "b": 2})
+
+
+@pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
+def test_link_csr_refuses_a_tile_past_the_table(precompute):
+    # link_csr keyed (0, 11) as link (1, 2), id 3, where link_ids raises.
+    platform = Platform(mesh=Mesh(3, 3), routing=_Leap())
+    table = RouteTable.for_platform(platform, precompute=precompute)
+    with pytest.raises(ConfigurationError, match=r"routes over link \(0, 11\), which"):
+        table.link_csr(np.array([2]))
+    assert table.link_csr(np.array([0, 10]))[0].tolist() == [0, 0, 0]  # no links
+    if precompute:  # the all-pairs build meets pair (0, 1) first
+        with pytest.raises(ConfigurationError, match=r"routes over link \(0, 10\), which"):
+            table.link_csr()
 
 
 def test_a_row_jump_between_distant_tiles_is_no_link():

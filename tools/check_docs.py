@@ -234,8 +234,9 @@ GUIDES: Tuple[Guide, ...] = (
     Guide(
         "architecture.md",
         # The bounded-repair drift/resync contract, and the service and
-        # dynamic-scenario data flows.
+        # dynamic-scenario data flows; the Figure-3 lists' build-on-read.
         headings=("bounded repair", "service", "scenario"),
+        symbols=("ScheduleResult.occupations",),
     ),
     Guide(
         "api.md",
