@@ -19,6 +19,13 @@ asserts the lean path at >= 5x the recorded one.  Like the other perf bars
 of the suite, the bar can be waived with ``REPRO_BENCH_NO_PERF_BARS=1``;
 ``REPRO_BENCH_RECORD=1`` appends both rates to ``BENCH_scheduler.json``.
 
+The report-path case times one ``CdcmEvaluator.evaluate`` report on the
+``codesign-nsga3`` shape (30 cores, 120 packets on 6x6) and on the 16x16
+``cdcm-repair-sa`` shape (96 cores, 128 packets): ``evaluate()`` alone,
+``evaluate()`` followed by reading the Figure-3 lists (built on first read),
+and the lean ``metrics()``.  It asserts equal execution times, energies and
+vectors and sets no bar; ``REPRO_BENCH_RECORD=1`` appends the three times.
+
 The fresh-table case prices the co-design shape (30 cores, 120 packets on
 6x6) on 20 distinct certified synthesized routings, each through a fresh
 ``CdcmEvaluator`` on a fresh table, as co-design prices every new routing.
@@ -240,5 +247,77 @@ def test_fresh_table_replays(benchmark):
             "fresh_table_replay_s": fresh,
             "second_evaluator_replay_s": shared,
             "warm_table_replay_s": warm,
+        },
+    )
+
+
+REPORT_SHAPES = {
+    "codesign-nsga3": (
+        TgffSpec(name="codesign-30", num_cores=30, num_packets=120, total_bits=120 * 4_096),
+        Mesh(6, 6),
+    ),
+    "cdcm-repair-sa": (
+        TgffSpec(
+            name="repair-16x16",
+            num_cores=96,
+            num_packets=128,
+            total_bits=128 * 4_096,
+            levels=8,
+            computation_scale=16.0,
+        ),
+        Mesh(16, 16),
+    ),
+}
+
+
+def _best_seconds(fn, rounds: int = 30) -> float:
+    """Best wall time of one call of *fn* over *rounds* calls."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.benchmark(group="scheduler-report")
+@pytest.mark.parametrize("shape", sorted(REPORT_SHAPES))
+def test_report_path(benchmark, shape):
+    spec, mesh = REPORT_SHAPES[shape]
+    cdcg = TgffLikeGenerator(1).generate(spec)
+    platform = Platform(mesh=mesh)
+    evaluator = CdcmEvaluator(platform)
+    mapping = Mapping.random(cdcg.cores(), platform.num_tiles, rng=3)
+    report = evaluator.evaluate(cdcg, mapping)
+    read = evaluator.evaluate(cdcg, mapping)
+    read.schedule.occupations
+    lean = evaluator.metrics(cdcg, mapping)
+    assert report.execution_time == read.execution_time == lean["time"]
+    assert report.energy == read.energy
+    assert report.total_energy == lean["energy"]
+    assert report.metric_vector() == read.metric_vector() == lean
+
+    def run():
+        return (
+            _best_seconds(lambda: evaluator.evaluate(cdcg, mapping)),
+            _best_seconds(lambda: evaluator.evaluate(cdcg, mapping).schedule.occupations),
+            _best_seconds(lambda: evaluator.metrics(cdcg, mapping)),
+        )
+
+    report_s, read_s, lean_s = benchmark.pedantic(run, rounds=1, iterations=1)
+    emit(
+        f"CDCM report path ({shape} shape), best of 30",
+        f"{'call':<24} {'ms':>8}\n"
+        f"{'evaluate()':<24} {report_s * 1e3:>8.3f}\n"
+        f"{'evaluate() + lists':<24} {read_s * 1e3:>8.3f}\n"
+        f"{'metrics() (lean)':<24} {lean_s * 1e3:>8.3f}",
+    )
+    record_sample(
+        "BENCH_scheduler.json",
+        {
+            "bench": f"bench_scheduler_report_{shape}",
+            "evaluate_s": report_s,
+            "evaluate_and_lists_s": read_s,
+            "lean_metrics_s": lean_s,
         },
     )
