@@ -270,16 +270,6 @@ REPORT_SHAPES = {
 }
 
 
-def _best_seconds(fn, rounds: int = 30) -> float:
-    """Best wall time of one call of *fn* over *rounds* calls."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.benchmark(group="scheduler-report")
 @pytest.mark.parametrize("shape", sorted(REPORT_SHAPES))
 def test_report_path(benchmark, shape):
@@ -299,14 +289,16 @@ def test_report_path(benchmark, shape):
 
     def run():
         return (
-            _best_seconds(lambda: evaluator.evaluate(cdcg, mapping)),
-            _best_seconds(lambda: evaluator.evaluate(cdcg, mapping).schedule.occupations),
-            _best_seconds(lambda: evaluator.metrics(cdcg, mapping)),
+            _median_seconds(lambda m: evaluator.evaluate(cdcg, m), [mapping], 30),
+            _median_seconds(
+                lambda m: evaluator.evaluate(cdcg, m).schedule.occupations, [mapping], 30
+            ),
+            _median_seconds(lambda m: evaluator.metrics(cdcg, m), [mapping], 30),
         )
 
     report_s, read_s, lean_s = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
-        f"CDCM report path ({shape} shape), best of 30",
+        f"CDCM report path ({shape} shape), median of 30",
         f"{'call':<24} {'ms':>8}\n"
         f"{'evaluate()':<24} {report_s * 1e3:>8.3f}\n"
         f"{'evaluate() + lists':<24} {read_s * 1e3:>8.3f}\n"

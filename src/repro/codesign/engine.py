@@ -321,8 +321,9 @@ class CodesignSearch(NSGA3Search):
             return result.routing
 
         def context_for(routing: SynthesizedRouting) -> EvaluationContext:
-            # Contexts exist only for certified routings: every routing a
-            # genome carries came out of certify above, which is the
+            # Contexts exist only for certified routings: a genome carries
+            # either a routing from certify above or a seed routing the
+            # synthesizer certified when it was built, which is the
             # structural form of the certify-before-price invariant.
             context = contexts.get(routing.digest)
             if context is None:
