@@ -32,17 +32,25 @@ follow the suite's perf-bar convention (cf. the >= 2x pool bar in
 waived on constrained or instrumented interpreters by setting
 ``REPRO_BENCH_NO_PERF_BARS=1``.
 
+A second case times the link-load gather
+(:meth:`~repro.eval.vector.VectorizedCwmKernel.link_load_stats`) on its
+own, beside the energy kernel, at 128 rows (one ``cwm-nsga2`` brood) and
+4096 rows, and checks both against the per-candidate loop of
+``LoadAwareCwmContext``; it records its rows/s and sets no bar.
+
 Set ``REPRO_BENCH_RECORD=1`` to append the measured rates to
 ``BENCH_vector.json`` in the working directory — the file the CI
 benchmark-trajectory job uploads.
 """
 
 import os
+import statistics
 import time
 
 import pytest
 
 from conftest import BENCH_SEED, emit, record_sample
+from repro.codesign.load import LoadAwareCwmContext
 from repro.core.mapping import Mapping
 from repro.eval.context import CwmEvaluationContext
 from repro.eval.vector import population_to_array
@@ -175,3 +183,70 @@ def test_cwm_array_kernel_throughput(benchmark):
     assert array_rate >= 10.0 * scalar_rate
     # The context's array form keeps at least half of the raw kernel rate.
     assert rows_rate >= 0.5 * array_rate
+
+
+#: Row counts of the link-load gather case: one ``cwm-nsga2`` brood, and a
+#: population large enough to span many row blocks.
+GATHER_ROWS = (128, 4096)
+
+
+def _median_rate(fn, rows, repeats):
+    """Rows/s of *fn* from the median of *repeats* timed calls, and its result."""
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - start)
+    return result, rows / statistics.median(seconds)
+
+
+@pytest.mark.benchmark(group="vector-throughput")
+def test_link_load_gather_throughput(benchmark):
+    """Rows/s of ``link_load_stats`` beside the energy kernel; no bar.
+
+    The gather is the load half of every load-aware CWM chunk, priced in
+    cache-sized row blocks; the energy kernel prices the same rows.  Both
+    must equal the per-candidate loop of ``LoadAwareCwmContext`` exactly.
+    """
+    cwg, platform = _workload()
+    order = sorted(cwg.cores)
+    rng = ensure_rng(BENCH_SEED)
+    context = LoadAwareCwmContext(cwg, platform, cache_size=0)
+    kernel = context.vector_kernel()
+    populations = {
+        rows: _population(cwg, platform.num_tiles, rows, rng) for rows in GATHER_ROWS
+    }
+
+    def run():
+        results = {}
+        for rows, population in populations.items():
+            tiles = population_to_array(population, order, num_tiles=platform.num_tiles)
+            repeats = 25 if rows < 1000 else 5
+            (peaks, totals), gather_rate = _median_rate(
+                lambda: kernel.link_load_stats(tiles), rows, repeats
+            )
+            energies, energy_rate = _median_rate(
+                lambda: kernel.price(tiles), rows, repeats
+            )
+            scalar = [context._compute_metrics(mapping) for mapping in population]
+            assert energies.tolist() == [vector["dynamic_energy"] for vector in scalar]
+            assert peaks.tolist() == [vector["max_link_load"] for vector in scalar]
+            spreads = peaks - totals / context.route_table.num_links
+            assert spreads.tolist() == [vector["link_load_spread"] for vector in scalar]
+            results[rows] = (gather_rate, energy_rate)
+        return results
+
+    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    lines = [f"{'rows':<8} {'gather rows/s':>14} {'energy rows/s':>14}"]
+    for rows, (gather_rate, energy_rate) in rates.items():
+        lines.append(f"{rows:<8} {gather_rate:>14,.0f} {energy_rate:>14,.0f}")
+    emit(
+        f"Link-load gather - rows/s of link_load_stats beside the energy kernel "
+        f"({kernel.num_edges} edges, 48 cores, 8x8 mesh, median of timed calls)",
+        "\n".join(lines),
+    )
+    sample = {"bench": "bench_vector_link_load"}
+    for rows, (gather_rate, energy_rate) in rates.items():
+        sample[f"pop_{rows}_gather_rows_per_s"] = gather_rate
+        sample[f"pop_{rows}_energy_rows_per_s"] = energy_rate
+    record_sample("BENCH_vector.json", sample)

@@ -391,7 +391,7 @@ class CodesignSearch(NSGA3Search):
         # mapping->routing pairing).
         unique: Dict[tuple, int] = {}
         matrix = outcome.values[:, list(columns)]
-        for index in fast_non_dominated_sort(matrix, keys)[0]:
+        for index in fast_non_dominated_sort(matrix, keys, stop=1)[0]:
             individual = outcome.population[index]
             unique.setdefault((individual.routing.digest, individual.row), index)
         front = [

@@ -131,7 +131,7 @@ class LoadAwareCwmContext(CwmEvaluationContext):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.name = f"cwm+load({self.cwg.name})"
-        self._num_links = len(self.platform.mesh.links())
+        self._num_links = self.route_table.num_links
 
     def _load_components(
         self, tiles: Dict[str, int]

@@ -26,7 +26,7 @@ drop such rows silently.  :func:`key_matrix` raises instead.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _compare(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return better, worse
 
 
-def pareto_fronts(matrix: np.ndarray) -> List[List[int]]:
+def pareto_fronts(matrix: np.ndarray, stop: Optional[int] = None) -> List[List[int]]:
     """Deb's fast non-dominated sort over the rows of *matrix* (all minimised).
 
     Front 0 lists the non-dominated rows in ascending order.  A later front
@@ -91,15 +91,31 @@ def pareto_fronts(matrix: np.ndarray) -> List[List[int]]:
     by that dominator's position there, then by row index — the order in
     which Deb's loop, walking the previous front and each member's ascending
     dominated list, drives their counts to zero.
+
+    With a positive *stop*, the sort ends as soon as the fronts found hold
+    at least *stop* rows.  Deb's loop releases the fronts in order, so those
+    are exactly the first fronts of the full sort.
+
+    Raises
+    ------
+    ConfigurationError
+        When *stop* is given and below 1.
     """
+    if stop is not None and stop < 1:
+        raise ConfigurationError(f"stop must be a positive row count, got {stop}")
+    limit = matrix.shape[0] if stop is None else stop
     better, worse = _compare(matrix)
     dominates = better & ~worse
     remaining = dominates.sum(axis=0)
     ranked = np.zeros(matrix.shape[0], dtype=bool)
     fronts: List[List[int]] = []
+    found = 0
     front = np.flatnonzero(remaining == 0)
     while front.size:
         fronts.append(front.tolist())
+        found += front.size
+        if found >= limit:
+            break
         ranked[front] = True
         rows = dominates[front]
         remaining -= rows.sum(axis=0)

@@ -536,9 +536,7 @@ class RouteTable:
         search maps a link to its id without an ``(n, n)`` lookup array.
         """
         if self._link_keys is None:
-            n = self.num_tiles
-            keys = [tail * n + head for tail, head in sorted(self.mesh.links())]
-            self._link_keys = _freeze(np.array(keys, dtype=np.int64))
+            self._link_keys = _topology_link_keys(self.mesh)
         return self._link_keys
 
     def _tree_csr(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -623,6 +621,30 @@ _TABLE_CACHE: Dict[Tuple, RouteTable] = {}
 #: Upper bound on distinct cached tables (sweeps over many platforms evict
 #: the oldest entries instead of growing without bound).
 _TABLE_CACHE_LIMIT = 32
+
+
+_LINK_KEYS_CACHE: Dict[Tuple, np.ndarray] = {}
+
+
+def _topology_link_keys(mesh: "Topology") -> np.ndarray:
+    """The read-only sorted link keys of *mesh*, built once per topology.
+
+    Every table over one topology (co-design builds one per routing) reads
+    the same keys.  Topologies are keyed on their ``cache_token`` and the
+    cache is bounded like the table cache; one without a token is not
+    cached.
+    """
+    token = getattr(mesh, "cache_token", None)
+    keys = _LINK_KEYS_CACHE.get(token) if token is not None else None
+    if keys is None:
+        n = mesh.num_tiles
+        listed = [tail * n + head for tail, head in sorted(mesh.links())]
+        keys = _freeze(np.array(listed, dtype=np.int64))
+        if token is not None:
+            while len(_LINK_KEYS_CACHE) >= _TABLE_CACHE_LIMIT:
+                _LINK_KEYS_CACHE.pop(next(iter(_LINK_KEYS_CACHE)))
+            _LINK_KEYS_CACHE[token] = keys
+    return keys
 
 
 def _routing_token(routing: "RoutingAlgorithm") -> Tuple:
@@ -725,8 +747,9 @@ def is_shared_route_table(
 
 
 def clear_route_table_cache() -> None:
-    """Drop all cached tables (used by tests and long-running sweeps)."""
+    """Drop all cached tables and link keys (used by tests and long-running sweeps)."""
     _TABLE_CACHE.clear()
+    _LINK_KEYS_CACHE.clear()
 
 
 __all__ = [

@@ -52,9 +52,25 @@ if TYPE_CHECKING:  # pragma: no cover - imports only used by type checkers
 DEFAULT_VECTORIZE = True
 
 #: Upper bound on the number of gathered elements a single pricing block may
-#: materialise; larger populations are priced in row blocks so peak memory
-#: stays bounded regardless of population size.
-_MAX_GATHER_ELEMENTS = 1 << 22
+#: materialise; larger populations are priced in row blocks.  The bound is
+#: sized for cache, not only for memory: a link-load block's
+#: (candidate, edge, route position) stream and its int64 and float64
+#: temporaries stay within one core's L2, where a whole 128-row batch of
+#: the 8x8 NSGA-II shape (an ~80k-element stream) did not.  Of 2**15, 2**16
+#: and 2**17, 2**15 priced that shape fastest in alternating benchmark runs.
+_MAX_GATHER_ELEMENTS = 1 << 15
+
+
+def _block_rows(pop: int, row_elements: int) -> int:
+    """Rows per pricing block of *pop* (at least 1) rows, shared out evenly.
+
+    Each block holds at most :data:`_MAX_GATHER_ELEMENTS` elements at
+    *row_elements* per row (but at least one row); the rows are shared out
+    evenly over the fewest such blocks, so no block is a short remainder.
+    """
+    most = max(1, _MAX_GATHER_ELEMENTS // row_elements)
+    blocks = -(-pop // most)
+    return -(-pop // blocks)
 
 
 def population_to_array(
@@ -274,7 +290,7 @@ class VectorizedCwmKernel:
         multiplies by the edge's bit volume, and reduces each row with a
         strictly sequential cumulative sum — the float-for-float twin of the
         scalar left-to-right accumulator.  Large populations are priced in
-        row blocks to bound peak memory.
+        cache-sized row blocks (:data:`_MAX_GATHER_ELEMENTS`).
 
         Parameters
         ----------
@@ -296,7 +312,7 @@ class VectorizedCwmKernel:
         if self._src_idx.size == 0:
             out.fill(0.0)
             return out
-        block = max(1, _MAX_GATHER_ELEMENTS // self._src_idx.size)
+        block = _block_rows(pop, self._src_idx.size)
         for start in range(0, pop, block):
             rows = array[start : start + block]
             contrib = self._bits * self._energy[
@@ -316,8 +332,11 @@ class VectorizedCwmKernel:
         :class:`~repro.codesign.load.LoadAwareCwmContext`, so every load is
         bit-identical to it.  The total adds the loads in link-id (sorted
         link) order with ``np.add.accumulate``, the order
-        :func:`~repro.codesign.load.link_load_spread` sums in.  Large
-        populations are priced in row blocks.  An eager table serves one
+        :func:`~repro.codesign.load.link_load_spread` sums in.  Rows are
+        priced in cache-sized blocks: a block's stream holds at most
+        :data:`_MAX_GATHER_ELEMENTS` elements were every route the longest,
+        and each row's loads come from its own stream in the scalar order,
+        so the blocking moves no value.  An eager table serves one
         memoised CSR of all pairs; a lazy table converts only each block's
         distinct pairs, routing and memoising each pair once, as the scalar
         loop does.
@@ -347,7 +366,7 @@ class VectorizedCwmKernel:
             indptr, indices = table.link_csr()
         # A route crosses one link fewer than the routers it visits.
         longest = int(self._hops.max()) - 1
-        block = max(1, _MAX_GATHER_ELEMENTS // max(edges * longest, num_links))
+        block = _block_rows(pop, max(edges * longest, num_links))
         for start in range(0, pop, block):
             rows = array[start : start + block]
             count = rows.shape[0]

@@ -122,7 +122,9 @@ class Nsga2Parameters:
 
 
 def fast_non_dominated_sort(
-    vectors: Union[Sequence[MetricVector], np.ndarray], keys: Sequence[str]
+    vectors: Union[Sequence[MetricVector], np.ndarray],
+    keys: Sequence[str],
+    stop: Optional[int] = None,
 ) -> List[List[int]]:
     """Deb's fast non-dominated sort: indices grouped into Pareto ranks.
 
@@ -137,23 +139,28 @@ def fast_non_dominated_sort(
         ``(n, len(keys))`` key matrix (columns are *keys* in order).
     keys:
         Component names the dominance check ranges over (all minimised).
+    stop:
+        A positive count: stop once the fronts found hold at least this
+        many indices.  The result is then the first fronts of the full
+        sort, unchanged, up to the one that reaches *stop*.  The population
+        loop's survival sort stops at the population size.
 
     Returns
     -------
     list of list of int
         ``fronts[0]`` is the non-dominated set, ``fronts[1]`` the set
-        dominated only by rank 0, and so on.  Every index appears exactly
-        once.  Deb's order within a front: front 0 ascending; a later front
-        by the position of each member's last dominator in the previous
-        front, then by index.
+        dominated only by rank 0, and so on.  Without *stop* every index
+        appears exactly once.  Deb's order within a front: front 0
+        ascending; a later front by the position of each member's last
+        dominator in the previous front, then by index.
 
     Raises
     ------
     ConfigurationError
         When a key component is NaN (dominance would cycle and silently
-        drop individuals); ±inf is accepted.
+        drop individuals; ±inf is accepted), or *stop* is below 1.
     """
-    return pareto_fronts(key_matrix(vectors, keys))
+    return pareto_fronts(key_matrix(vectors, keys), stop)
 
 
 def crowding_distances(
@@ -276,14 +283,16 @@ class _Outcome(NamedTuple):
 class PopulationSearch(PoolOwnerMixin, Searcher):
     """The (mu + lambda) generation loop of NSGA-II, NSGA-III and co-design.
 
-    One generation ranks the population, breeds ``population_size``
-    children from rank-first tournaments (lowest rank, then
-    :meth:`_tiebreak`, then lowest index), prices the brood in one batch and
-    refills the population from the ranked union of parents and children:
-    whole ranks while they fit, then :meth:`_truncate` cuts the rank that
-    spills.  Each child draws from the one random stream in a fixed order:
-    two tournaments, the crossover coin and crossover, the mutation coin and
-    mutation, then whatever :meth:`_breed` adds.
+    One generation breeds ``population_size`` children from rank-first
+    tournaments (lowest rank, then :meth:`_tiebreak`, then lowest index),
+    prices the brood in one batch and refills the population from the
+    ranked union of parents and children: whole ranks while they fit, then
+    :meth:`_truncate` cuts the rank that spills.  That survival sort stops
+    at the front that fills the population, and its fronts, renumbered by
+    survivor position, rank the next generation; only the seed population
+    is sorted on its own.  Each child draws from the one random stream in a
+    fixed order: two tournaments, the crossover coin and crossover, the
+    mutation coin and mutation, then whatever :meth:`_breed` adds.
 
     Individuals are tile rows (:data:`~repro.search.base.Row`, in the
     initial mapping's core order) and each generation's vectors one
@@ -455,9 +464,9 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
         best_values = values[best_idx]
         history: List[Tuple[int, float]] = [(evaluations, best_cost)]
 
+        matrix = values[:, columns]
+        fronts = fast_non_dominated_sort(matrix, run.keys)
         for _ in range(params.generations):
-            matrix = values[:, columns]
-            fronts = fast_non_dominated_sort(matrix, run.keys)
             ranks = [0] * len(population)
             for rank, front in enumerate(fronts):
                 for index in front:
@@ -488,19 +497,21 @@ class PopulationSearch(PoolOwnerMixin, Searcher):
             combined = population + children
             combined_values = np.concatenate((values, child_values))
             combined_matrix = combined_values[:, columns]
+            # Whole fronts survive until one spills, so each survivor's rank
+            # among the survivors is its rank in the combined pool: the
+            # fronts, renumbered by survivor position, rank the next
+            # generation without sorting it again.
             survivors: List[int] = []
-            for front in fast_non_dominated_sort(combined_matrix, run.keys):
-                if len(survivors) + len(front) <= size:
-                    survivors.extend(front)
-                    if len(survivors) == size:
-                        break
-                    continue
-                slots = size - len(survivors)
-                chosen = self._truncate(survivors, front, combined_matrix, slots, run)
-                survivors.extend(chosen)
-                break
+            fronts = []
+            for front in fast_non_dominated_sort(combined_matrix, run.keys, stop=size):
+                if len(survivors) + len(front) > size:
+                    slots = size - len(survivors)
+                    front = self._truncate(survivors, front, combined_matrix, slots, run)
+                fronts.append(list(range(len(survivors), len(survivors) + len(front))))
+                survivors.extend(front)
             population = [combined[i] for i in survivors]
             values = combined_values[survivors]
+            matrix = combined_matrix[survivors]
             self._selected(population, best, run)
 
         return _Outcome(

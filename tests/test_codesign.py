@@ -444,12 +444,19 @@ class TestLoadAwareCwmContext:
     @pytest.mark.parametrize("fabric", ["mesh", "torus", "irregular"])
     @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
     @pytest.mark.parametrize("fractional", [False, True], ids=["int", "float"])
-    def test_load_gather_matches_scalar_loop(self, fabric, precompute, fractional):
+    @pytest.mark.parametrize("size", [24, 3_600])
+    def test_load_gather_matches_scalar_loop(self, fabric, precompute, fractional, size):
         platform = _LOAD_FABRICS[fabric]
         cwg = _load_cwg(seed=len(fabric), fractional=fractional)
         table = RouteTable.for_platform(platform, precompute=precompute)
         context = LoadAwareCwmContext(cwg, platform, route_table=table)
-        mappings = _load_population(cwg, platform, seed=5, size=24)
+        mappings = _load_population(cwg, platform, seed=5, size=size)
+        if size > 24:
+            # The larger population spans several blocks of the real budget.
+            kernel = context.vector_kernel()
+            longest = int(table.as_arrays()[1].max()) - 1
+            stream = max(kernel.num_edges * longest, table.num_links)
+            assert size >= 3 * (vector_module._MAX_GATHER_ELEMENTS // stream)
         scalar = [context._compute_metrics(mapping).values for mapping in mappings]
         chunk = _chunk(context, mappings)
         assert chunk == scalar

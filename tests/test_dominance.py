@@ -242,3 +242,99 @@ class TestInfiniteSpan:
             normalised, das_dennis_reference_points(2, 4)
         )
         assert not any(math.isnan(distance) for _, distance in association.values())
+
+
+# ---------------------------------------------------------------------------
+# The population loop's one sort per generation
+# ---------------------------------------------------------------------------
+
+
+class TestEarlyStop:
+    @SETTINGS
+    @given(case=vector_sets(), data=st.data())
+    def test_stopped_fronts_are_the_full_sorts_first_fronts(self, case, data):
+        vectors, keys = case
+        full = reference_pareto.fast_non_dominated_sort(vectors, keys)
+        stop = data.draw(st.integers(min_value=1, max_value=len(vectors) + 1))
+        expected, found = [], 0
+        for front in full:
+            expected.append(front)
+            found += len(front)
+            if found >= stop:
+                break
+        assert fast_non_dominated_sort(vectors, keys, stop=stop) == expected
+
+    @pytest.mark.parametrize("stop", [0, -1])
+    def test_stop_below_one_raises(self, stop):
+        with pytest.raises(ConfigurationError, match="positive"):
+            pareto_fronts(np.zeros((3, 2)), stop=stop)
+
+
+class _PaletteContext(EvaluationContext):
+    """Prices every key from a tie-heavy table indexed by the three tiles."""
+
+    core_order = ("a", "b", "c")
+
+    def __init__(self, table: np.ndarray, num_tiles: int) -> None:
+        super().__init__()
+        self.metric_names = tuple(f"m{index}" for index in range(table.shape[0]))
+        self.weights = {self.metric_names[0]: 1.0}
+        self._table = table
+        self._num_tiles = num_tiles
+
+    def _compute_metrics(self, mapping):
+        a, b, c = (mapping.tile_of(core) for core in self.core_order)
+        code = (a * self._num_tiles + b) * self._num_tiles + c
+        return MetricVector(self.metric_names, self._table[:, code].tolist())
+
+
+def _recording(engine_type):
+    """*engine_type* keeping the fronts and key matrix of every tournament."""
+
+    class Recording(engine_type):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.ranked = []
+
+        def _tiebreak(self, fronts, vectors, run):
+            self.ranked.append(([list(front) for front in fronts], np.array(vectors)))
+            return super()._tiebreak(fronts, vectors, run)
+
+    return Recording
+
+
+class TestReusedFronts:
+    """Survivors keep their fronts: they equal a fresh sort of the survivors."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_keys=st.integers(min_value=1, max_value=5),
+        levels=st.integers(min_value=1, max_value=6),
+        size=st.integers(min_value=4, max_value=14),
+        nsga3=st.booleans(),
+    )
+    def test_reused_fronts_match_a_fresh_sort(self, seed, num_keys, levels, size, nsga3):
+        rng = np.random.default_rng(seed)
+        num_tiles = 6
+        pool = [float(rng.choice(PALETTE)) for _ in range(levels)]
+        table = rng.choice(pool, size=(num_keys, num_tiles**3))
+        context = _PaletteContext(table, num_tiles)
+        keys = context.metric_names
+        if nsga3:
+            engine = _recording(NSGA3Search)(
+                Nsga3Parameters(population_size=size, generations=4), keys=keys
+            )
+        else:
+            engine = _recording(NSGA2Search)(
+                Nsga2Parameters(population_size=size, generations=4), keys=keys
+            )
+        initial = Mapping({"a": 0, "b": 1, "c": 2}, num_tiles=num_tiles)
+        engine.search(context, initial, rng=seed)
+        assert len(engine.ranked) == 4
+        for fronts, matrix in engine.ranked:
+            vectors = [MetricVector(keys, row) for row in matrix.tolist()]
+            fresh = reference_pareto.fast_non_dominated_sort(vectors, keys)
+            assert [sorted(front) for front in fronts] == [
+                sorted(front) for front in fresh
+            ]

@@ -110,8 +110,10 @@ def encoder():
 def _assert_reached(calls, layers):
     missing = [layer for layer in layers if not calls[layer]]
     assert not missing, f"no traced call reached {missing}"
-    # Both sorts of every generation go through a traced global.
-    assert calls["fast_non_dominated_sort"] >= 2 * GENERATIONS
+    # The seed population's sort and every generation's survival sort go
+    # through a traced global; survivors keep their ranks, so a generation
+    # sorts once.
+    assert calls["fast_non_dominated_sort"] >= GENERATIONS + 1
 
 
 def test_nsga2_over_load_aware_cwm_reaches_its_layers(encoder, calls):
