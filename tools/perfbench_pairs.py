@@ -235,7 +235,7 @@ def export_tree(revision: str, into: Path) -> Path:
         )
     root = into / "tree"
     with tarfile.open(archive) as tar:
-        tar.extractall(root)
+        tar.extractall(root, filter="data")
     archive.unlink()
     return root
 
