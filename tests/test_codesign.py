@@ -441,27 +441,39 @@ class TestLoadAwareCwmContext:
             pooled = context.evaluate_metrics_batch(mappings, backend=pool)
         assert [v.values for v in pooled] == [v.values for v in serial]
 
-    @pytest.mark.parametrize("fabric", ["mesh", "torus", "irregular"])
-    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
-    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "float"])
-    @pytest.mark.parametrize("size", [24, 3_600])
-    def test_load_gather_matches_scalar_loop(self, fabric, precompute, fractional, size):
+    @staticmethod
+    def _check_gather(fabric, precompute, fractional, size):
         platform = _LOAD_FABRICS[fabric]
         cwg = _load_cwg(seed=len(fabric), fractional=fractional)
         table = RouteTable.for_platform(platform, precompute=precompute)
         context = LoadAwareCwmContext(cwg, platform, route_table=table)
         mappings = _load_population(cwg, platform, seed=5, size=size)
-        if size > 24:
-            # The larger population spans several blocks of the real budget.
-            kernel = context.vector_kernel()
-            longest = int(table.as_arrays()[1].max()) - 1
-            stream = max(kernel.num_edges * longest, table.num_links)
-            assert size >= 3 * (vector_module._MAX_GATHER_ELEMENTS // stream)
         scalar = [context._compute_metrics(mapping).values for mapping in mappings]
         chunk = _chunk(context, mappings)
         assert chunk == scalar
         clone = pickle.loads(pickle.dumps(context))
         assert _chunk(clone, mappings) == scalar
+        return context, table
+
+    @pytest.mark.parametrize("fabric", ["mesh", "torus", "irregular"])
+    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "float"])
+    def test_load_gather_matches_scalar_loop(self, fabric, precompute, fractional):
+        self._check_gather(fabric, precompute, fractional, size=24)
+
+    @pytest.mark.parametrize("fabric", ["mesh", "torus", "irregular"])
+    @pytest.mark.parametrize("precompute", [True, False], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "float"])
+    def test_load_gather_matches_scalar_loop_over_real_blocks(
+        self, fabric, precompute, fractional
+    ):
+        size = 3_600
+        context, table = self._check_gather(fabric, precompute, fractional, size)
+        # The population spans several blocks of the real budget.
+        kernel = context.vector_kernel()
+        longest = int(table.as_arrays()[1].max()) - 1
+        stream = max(kernel.num_edges * longest, table.num_links)
+        assert size >= 3 * (vector_module._MAX_GATHER_ELEMENTS // stream)
 
     def test_load_gather_pooled_on_custom_lazy_table(self):
         # A custom table travels with the pickle; each worker builds its own
